@@ -193,30 +193,96 @@ def symmetrize(W: Channel) -> Channel:
 def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
     """Merge output symbols whose posteriors agree within ``tol`` (sup norm).
 
-    Columns are sorted lexicographically by posterior vector, then grouped
-    against the first member of each run, so the result is deterministic.
-    Merging is information-lossless at ``tol = 1e-12`` and a degradation for
-    coarser tolerances.  Zero-mass outputs share a uniform posterior and
-    collapse together.
+    Grouping rule: columns are sorted lexicographically by posterior vector
+    and scanned in that order; a column joins the current group when its
+    posterior lies within ``tol`` of the group's *first* member (not of its
+    neighbour), and opens a new group otherwise.  The result is
+    deterministic.  Merging is information-lossless at ``tol = 1e-12`` and a
+    degradation for coarser tolerances.  Zero-mass outputs share a uniform
+    posterior and collapse together.
+
+    The scan is evaluated as runs of the sorted order, split wherever two
+    neighbours differ by more than ``tol``.  When no two neighbours differ
+    by a nonzero amount within ``tol``, every run holds equal posteriors and
+    the runs are the scan's groups.  Otherwise they are the scan's groups
+    when every column lies within ``tol`` of its run's first column and
+    every run's first column lies beyond ``tol`` of the previous run's; only
+    runs that break one of these (drift chains, coarse ``tol``) are
+    rescanned column by column.
+
+    Summation order: each merged column adds its group's transition columns
+    left to right in sorted order, bitwise equal to
+    ``W.transition[:, group].sum(axis=1)``.
     """
-    d = derived_distributions(W)
-    post = d.posterior
-    M = W.output_size
+    post = derived_distributions(W).posterior
     order = np.lexsort(post[::-1, :])
-    groups: list[list[int]] = []
-    rep: np.ndarray | None = None
-    for col in order:
-        if rep is not None and float(np.max(np.abs(post[:, col] - rep))) <= tol:
-            groups[-1].append(int(col))
-        else:
-            groups.append([int(col)])
-            rep = post[:, col]
-    new_trans = np.empty((W.q, len(groups)))
-    for j, cols in enumerate(groups):
-        new_trans[:, j] = W.transition[:, cols].sum(axis=1)
-    if len(groups) == M:
-        # nothing merged; keep the original column order
+    P = post[:, order]
+    gap = np.abs(P[:, 1:] - P[:, :-1]).max(axis=0)
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = ~(gap <= tol)
+    if ((gap > 0.0) & (gap <= tol)).any():
+        # compare each column with its run's head, and each head with the
+        # previous head; a mismatch with the run rule flags the column
+        heads = np.flatnonzero(start)
+        ref = heads[np.cumsum(start) - 1 - start]
+        bad = (np.abs(P - P[:, ref]).max(axis=0) <= tol) == start
+        bad[0] = False
+        if bad.any():
+            _rescan_runs(P, tol, start, bad)
+    return _merge_runs(W, order, start)
+
+
+def _rescan_runs(P: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray) -> None:
+    """Redo the first-member scan of ``merge_outputs`` where runs disagree.
+
+    ``P`` holds the sorted posteriors, ``start`` the neighbour-split run
+    heads (updated in place) and ``bad`` the columns that break the run
+    rule.  Each run holding a bad column is rescanned, and so is the run
+    after a rescan that ends on a representative other than its run's head.
+    """
+    heads = np.flatnonzero(start)
+    bounds = np.append(heads, P.shape[1])
+    flagged = np.zeros(heads.size + 1, dtype=bool)
+    flagged[np.cumsum(start)[bad] - 1] = True
+    flagged[-1] = True  # sentinel past the last run
+    rep = last = -1
+    r = int(np.argmax(flagged))
+    while r < heads.size:
+        if r != last + 1:
+            rep = int(heads[r - 1])  # the previous run was kept whole
+        for c in range(bounds[r], bounds[r + 1]):
+            if rep >= 0 and float(np.max(np.abs(P[:, c] - P[:, rep]))) <= tol:
+                start[c] = False
+            else:
+                start[c] = True
+                rep = c
+        last = r
+        if rep != heads[r]:
+            flagged[r + 1] = True  # the next head meets another representative
+        r += 1 + int(np.argmax(flagged[r + 1 :]))
+
+
+def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
+    """Sum the transition columns of each run of ``order``.
+
+    ``start[k]`` marks the sorted position ``k`` that opens a new output.
+    Each output column is ``W.transition[:, run].sum(axis=1)`` over its
+    run's columns in sorted order.  That gather keeps the q axis innermost,
+    so numpy adds the columns left to right (not pairwise).  Runs of equal
+    length are gathered the same way into one (q, runs, length) block,
+    whose sum over the last axis adds in the same order, so the result is
+    bitwise the per-run sum; ``np.add.reduceat`` would not be.  Returns
+    ``W`` itself, in its original column order, when nothing merges.
+    """
+    heads = np.flatnonzero(start)
+    if heads.size == order.size:
         return W
+    sizes = np.concatenate((heads[1:], (order.size,))) - heads
+    new_trans = np.empty((W.q, heads.size))
+    for s in np.flatnonzero(np.bincount(sizes)):
+        pick = sizes == s
+        cols = order[heads[pick][:, None] + np.arange(s)]
+        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
     return Channel(W.field, new_trans, W.input_dist)
 
 

@@ -488,7 +488,9 @@ def _cmd_verify(args) -> int:
     for name, fn in suites:
         try:
             ok = bool(fn(args.seed))
-        except Exception:
+        except Exception as exc:
+            # stdout keeps its one verdict line; the cause goes to stderr
+            print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             ok = False
         print(("PASS " if ok else "FAIL ") + name)
         failed += 0 if ok else 1

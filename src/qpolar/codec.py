@@ -129,6 +129,24 @@ def construct(
     fclass: dict[tuple[int, ...], str] = {}
     stats: dict[tuple[int, ...], LeafStat] = {}
 
+    def fit(path: tuple[int, ...], Wn: Channel, which: str) -> tuple[Channel, bool]:
+        # Pre-shrink rather than letting the child transforms trip the guard.
+        # Binning at a fixed pitch only merges outputs whose posteriors
+        # collide, so a single pass may not shrink enough; coarsen until the
+        # child syntheses fit.
+        res, shrunk = fallback_resolution, False
+        while q ** (ell - 1) * Wn.output_size**ell > guard:
+            if res < 1:
+                raise ValueError(
+                    f"{which} channel at node path {list(path)} needs a "
+                    f"{q ** (ell - 1) * Wn.output_size**ell}-symbol synthesis even "
+                    f"after quantizing at resolution 1, over the guard {guard}"
+                )
+            Wn = quantize_merge(Wn, res)
+            shrunk = True
+            res //= 2
+        return Wn, shrunk
+
     def visit(path: tuple[int, ...], Wn: Channel, Vn: Channel, exact: bool) -> None:
         if len(path) == n:
             pw = param_vector(Wn)
@@ -147,20 +165,9 @@ def construct(
             rng = np.random.default_rng([seed] + list(path))
             kern = search(Wn, Vn, ell, kernel_policy.budget, rng, guard=guard)
         kernels[path] = kern
-        # Pre-shrink rather than letting the child transforms trip the guard.
-        # Binning at a fixed pitch only merges outputs whose posteriors
-        # collide, so a single pass may not shrink enough; coarsen until the
-        # child syntheses fit.
-        res = fallback_resolution
-        while q ** (ell - 1) * Wn.output_size**ell > guard and res >= 1:
-            Wn = quantize_merge(Wn, res)
-            exact = False
-            res //= 2
-        res = fallback_resolution
-        while q ** (ell - 1) * Vn.output_size**ell > guard and res >= 1:
-            Vn = quantize_merge(Vn, res)
-            exact = False
-            res //= 2
+        Wn, shrunk_w = fit(path, Wn, "data")
+        Vn, shrunk_v = fit(path, Vn, "noise")
+        exact = exact and not (shrunk_w or shrunk_v)
         for k in range(1, ell + 1):
             cw = transform(Wn, kern, k, guard=guard).channel
             cv = transform(Vn, kern, k, guard=guard).channel
@@ -338,7 +345,8 @@ def decode(
     length-N symbol vector (then ``channel`` supplies the posterior map).
     ``seed`` must match the encoder's.  ``failed`` reports contradictory
     pins somewhere in the pass; decoding still completes on uniform
-    substitutes.
+    substitutes.  NaN, infinite or negative posteriors and symbols outside
+    the channel's output alphabet raise ``ValueError``.
     """
     received = np.asarray(received)
     N, q = spec.block_length, spec.field.q
@@ -346,13 +354,19 @@ def decode(
         if received.shape != (N, q):
             raise ValueError(f"posterior array must be ({N}, {q})")
         pins_ch = np.asarray(received, dtype=float)
+        if not (np.isfinite(pins_ch).all() and pins_ch.min() >= 0.0):
+            raise ValueError("posteriors must be finite and nonnegative")
     elif received.ndim == 1:
         if channel is None:
             raise ValueError("symbol input needs the channel")
         if received.shape[0] != N:
             raise ValueError(f"expected {N} output symbols")
+        symbols = received.astype(np.int64)
+        M = channel.output_size
+        if symbols.min() < 0 or symbols.max() >= M:
+            raise ValueError(f"output symbols must lie in 0..{M - 1}")
         post = derived_distributions(channel).posterior  # (q, M)
-        pins_ch = post[:, received.astype(np.int64)].T
+        pins_ch = post[:, symbols].T
     else:
         raise ValueError("received must be 1-D symbols or an (N, q) posterior array")
     eng = _Engine(spec, "decode", _frozen_variates(spec, seed))

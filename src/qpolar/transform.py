@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, derived_distributions, merge_outputs
+from .channel import Channel, _merge_runs, derived_distributions, merge_outputs
 from .gf import Kernel, field_matmul
 
 #: default cap on the pre-merge output-alphabet size of an exact synthesis
@@ -174,24 +174,19 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     A deterministic degradation: binning can only coarsen the posterior
     field, so conditional entropy never decreases.  Anything downstream of
     this op should be flagged as approximate.
+
+    Grouping rule: columns are sorted lexicographically by their integer
+    bin vectors, and each run of equal bin vectors becomes one output, in
+    sorted order.  Summation order: each merged column adds its run's
+    transition columns left to right in sorted order, bitwise equal to
+    ``W.transition[:, run].sum(axis=1)``, as in ``merge_outputs``.
     """
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     d = derived_distributions(W)
     bins = np.minimum((d.posterior * resolution).astype(np.int64), resolution - 1)
     order = np.lexsort(bins[::-1, :])
-    groups: list[list[int]] = []
-    prev: np.ndarray | None = None
-    for col in order:
-        key = bins[:, col]
-        if prev is not None and np.array_equal(key, prev):
-            groups[-1].append(int(col))
-        else:
-            groups.append([int(col)])
-            prev = key
-    if len(groups) == W.output_size:
-        return W
-    new_trans = np.empty((W.q, len(groups)))
-    for j, cols in enumerate(groups):
-        new_trans[:, j] = W.transition[:, cols].sum(axis=1)
-    return Channel(W.field, new_trans, W.input_dist)
+    B = bins[:, order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (B[:, 1:] != B[:, :-1]).any(axis=0)
+    return _merge_runs(W, order, start)

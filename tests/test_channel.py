@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpolar import transform as transform_mod
 from qpolar.channel import (
     bec,
     bsc,
@@ -20,7 +21,9 @@ from qpolar.channel import (
     symmetrize,
     zchannel,
 )
-from qpolar.gf import field_make
+from qpolar.codec import codespec_to_dict, construct
+from qpolar.gf import arikan_kernel, field_make
+from qpolar.kernsearch import FixedKernel
 
 
 # -- tiny independent oracles (deliberately written from the definitions) --
@@ -226,6 +229,98 @@ def test_merge_groups_zero_mass_outputs_together():
     V = merge_outputs(W, tol=1e-12)
     # uniform-posterior live columns and dead columns all share one group
     assert V.output_size == 1
+
+
+def _scan_merge_outputs(W, tol=1e-12):
+    """Reference: the column-by-column scan ``merge_outputs`` must reproduce."""
+    post = derived_distributions(W).posterior
+    order = np.lexsort(post[::-1, :])
+    groups = []
+    rep = None
+    for col in order:
+        if rep is not None and float(np.max(np.abs(post[:, col] - rep))) <= tol:
+            groups[-1].append(int(col))
+        else:
+            groups.append([int(col)])
+            rep = post[:, col]
+    if len(groups) == W.output_size:
+        return W
+    new_trans = np.empty((W.q, len(groups)))
+    for j, cols in enumerate(groups):
+        new_trans[:, j] = W.transition[:, cols].sum(axis=1)
+    return make_channel(W.field, new_trans, W.input_dist)
+
+
+_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1)}
+
+
+@st.composite
+def merge_cases(draw):
+    """A channel whose outputs tie, nearly tie or drift, plus a tolerance.
+
+    The channel is built from its output masses and posteriors: random
+    posteriors, repeats of them (a column split in parts), zero-mass
+    outputs and drift chains whose neighbours are 0.6 tol apart, so that
+    the first-member rule and the neighbour rule disagree.
+    """
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    tol = draw(st.sampled_from([1e-12, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_random = draw(st.integers(1, 6))
+    n_repeat = draw(st.integers(0, 8))
+    n_dead = draw(st.integers(0, 3))
+    chains = draw(st.lists(st.integers(2, 8), max_size=3))
+    posts = list(rng.dirichlet(np.ones(q), size=n_random))
+    for _ in range(n_repeat):
+        posts.append(posts[int(rng.integers(len(posts)))])
+    step = 0.6 * tol
+    for length in chains:
+        length = min(length, int(0.9 / step) + 1)
+        a, b = rng.choice(q, size=2, replace=False)
+        base = rng.dirichlet(np.ones(q)) * (1.0 - (length - 1) * step)
+        base[b] += (length - 1) * step
+        posts.extend(base + k * step * (np.eye(q)[a] - np.eye(q)[b]) for k in range(length))
+    mass = rng.random(len(posts)) + 0.05
+    joint = np.array(posts).T * mass
+    joint = np.hstack([joint, np.zeros((q, n_dead))])
+    joint = joint[:, rng.permutation(joint.shape[1])] / joint.sum()
+    dist = joint.sum(axis=1)
+    W = make_channel(field_make(*_FIELDS[q]), joint / dist[:, None], dist)
+    return W, tol
+
+
+@given(merge_cases())
+@settings(max_examples=300, deadline=None)
+def test_merge_outputs_matches_reference_scan_bitwise(case):
+    W, tol = case
+    got, want = merge_outputs(W, tol=tol), _scan_merge_outputs(W, tol=tol)
+    assert got.output_size == want.output_size
+    assert np.array_equal(got.transition, want.transition)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 0.2])
+def test_merge_outputs_drift_chain_follows_first_member(tol):
+    # neighbours 0.6 tol apart: the scan cuts the chain every second step
+    post0 = 0.3 + 0.6 * tol * np.arange(5)
+    joint = np.vstack([post0, 1.0 - post0]) / 5
+    dist = joint.sum(axis=1)
+    W = make_channel(field_make(2), joint / dist[:, None], dist)
+    V = merge_outputs(W, tol=tol)
+    assert V.output_size == 3
+    assert np.array_equal(V.transition, _scan_merge_outputs(W, tol=tol).transition)
+
+
+def test_construct_is_unchanged_under_the_reference_merge(monkeypatch):
+    W = zchannel(0.3)
+    W = W.with_input(capacity_input(W))
+
+    def build():
+        kern = FixedKernel(arikan_kernel(W.field))
+        return codespec_to_dict(construct(W, 2, 4, 0.2, kern, seed=7))
+
+    fast = build()
+    monkeypatch.setattr(transform_mod, "merge_outputs", _scan_merge_outputs)
+    assert build() == fast
 
 
 # ---------------------------------------------------------- stock + JSON

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qpolar import cli
 from qpolar.channel import bec
 from qpolar.cli import main, render_json
 from qpolar.codec import construct, simulate
@@ -224,6 +225,33 @@ def test_usage_errors_exit_one(capsys, spec_file):
                    "--seed", "1")[0] == 1
     code, _, err = run_cli(capsys, "construct", "--bec", "0.5", "--ell", "2")
     assert code == 1 and "error" in err
+
+
+def test_decode_out_of_range_symbol_exits_one(capsys, spec_file):
+    code, out, err = run_cli(
+        capsys, "decode", "--spec", str(spec_file), "--received", "0,1,2,0,1,5,0,1",
+        "--bec", "0.5", "--seed", "7",
+    )
+    assert code == 1 and out == ""
+    assert "output symbols must lie in 0..2" in err
+
+
+def test_verify_reports_the_exception_on_stderr(capsys, monkeypatch):
+    def broken(seed):
+        raise ZeroDivisionError("pivot vanished")
+
+    monkeypatch.setattr(cli, "_suite_holder", broken)
+    for name in ("_suite_conservation", "_suite_ftpc", "_suite_quadratic",
+                 "_suite_symmetrization", "_suite_local", "_suite_gadget"):
+        monkeypatch.setattr(cli, name, lambda seed: True)
+    code, out, err = run_cli(capsys, "verify", "--seed", "0")
+    assert code == 2
+    assert out.splitlines() == [
+        "PASS conservation", "PASS coset-identities", "FAIL parameter-inequalities",
+        "PASS exponent-curvature", "PASS symmetrization-identities", "PASS one-step-laws",
+        "PASS distance-average-bound",
+    ]
+    assert err == "parameter-inequalities: ZeroDivisionError: pivot vanished\n"
 
 
 def test_module_entry_point():

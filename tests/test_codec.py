@@ -70,6 +70,12 @@ def test_construct_validates():
         construct(bec(0.5), 2, 0, 0.2, FixedKernel(ARIKAN), seed=0)
 
 
+def test_construct_names_the_node_that_stays_over_the_guard():
+    # q^(ell-1) = 2 already exceeds guard 1, so no quantization can fit
+    with pytest.raises(ValueError, match=r"data channel at node path \[\].*over the guard 1$"):
+        construct(bec(0.5), 2, 2, 0.2, FixedKernel(ARIKAN), seed=0, guard=1)
+
+
 # ---- single-step posterior against direct Bayes enumeration
 
 
@@ -225,6 +231,24 @@ def test_decode_validates(bec_spec):
         decode(bec_spec, np.zeros((4, 2)), seed=0)
     with pytest.raises(ValueError, match="output symbols"):
         decode(bec_spec, np.zeros(5, dtype=int), seed=0, channel=bec(0.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25, np.inf])
+def test_decode_rejects_nan_or_negative_posteriors(bec_spec, bad):
+    pins = np.full((8, 2), 0.5)
+    pins[3, 1] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        decode(bec_spec, pins, seed=0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        decode(bec_spec, np.full((8, 2), bad), seed=0)
+
+
+@pytest.mark.parametrize("symbol", [3, -1])
+def test_decode_rejects_out_of_range_symbols(bec_spec, symbol):
+    y = np.zeros(8, dtype=int)
+    y[5] = symbol  # BEC outputs are 0, 1, 2
+    with pytest.raises(ValueError, match=r"0\.\.2"):
+        decode(bec_spec, y, seed=0, channel=bec(0.5))
 
 
 def test_decode_flags_contradictory_pins():

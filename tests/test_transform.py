@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpolar.channel import bec, flatten, make_channel, random_channel, zchannel
+from qpolar import codec
+from qpolar.channel import (
+    bec,
+    capacity_input,
+    derived_distributions,
+    flatten,
+    make_channel,
+    random_channel,
+    zchannel,
+)
 from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
+from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
 from qpolar.transform import estimate_entropy_mc, quantize_merge, transform, transform_all
 
@@ -201,3 +211,66 @@ def test_quantize_merge_validates_and_is_deterministic():
     A = quantize_merge(W, 8)
     B = quantize_merge(W, 8)
     np.testing.assert_array_equal(A.transition, B.transition)
+
+
+def _scan_quantize_merge(W, resolution):
+    """Reference: the column-by-column scan ``quantize_merge`` must reproduce."""
+    d = derived_distributions(W)
+    bins = np.minimum((d.posterior * resolution).astype(np.int64), resolution - 1)
+    order = np.lexsort(bins[::-1, :])
+    groups = []
+    prev = None
+    for col in order:
+        key = bins[:, col]
+        if prev is not None and np.array_equal(key, prev):
+            groups[-1].append(int(col))
+        else:
+            groups.append([int(col)])
+            prev = key
+    if len(groups) == W.output_size:
+        return W
+    new_trans = np.empty((W.q, len(groups)))
+    for j, cols in enumerate(groups):
+        new_trans[:, j] = W.transition[:, cols].sum(axis=1)
+    return make_channel(W.field, new_trans, W.input_dist)
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 64),
+    st.integers(1, 12),
+    st.integers(0, 8),
+    st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_quantize_merge_matches_reference_scan_bitwise(pm, seed, resolution, m0, splits, dead):
+    rng = np.random.default_rng(seed)
+    field = field_make(*pm)
+    T = rng.dirichlet(np.ones(m0), size=field.q)
+    for _ in range(splits):  # split one column in two parts: equal posteriors
+        c = int(rng.integers(T.shape[1]))
+        f = rng.random()
+        T = np.hstack([T, f * T[:, [c]]])
+        T[:, c] *= 1.0 - f
+    T = np.hstack([T, np.zeros((field.q, dead))])
+    T = T[:, rng.permutation(T.shape[1])]
+    W = make_channel(field, T, rng.dirichlet(np.ones(field.q)))
+    got, want = quantize_merge(W, resolution), _scan_quantize_merge(W, resolution)
+    assert got.output_size == want.output_size
+    assert np.array_equal(got.transition, want.transition)
+
+
+def test_quantized_construct_is_unchanged_under_the_reference_merge(monkeypatch):
+    W = zchannel(0.3)
+    W = W.with_input(capacity_input(W))
+
+    def build():
+        # guard 200 forces quantization of every node past 10 outputs
+        spec = codec.construct(W, 2, 4, 0.2, FixedKernel(ARIKAN), seed=7, guard=200)
+        assert not all(s.exact for s in spec.leaf_stats.values())
+        return codec.codespec_to_dict(spec)
+
+    fast = build()
+    monkeypatch.setattr(codec, "quantize_merge", _scan_quantize_merge)
+    assert build() == fast
