@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-# Sweep block-error rate against channel noise for a fixed construction.
-#
-# example:
-#   python3 scripts/bler_sweep.py --depth 3 --trials 2000
-#   python3 scripts/bler_sweep.py --channel bsc --grid 0.02,0.05,0.08,0.11 --csv out.csv
+"""Sweep block-error rate against channel noise for a fixed construction.
+
+example:
+  python3 scripts/bler_sweep.py --depth 3 --trials 2000
+  python3 scripts/bler_sweep.py --channel bsc --grid 0.02,0.05,0.08,0.11 --csv out.csv
+"""
 
 import argparse
 import csv
@@ -14,7 +15,9 @@ from qpolar.codec import construct, simulate
 from qpolar.gf import arikan_kernel, field_make
 from qpolar.kernsearch import FixedKernel
 
-parser = argparse.ArgumentParser(description=__doc__)
+parser = argparse.ArgumentParser(
+    description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+)
 parser.add_argument("--channel", choices=["bec", "bsc"], default="bec")
 parser.add_argument("--grid", type=str, default="0.1,0.2,0.3,0.4,0.5",
                     help="comma-separated noise levels")

@@ -22,6 +22,7 @@ __all__ = [
     "DerivedDists",
     "make_channel",
     "derived_distributions",
+    "sample_outputs",
     "capacity_input",
     "extend_input",
     "flatten",
@@ -53,6 +54,9 @@ class Channel:
             )
         if trans.shape[1] < 1:
             raise ValueError("channel needs at least one output")
+        for name, arr in (("transition", trans), ("input_dist", dist)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a NaN or infinite entry")
         if trans.min() < -1e-15:
             bad = np.unravel_index(int(np.argmin(trans)), trans.shape)
             raise ValueError(f"negative transition probability at {bad}")
@@ -119,6 +123,18 @@ def derived_distributions(W: Channel) -> DerivedDists:
     for arr in (joint, output, posterior):
         arr.setflags(write=False)
     return DerivedDists(joint=joint, output=output, posterior=posterior)
+
+
+def sample_outputs(W: Channel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Output symbols for the inputs ``x`` by inverse CDF at the uniforms ``u``.
+
+    ``u`` has the shape of ``x``; the symbol is the number of entries of
+    row x's transition CDF that ``u`` reaches (``u >= cdf``), capped at M-1
+    against round-off in the last entry.
+    """
+    cdf = np.cumsum(W.transition, axis=1)
+    y = (u[..., None] >= cdf[x]).sum(axis=-1)
+    return np.minimum(y, W.output_size - 1)
 
 
 # ------------------------------------------------------- capacity search

@@ -191,12 +191,12 @@ def _cmd_transform(args) -> int:
         raise _CliError("kernel field does not match the channel")
     merge = not args.no_merge
     if args.index is not None:
-        node = transform(W, kern, args.index, merge=merge)
+        child = transform(W, kern, args.index, merge=merge)
         _emit(
             {
                 "index": args.index,
-                "output_size": node.channel.output_size,
-                "params": param_vector(node.channel).as_dict(),
+                "output_size": child.output_size,
+                "params": param_vector(child).as_dict(),
             }
         )
         return 0
@@ -207,10 +207,10 @@ def _cmd_transform(args) -> int:
             "children": [
                 {
                     "index": i + 1,
-                    "output_size": sc.channel.output_size,
-                    "params": param_vector(sc.channel).as_dict(),
+                    "output_size": child.output_size,
+                    "params": param_vector(child).as_dict(),
                 }
-                for i, sc in enumerate(kids)
+                for i, child in enumerate(kids)
             ],
         }
     )
@@ -398,7 +398,7 @@ def _suite_conservation(seed: int) -> bool:
         W = random_channel(f, int(rng.integers(2, 6)), rng)
         kern = sample_invertible(f, ell, rng)
         kids = transform_all(W, kern)
-        mean_h = float(np.mean([param_vector(sc.channel).H for sc in kids]))
+        mean_h = float(np.mean([param_vector(child).H for child in kids]))
         if abs(mean_h - param_vector(W).H) > 1e-9:
             return False
     return True
@@ -452,8 +452,8 @@ def _suite_symmetrization(seed: int) -> bool:
             return False
         kern = arikan_kernel(f)
         for i in (1, 2):
-            hw = param_vector(transform(W, kern, i).channel).H
-            hb = param_vector(transform(Wb, kern, i).channel).H
+            hw = param_vector(transform(W, kern, i)).H
+            hb = param_vector(transform(Wb, kern, i)).H
             if abs(hw - hb) > 1e-9:
                 return False
     return True

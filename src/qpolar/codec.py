@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, derived_distributions, flatten
+from .channel import Channel, derived_distributions, flatten, sample_outputs
 from .gf import FieldSpec, Kernel, field_make, field_matmul, mat_invert
 from .kernsearch import FixedKernel, SearchKernels, search
 from .params import param_vector
@@ -169,8 +169,8 @@ def construct(
         Vn, shrunk_v = fit(path, Vn, "noise")
         exact = exact and not (shrunk_w or shrunk_v)
         for k in range(1, ell + 1):
-            cw = transform(Wn, kern, k, guard=guard).channel
-            cv = transform(Vn, kern, k, guard=guard).channel
+            cw = transform(Wn, kern, k, guard=guard)
+            cv = transform(Vn, kern, k, guard=guard)
             visit(path + (k,), cw, cv, exact)
 
     visit((), W, flatten(W), True)
@@ -345,8 +345,8 @@ def decode(
     length-N symbol vector (then ``channel`` supplies the posterior map).
     ``seed`` must match the encoder's.  ``failed`` reports contradictory
     pins somewhere in the pass; decoding still completes on uniform
-    substitutes.  NaN, infinite or negative posteriors and symbols outside
-    the channel's output alphabet raise ``ValueError``.
+    substitutes.  NaN, infinite or negative posteriors and symbols that are
+    not integers in the channel's output alphabet raise ``ValueError``.
     """
     received = np.asarray(received)
     N, q = spec.block_length, spec.field.q
@@ -361,6 +361,8 @@ def decode(
             raise ValueError("symbol input needs the channel")
         if received.shape[0] != N:
             raise ValueError(f"expected {N} output symbols")
+        if not (np.isfinite(received).all() and (received % 1 == 0).all()):
+            raise ValueError("output symbols must be integers")
         symbols = received.astype(np.int64)
         M = channel.output_size
         if symbols.min() < 0 or symbols.max() >= M:
@@ -380,13 +382,6 @@ def decode(
 
 # ------------------------------------------------------------- simulation
 
-def _sample_outputs(W: Channel, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cdf = np.cumsum(W.transition, axis=1)
-    r = rng.random(x.shape[0])
-    y = (r[:, None] >= cdf[x]).sum(axis=1)
-    return np.minimum(y, W.output_size - 1)
-
-
 def simulate_counts(spec: CodeSpec, W: Channel, streams: list) -> dict:
     """Raw error tallies over the given per-trial seed-sequence streams.
 
@@ -400,7 +395,7 @@ def simulate_counts(spec: CodeSpec, W: Channel, streams: list) -> dict:
         inner = int(ss.generate_state(1)[0])
         msg = rng_t.integers(0, q, size=k)
         x = encode(spec, msg, inner)
-        y = _sample_outputs(W, x, rng_t)
+        y = sample_outputs(W, x, rng_t.random(x.shape[0]))
         res = decode(spec, y, inner, channel=W)
         wrong = res.message != msg
         block_errs += int(wrong.any())

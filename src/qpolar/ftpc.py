@@ -21,7 +21,7 @@ import numpy as np
 from .channel import Channel
 from .gf import Kernel, field_matmul, mat_invert
 from .params import param_vector
-from .transform import DEFAULT_GUARD, SynthChannel, transform
+from .transform import DEFAULT_GUARD, transform
 
 #: default cap on the number of coset words enumerated in one call
 ENUM_GUARD = 1 << 24
@@ -112,12 +112,8 @@ def reversed_dual_kernel(kernel: Kernel) -> Kernel:
     return mat_invert(kernel.field, flipped)
 
 
-def _as_channel(W: Channel | SynthChannel) -> Channel:
-    return W.channel if isinstance(W, SynthChannel) else W
-
-
 def verify_ftpcz(
-    W: Channel | SynthChannel,
+    W: Channel,
     kernel: Kernel,
     i: int,
     *,
@@ -129,14 +125,14 @@ def verify_ftpcz(
     Recomputes the synthesized channel exactly, then tests
     Zmad(child_i) <= primal_enumerator_i(Zmad(parent)) + tol.
     """
-    parent = param_vector(_as_channel(W)).Zmad
-    child = param_vector(transform(W, kernel, i, guard=guard).channel).Zmad
+    parent = param_vector(W).Zmad
+    child = param_vector(transform(W, kernel, i, guard=guard)).Zmad
     rhs = coset_enumerator(kernel, i).evaluate(parent)
     return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + tol)}
 
 
 def verify_ftpcs(
-    W: Channel | SynthChannel,
+    W: Channel,
     kernel: Kernel,
     i: int,
     *,
@@ -148,7 +144,7 @@ def verify_ftpcs(
     Recomputes the synthesized channel exactly, then tests
     Smax(child_i) <= dual_enumerator_i(Smax(parent)) + tol.
     """
-    parent = param_vector(_as_channel(W)).Smax
-    child = param_vector(transform(W, kernel, i, guard=guard).channel).Smax
+    parent = param_vector(W).Smax
+    child = param_vector(transform(W, kernel, i, guard=guard)).Smax
     rhs = dual_coset_enumerator(kernel, i).evaluate(parent)
     return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + tol)}

@@ -27,9 +27,6 @@ __all__ = [
     "FieldSpec",
     "Kernel",
     "field_make",
-    "field_arith",
-    "field_trace",
-    "character",
     "field_matmul",
     "mat_invert",
     "sample_invertible",
@@ -275,34 +272,6 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
     spec = FieldSpec(p=p, m=m, q=q, modulus=modulus)
     _FIELD_CACHE[key] = spec
     return spec
-
-
-_ARITH_OPS = ("add", "sub", "mul", "neg", "inv", "div")
-
-
-def field_arith(spec: FieldSpec, op: str, a, b=None):
-    """Dispatch a field operation by name; `neg`/`inv` are unary."""
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown field op {op!r}, expected one of {_ARITH_OPS}")
-    if op == "neg":
-        return spec.neg(a)
-    if op == "inv":
-        return spec.inv(a)
-    if b is None:
-        raise ValueError(f"op {op!r} needs two operands")
-    if op == "div":
-        return spec.mul(a, spec.inv(b))
-    return getattr(spec, op)(a, b)
-
-
-def field_trace(spec: FieldSpec, a):
-    """Trace down to the prime subfield, returned as an integer in [0, p)."""
-    return spec.trace(a)
-
-
-def character(spec: FieldSpec, a):
-    """Canonical additive character exp(2*pi*i*trace(a)/p)."""
-    return spec.char(a)
 
 
 # -------------------------------------------------------------- matrices

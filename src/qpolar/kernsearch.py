@@ -29,7 +29,7 @@ from .channel import Channel
 from .ftpc import ENUM_GUARD, coset_enumerator, dual_coset_enumerator
 from .gf import Kernel, field_make, sample_invertible
 from .params import param_vector
-from .transform import DEFAULT_GUARD, SynthChannel, estimate_entropy_mc, transform_all
+from .transform import DEFAULT_GUARD, estimate_entropy_mc, transform_all
 
 __all__ = [
     "FixedKernel",
@@ -120,7 +120,7 @@ def certify_ldp(kernel: Kernel, z: float, s: float, *, guard: int = ENUM_GUARD) 
 
 def certify_clt(
     kernel: Kernel,
-    W: Channel | SynthChannel,
+    W: Channel,
     *,
     guard: int = DEFAULT_GUARD,
     mc_samples: int | None = None,
@@ -138,15 +138,14 @@ def certify_clt(
     alpha = math.log(math.log(ell)) / math.log(ell)
     exact = True
     try:
-        entropies = [param_vector(sc.channel).H for sc in transform_all(W, kernel, guard=guard)]
+        entropies = [param_vector(child).H for child in transform_all(W, kernel, guard=guard)]
     except ValueError:
         if mc_samples is None:
             raise
         if rng is None:
             raise ValueError("Monte Carlo fallback needs an rng")
-        base = W.channel if isinstance(W, SynthChannel) else W
         entropies = [
-            estimate_entropy_mc(base, kernel, i, mc_samples, rng)["estimate"]
+            estimate_entropy_mc(W, kernel, i, mc_samples, rng)["estimate"]
             for i in range(1, ell + 1)
         ]
         exact = False
@@ -198,8 +197,8 @@ def _first_violation(report: dict, side: str) -> dict | None:
 
 
 def search(
-    Wnode: Channel | SynthChannel,
-    Vnode: Channel | SynthChannel,
+    Wnode: Channel,
+    Vnode: Channel,
     ell: int,
     budget: int,
     rng: np.random.Generator,
@@ -216,11 +215,9 @@ def search(
     the budget is exhausted; pass ``rejections`` to collect per-candidate
     witnesses.
     """
-    base_w = Wnode.channel if isinstance(Wnode, SynthChannel) else Wnode
-    field = base_w.field
-    pw = param_vector(base_w)
-    base_v = Vnode.channel if isinstance(Vnode, SynthChannel) else Vnode
-    pv = param_vector(base_v)
+    field = Wnode.field
+    pw = param_vector(Wnode)
+    pv = param_vector(Vnode)
     for _ in range(budget):
         cand = sample_invertible(field, ell, rng)
         rep_w = certify_ldp(cand, pw.Zmad, pw.Smax)

@@ -20,7 +20,7 @@ from .channel import Channel, flatten
 from .gf import Kernel
 from .kernsearch import FixedKernel, SearchKernels, search
 from .params import param_vector
-from .transform import DEFAULT_GUARD, SynthChannel, quantize_merge, transform, transform_all
+from .transform import DEFAULT_GUARD, quantize_merge, transform, transform_all
 
 __all__ = [
     "StepRecord",
@@ -101,9 +101,9 @@ def sample_path(
         else:
             kern = search(cur, cur_v, kernel_policy.ell, kernel_policy.budget, rng, guard=guard)
         k = int(rng.integers(1, kern.ell + 1))
-        cur = transform(cur, kern, k, guard=guard).channel
+        cur = transform(cur, kern, k, guard=guard)
         if cur_v is not None:
-            cur_v = transform(cur_v, kern, k, guard=guard).channel
+            cur_v = transform(cur_v, kern, k, guard=guard)
         if quantize_resolution is not None and cur.output_size > quantize_trigger:
             cur = quantize_merge(cur, quantize_resolution)
             exact = False
@@ -147,7 +147,7 @@ def polarization_stats(
 
 # ----------------------------------------------------------- local checks
 
-def check_local(W: Channel | SynthChannel, kernel: Kernel, *, guard: int = DEFAULT_GUARD) -> dict:
+def check_local(W: Channel, kernel: Kernel, *, guard: int = DEFAULT_GUARD) -> dict:
     """One-step law report for a (channel, kernel) pair.
 
     Always-binding checks: conservation of conditional entropy across the
@@ -157,10 +157,9 @@ def check_local(W: Channel | SynthChannel, kernel: Kernel, *, guard: int = DEFAU
     defined, but only marked as required when their size/strength
     preconditions hold; ``cl_satisfied`` records the former's precondition.
     """
-    base = W.channel if isinstance(W, SynthChannel) else W
-    ell, q = kernel.ell, base.q
-    parent = param_vector(base)
-    kids = [param_vector(sc.channel) for sc in transform_all(W, kernel, guard=guard)]
+    ell, q = kernel.ell, W.q
+    parent = param_vector(W)
+    kids = [param_vector(child) for child in transform_all(W, kernel, guard=guard)]
     hs = np.array([k.H for k in kids])
     zs = np.array([k.Zmad for k in kids])
 

@@ -12,38 +12,21 @@ simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import Channel, _merge_runs, derived_distributions, merge_outputs
+from .channel import Channel, _merge_runs, derived_distributions, merge_outputs, sample_outputs
 from .gf import Kernel, field_matmul
 
 #: default cap on the pre-merge output-alphabet size of an exact synthesis
 DEFAULT_GUARD = 10_000_000
 
 __all__ = [
-    "SynthChannel",
     "transform",
     "transform_all",
     "estimate_entropy_mc",
     "quantize_merge",
     "DEFAULT_GUARD",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class SynthChannel:
-    """A synthesized channel plus the kernel-tree path that produced it.
-
-    ``path`` records the 1-based position chosen at each synthesis step,
-    root first.  ``exact`` is False as soon as any lossy approximation
-    (posterior quantization, MC estimation) entered the pipeline.
-    """
-
-    channel: Channel
-    path: tuple[int, ...]
-    exact: bool = True
 
 
 def _digit_matrix(q: int, width: int) -> np.ndarray:
@@ -55,13 +38,13 @@ def _digit_matrix(q: int, width: int) -> np.ndarray:
 
 
 def transform(
-    W: Channel | SynthChannel,
+    W: Channel,
     kernel: Kernel,
     i: int,
     *,
     guard: int = DEFAULT_GUARD,
     merge: bool = True,
-) -> SynthChannel:
+) -> Channel:
     """Synthesize position ``i`` (1-based) of one kernel step, exactly.
 
     Output labels enumerate (previous source symbols, raw output block)
@@ -71,20 +54,16 @@ def transform(
     the defining quotient).  Raises ``ValueError`` when the pre-merge
     alphabet q^(i-1) * M^ell would exceed ``guard``.
     """
-    if isinstance(W, SynthChannel):
-        base, path, exact = W.channel, W.path + (i,), W.exact
-    else:
-        base, path, exact = W, (i,), True
     ell = kernel.ell
     if not 1 <= i <= ell:
         raise ValueError(f"position {i} outside 1..{ell}")
-    q, M = base.q, base.output_size
+    q, M = W.q, W.output_size
     pre_merge = q ** (i - 1) * M**ell
     if pre_merge > guard:
         raise ValueError(
             f"exact synthesis needs a {pre_merge}-symbol alphabet, over the guard {guard}"
         )
-    joint = derived_distributions(base).joint
+    joint = derived_distributions(W).joint
     U = _digit_matrix(q, ell)
     X = kernel.apply_rows(U)
     prefix_size = q ** (i - 1)
@@ -99,15 +78,13 @@ def transform(
         A[ui, pu * M**ell : (pu + 1) * M**ell] += w
     mass = A.sum(axis=1)
     rows = np.where(mass[:, None] > 0, A / np.where(mass > 0, mass, 1.0)[:, None], 1.0 / A.shape[1])
-    out = Channel(base.field, rows, mass)
-    if merge:
-        out = merge_outputs(out, tol=1e-12)
-    return SynthChannel(channel=out, path=path, exact=exact)
+    out = Channel(W.field, rows, mass)
+    return merge_outputs(out, tol=1e-12) if merge else out
 
 
 def transform_all(
-    W: Channel | SynthChannel, kernel: Kernel, *, guard: int = DEFAULT_GUARD, merge: bool = True
-) -> list[SynthChannel]:
+    W: Channel, kernel: Kernel, *, guard: int = DEFAULT_GUARD, merge: bool = True
+) -> list[Channel]:
     """All ell synthesized positions of one kernel step."""
     return [transform(W, kernel, i, guard=guard, merge=merge) for i in range(1, kernel.ell + 1)]
 
@@ -134,7 +111,6 @@ def estimate_entropy_mc(
     q, M = W.q, W.output_size
     field = W.field
     joint = derived_distributions(W).joint
-    trans_cdf = np.cumsum(W.transition, axis=1)
     in_cdf = np.cumsum(W.input_dist)
     cands = _digit_matrix(q, ell - i + 1)  # candidate (u_i, suffix) blocks
     C = cands.shape[0]
@@ -146,11 +122,7 @@ def estimate_entropy_mc(
         B = min(max_b, samples - done)
         xs = np.searchsorted(in_cdf, rng.random((B, ell)), side="right")
         xs = np.minimum(xs, q - 1)
-        u = rng.random((B, ell))
-        # sample outputs row-wise from the transition law of each sent symbol
-        ys = np.minimum(
-            (trans_cdf[xs.ravel()] < u.ravel()[:, None]).sum(axis=1), M - 1
-        ).reshape(B, ell)
+        ys = sample_outputs(W, xs, rng.random((B, ell)))
         us = field_matmul(field, xs, kernel.inverse)
         full = np.empty((B, C, ell), dtype=np.int64)
         full[:, :, : i - 1] = us[:, None, : i - 1]

@@ -73,7 +73,7 @@ def test_c01_one_step_entropy_conservation():
         kern = sample_invertible(field, ell, rng)
         parent = param_vector(W).H
         kids = transform_all(W, kern, merge=False)
-        resid = abs(sum(param_vector(sc.channel).H for sc in kids) - ell * parent)
+        resid = abs(sum(param_vector(sc).H for sc in kids) - ell * parent)
         worst = max(worst, resid)
     dt = time.time() - t0
     _finish(
@@ -130,12 +130,12 @@ def test_c03_erasure_recursion_is_exact():
     worst = 0.0
     for eps in (0.1, 0.25, 0.5, 0.9):
         kids = transform_all(bec(eps), AR2)
-        h1 = param_vector(kids[0].channel).H
-        h2 = param_vector(kids[1].channel).H
+        h1 = param_vector(kids[0]).H
+        h2 = param_vector(kids[1]).H
         worst = max(worst, abs(h1 - (2 * eps - eps * eps)), abs(h2 - eps * eps))
     level = [bec(0.5)]
     for _ in range(3):
-        level = [sc.channel for W in level for sc in transform_all(W, AR2)]
+        level = [sc for W in level for sc in transform_all(W, AR2)]
     got = sorted(param_vector(W).H for W in level)
     want = sorted(
         [0.99609375, 0.87890625, 0.80859375, 0.68359375,
@@ -219,7 +219,7 @@ def test_c06_symmetrized_channel_preserves_entropies():
         kb = transform_all(Wbar, kern, merge=False)
         for cw, cb in zip(kw, kb):
             worst = max(
-                worst, abs(param_vector(cb.channel).H - param_vector(cw.channel).H)
+                worst, abs(param_vector(cb).H - param_vector(cw).H)
             )
     _finish("c06 symmetrization identities", worst <= 1e-9, f"50 channels, worst {worst:.2e}")
 
@@ -489,7 +489,7 @@ def test_c10_search_certificates_are_sound():
             q = W.q
             alpha = math.log(math.log(ell)) / math.log(ell) if ell >= 3 else None
             for side, parent, pvec in (("data", W, pw), ("randomness", V, pv)):
-                kids = [param_vector(sc.channel) for sc in transform_all(parent, kern)]
+                kids = [param_vector(sc) for sc in transform_all(parent, kern)]
                 z, s = pvec.Zmad, pvec.Smax
                 spread = []
                 for i, kid in enumerate(kids, start=1):

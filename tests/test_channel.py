@@ -65,6 +65,16 @@ def test_rejects_negative_probability():
         make_channel(field_make(2), [[1.1, -0.1], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["transition", "input_dist"])
+def test_rejects_non_finite_entries(where, bad):
+    trans = np.array([[0.5, 0.5], [0.5, 0.5]])
+    dist = np.array([0.5, 0.5])
+    {"transition": trans, "input_dist": dist}[where][0] = bad
+    with pytest.raises(ValueError, match=f"{where} has a NaN or infinite entry"):
+        make_channel(field_make(2), trans, dist)
+
+
 def test_rejects_wrong_shapes():
     f2 = field_make(2)
     with pytest.raises(ValueError):

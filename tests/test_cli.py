@@ -236,6 +236,14 @@ def test_decode_out_of_range_symbol_exits_one(capsys, spec_file):
     assert "output symbols must lie in 0..2" in err
 
 
+def test_params_non_finite_channel_file_exits_one(capsys, tmp_path):
+    cfile = tmp_path / "chan.json"
+    cfile.write_text('{"p": 2, "transition": [[NaN, 0.5], [0.5, 0.5]]}')
+    code, out, err = run_cli(capsys, "params", "--channel", str(cfile))
+    assert code == 1 and out == ""
+    assert "NaN or infinite" in err
+
+
 def test_verify_reports_the_exception_on_stderr(capsys, monkeypatch):
     def broken(seed):
         raise ZeroDivisionError("pivot vanished")

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qpolar.channel import bec, bsc, capacity_input, derived_distributions, make_channel, random_channel
+from qpolar.channel import (
+    bec,
+    bsc,
+    capacity_input,
+    derived_distributions,
+    random_channel,
+    sample_outputs,
+)
 from qpolar.codec import (
     CodeSpec,
     codespec_from_dict,
@@ -251,6 +258,16 @@ def test_decode_rejects_out_of_range_symbols(bec_spec, symbol):
         decode(bec_spec, y, seed=0, channel=bec(0.5))
 
 
+def test_decode_rejects_fractional_symbols(bec_spec):
+    y = [0, 1.7, 0, 1, 0, 0, 1, 0.2]
+    with pytest.raises(ValueError, match="must be integers"):
+        decode(bec_spec, y, seed=1, channel=bec(0.5))
+    # integer-valued floats stay accepted
+    whole = np.array([0, 2, 0, 1, 0, 0, 1, 0])
+    as_float = decode(bec_spec, whole.astype(float), seed=1, channel=bec(0.5))
+    assert np.array_equal(as_float.message, decode(bec_spec, whole, seed=1, channel=bec(0.5)).message)
+
+
 def test_decode_flags_contradictory_pins():
     rng = np.random.default_rng(0)
     spec = _all_info_spec(F2, 2, 1, rng)
@@ -313,19 +330,13 @@ def _oracle_decode(spec, W, received, seed):
     return np.array(decoded, dtype=np.int64), margin
 
 
-def _sample_y(W, x, rng):
-    cdf = np.cumsum(W.transition, axis=1)
-    y = (rng.random(x.shape[0])[:, None] >= cdf[x]).sum(axis=1)
-    return np.minimum(y, W.output_size - 1)
-
-
 def _agreement_run(spec, W, blocks, seed0):
     rng = np.random.default_rng(seed0)
     tied = 0
     for trial in range(blocks):
         msg = rng.integers(0, spec.field.q, size=spec.dimension)
         x = encode(spec, msg, seed=seed0 + trial)
-        y = _sample_y(W, x, rng)
+        y = sample_outputs(W, x, rng.random(x.shape[0]))
         got = decode(spec, y, seed=seed0 + trial, channel=W).message
         want, margin = _oracle_decode(spec, W, y, seed=seed0 + trial)
         if not np.array_equal(got, want):

@@ -24,8 +24,8 @@ F2 = field_make(2)
 ARIKAN = arikan_kernel(F2)
 
 
-def _H(sc):
-    return param_vector(sc.channel).H
+def _H(W):
+    return param_vector(W).H
 
 
 # ------------------------------------------------------------ closed forms
@@ -56,15 +56,14 @@ def test_erasure_depth3_leaf_entropies_frozen():
             level2 = transform(level1, ARIKAN, k2)
             for k3 in (1, 2):
                 leaf = transform(level2, ARIKAN, k3)
-                assert leaf.path == (k1, k2, k3)
                 got.append(_H(leaf))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_erasure_channels_stay_tiny_after_merge():
     # losslessly merged synthesized erasure channels keep erasure structure
-    sc = transform(transform(bec(0.5), ARIKAN, 1), ARIKAN, 2)
-    assert sc.channel.output_size <= 3
+    child = transform(transform(bec(0.5), ARIKAN, 1), ARIKAN, 2)
+    assert child.output_size <= 3
 
 
 # ------------------------------------------------------------ conservation
@@ -79,7 +78,7 @@ def test_entropy_conservation_random(seed):
     W = random_channel(field, int(rng.integers(2, 4)), rng, random_input=bool(rng.integers(0, 2)))
     kern = sample_invertible(field, ell, rng)
     parts = transform_all(W, kern)
-    total = sum(_H(sc) for sc in parts)
+    total = sum(_H(child) for child in parts)
     assert total == pytest.approx(ell * param_vector(W).H, abs=1e-9)
 
 
@@ -88,8 +87,8 @@ def test_synth_input_marginal():
     W = zchannel(0.3, input_dist=[0.3, 0.7])
     s1 = transform(W, ARIKAN, 1)
     s2 = transform(W, ARIKAN, 2)
-    np.testing.assert_allclose(s1.channel.input_dist, [0.58, 0.42], atol=1e-12)
-    np.testing.assert_allclose(s2.channel.input_dist, [0.3, 0.7], atol=1e-12)
+    np.testing.assert_allclose(s1.input_dist, [0.58, 0.42], atol=1e-12)
+    np.testing.assert_allclose(s2.input_dist, [0.3, 0.7], atol=1e-12)
 
 
 # --------------------------------------------------------- quotient oracle
@@ -122,10 +121,10 @@ def test_flattened_transform_matches_quotient(pm, ell):
         W = flatten(make_channel(field, np.ones((field.q, 1)), dist))
         kern = sample_invertible(field, ell, rng)
         for i in range(1, ell + 1):
-            sc = transform(W, kern, i, merge=False)
+            child = transform(W, kern, i, merge=False)
             rows, mass = _quotient_oracle(field, dist, kern, i)
-            np.testing.assert_allclose(sc.channel.transition, rows, atol=1e-12)
-            np.testing.assert_allclose(sc.channel.input_dist, mass, atol=1e-12)
+            np.testing.assert_allclose(child.transition, rows, atol=1e-12)
+            np.testing.assert_allclose(child.input_dist, mass, atol=1e-12)
 
 
 def test_lossless_merge_preserves_all_params():
@@ -136,25 +135,12 @@ def test_lossless_merge_preserves_all_params():
     for i in (1, 2):
         raw = transform(W, kern, i, merge=False)
         merged = transform(W, kern, i)
-        a, b = param_vector(raw.channel), param_vector(merged.channel)
+        a, b = param_vector(raw), param_vector(merged)
         for name in ("H", "I", "Pe", "Z", "Zmad", "T", "S", "Smax"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
 
 
 # ------------------------------------------------------------ bookkeeping
-
-def test_path_and_exact_flag_propagation():
-    sc = transform(bec(0.5), ARIKAN, 2)
-    sc2 = transform(sc, ARIKAN, 1)
-    assert sc.path == (2,) and sc2.path == (2, 1)
-    assert sc.exact and sc2.exact
-    lossy = quantize_merge(sc.channel, 4)
-    from qpolar.transform import SynthChannel
-
-    marked = SynthChannel(channel=lossy, path=sc.path, exact=False)
-    sc3 = transform(marked, ARIKAN, 1)
-    assert sc3.exact is False
-
 
 def test_guard_raises():
     with pytest.raises(ValueError, match="guard"):
