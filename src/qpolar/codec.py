@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel, derived_distributions, flatten, sample_outputs
-from .gf import FieldSpec, Kernel, field_make, field_matmul, mat_invert
+from .gf import FieldSpec, Kernel, field_make, mat_invert
 from .kernsearch import FixedKernel, SearchKernels, search
 from .params import param_vector
-from .transform import DEFAULT_GUARD, _digit_matrix, quantize_merge, transform
+from .transform import DEFAULT_GUARD, quantize_to_fit, transform
 
 __all__ = [
     "LeafStat",
@@ -123,29 +123,10 @@ def construct(
     if n < 1 or ell < 2:
         raise ValueError("need n >= 1 and ell >= 2")
     theta = math.exp(-(ell ** (pi * n)))
-    q = W.q
     kernels: dict[tuple[int, ...], Kernel] = {}
     info: set[tuple[int, ...]] = set()
     fclass: dict[tuple[int, ...], str] = {}
     stats: dict[tuple[int, ...], LeafStat] = {}
-
-    def fit(path: tuple[int, ...], Wn: Channel, which: str) -> tuple[Channel, bool]:
-        # Pre-shrink rather than letting the child transforms trip the guard.
-        # Binning at a fixed pitch only merges outputs whose posteriors
-        # collide, so a single pass may not shrink enough; coarsen until the
-        # child syntheses fit.
-        res, shrunk = fallback_resolution, False
-        while q ** (ell - 1) * Wn.output_size**ell > guard:
-            if res < 1:
-                raise ValueError(
-                    f"{which} channel at node path {list(path)} needs a "
-                    f"{q ** (ell - 1) * Wn.output_size**ell}-symbol synthesis even "
-                    f"after quantizing at resolution 1, over the guard {guard}"
-                )
-            Wn = quantize_merge(Wn, res)
-            shrunk = True
-            res //= 2
-        return Wn, shrunk
 
     def visit(path: tuple[int, ...], Wn: Channel, Vn: Channel, exact: bool) -> None:
         if len(path) == n:
@@ -165,8 +146,14 @@ def construct(
             rng = np.random.default_rng([seed] + list(path))
             kern = search(Wn, Vn, ell, kernel_policy.budget, rng, guard=guard)
         kernels[path] = kern
-        Wn, shrunk_w = fit(path, Wn, "data")
-        Vn, shrunk_v = fit(path, Vn, "noise")
+        # Pre-shrink rather than letting the child transforms trip the guard.
+        where = f"channel at node path {list(path)}"
+        Wn, shrunk_w = quantize_to_fit(
+            Wn, ell, ell, fallback_resolution, guard=guard, where="data " + where
+        )
+        Vn, shrunk_v = quantize_to_fit(
+            Vn, ell, ell, fallback_resolution, guard=guard, where="noise " + where
+        )
         exact = exact and not (shrunk_w or shrunk_v)
         for k in range(1, ell + 1):
             cw = transform(Wn, kern, k, guard=guard)
@@ -202,12 +189,14 @@ def node_posterior(
     ``pins`` is an (ell, q) array whose rows are the per-instance posteriors
     of the group's channel inputs x_j; ``decided`` holds the i-1 already
     fixed source symbols.  Sums the pin products over every completion of
-    the source row through x = u G.  A zero total (contradictory pins)
-    yields the uniform distribution and ok=False so a decoder can keep
-    going while flagging the block.
+    the source row through x = u G, read as one contiguous block of the
+    kernel's completion table and multiplied column by column from x_1.
+    A zero total (contradictory pins) yields the uniform distribution and
+    ok=False so a decoder can keep going while flagging the block.  Decided
+    symbols outside 0..q-1 and pins whose total is NaN or infinite raise
+    ``ValueError``.
     """
-    f = kernel.field
-    q, ell = f.q, kernel.ell
+    q, ell = kernel.field.q, kernel.ell
     if not 1 <= i <= ell:
         raise ValueError("position out of range")
     pins = np.asarray(pins, dtype=float)
@@ -216,16 +205,20 @@ def node_posterior(
     decided = np.asarray(decided, dtype=np.int64).reshape(-1)
     if decided.shape[0] != i - 1:
         raise ValueError("decided prefix length must be i-1")
-    tails = _digit_matrix(q, ell - i + 1)  # (candidate symbol, free suffix)
-    U = np.empty((tails.shape[0], ell), dtype=np.int64)
-    U[:, : i - 1] = decided
-    U[:, i - 1 :] = tails
-    X = field_matmul(f, U, kernel.entries)
-    w = np.ones(U.shape[0])
-    for j in range(ell):
-        w *= pins[j, X[:, j]]
+    index = 0
+    for s in decided.tolist():
+        if not 0 <= s < q:
+            raise ValueError(f"decided symbol {s} outside 0..{q - 1}")
+        index = index * q + s
+    block = q ** (ell - i + 1)
+    g = pins.ravel()[kernel.completions[index * block : (index + 1) * block]]
+    w = g[:, 0]
+    for j in range(1, ell):
+        w = w * g[:, j]
     gamma = w.reshape(q, -1).sum(axis=1)
     total = gamma.sum()
+    if not math.isfinite(total):
+        raise ValueError("pins give a NaN or infinite posterior mass")
     if total <= 0.0:
         return np.full(q, 1.0 / q), False
     return gamma / total, True
@@ -254,12 +247,15 @@ class _Engine:
         self.failed = False
 
     def run(self, pins_ch: np.ndarray, pins_pr: np.ndarray) -> np.ndarray:
-        return self._rec((), pins_ch, pins_pr)
+        # a depth-0 code is one leaf, whose symbol comes back as an int
+        return np.asarray(self._rec((), pins_ch, pins_pr), dtype=np.int64).reshape(-1)
 
-    def _rec(self, path: tuple[int, ...], pins_ch: np.ndarray, pins_pr: np.ndarray) -> np.ndarray:
+    def _rec(
+        self, path: tuple[int, ...], pins_ch: np.ndarray, pins_pr: np.ndarray
+    ) -> np.ndarray | int:
         spec = self.spec
         if len(path) == spec.n:
-            return np.array([self._leaf(path, pins_ch[0], pins_pr[0])], dtype=np.int64)
+            return self._leaf(path, pins_ch[0], pins_pr[0])  # broadcast into decided
         kern = spec.kernels[path]
         ell, q = kern.ell, spec.field.q
         groups = pins_ch.shape[0] // ell

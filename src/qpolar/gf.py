@@ -16,6 +16,7 @@ q-by-q tables are ever materialised and fields up to q = 2^16 stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -292,6 +293,14 @@ def field_matmul(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out[0] if was_vec else out
 
 
+def _digit_matrix(q: int, width: int) -> np.ndarray:
+    """All q^width digit vectors, first digit most significant."""
+    count = q**width
+    idx = np.arange(count, dtype=np.int64)
+    shifts = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] // shifts[None, :]) % q
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """An invertible ell x ell transform matrix with cached inverses."""
@@ -305,6 +314,21 @@ class Kernel:
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Map row vectors u -> u @ entries (the source-to-channel map)."""
         return field_matmul(self.field, rows, self.entries)
+
+    @cached_property
+    def completions(self) -> np.ndarray:
+        """Completion table: row u holds the flat pin indices j*q + x_j of x = u G.
+
+        Rows run over all of GF(q)^ell in digit order, first digit most
+        significant, so the completions of a decided prefix d of length
+        i-1 are the q^(ell-i+1) rows starting at index(d) * q^(ell-i+1).
+        Built on first use and kept for the kernel's lifetime: q^ell * ell
+        integers, read-only.
+        """
+        q = self.field.q
+        table = self.apply_rows(_digit_matrix(q, self.ell)) + q * np.arange(self.ell)
+        table.setflags(write=False)
+        return table
 
 
 def mat_invert(spec: FieldSpec, entries) -> Kernel:

@@ -20,7 +20,7 @@ from .channel import Channel, flatten
 from .gf import Kernel
 from .kernsearch import FixedKernel, SearchKernels, search
 from .params import param_vector
-from .transform import DEFAULT_GUARD, quantize_merge, transform, transform_all
+from .transform import DEFAULT_GUARD, quantize_merge, quantize_to_fit, transform, transform_all
 
 __all__ = [
     "StepRecord",
@@ -85,9 +85,11 @@ def sample_path(
     Positions are uniform on 1..ell.  Lossless merging always applies (it is
     part of synthesis); when ``quantize_resolution`` is set and an alphabet
     outgrows ``quantize_trigger``, the channel is additionally quantized and
-    everything downstream is flagged exact=False.  With a search policy the
-    pure-noise companion channel is tracked alongside, since certification
-    needs both.
+    everything downstream is flagged exact=False.  With a resolution set, a
+    channel whose next synthesis would overrun ``guard`` is first coarsened
+    until it fits (``quantize_to_fit``), with the same flag.  With a search
+    policy the pure-noise companion channel is tracked alongside, since
+    certification needs both.
     """
     cur: Channel = W
     cur_v: Channel | None = None
@@ -101,6 +103,16 @@ def sample_path(
         else:
             kern = search(cur, cur_v, kernel_policy.ell, kernel_policy.budget, rng, guard=guard)
         k = int(rng.integers(1, kern.ell + 1))
+        if quantize_resolution is not None:
+            where = f"channel at depth {depth}"
+            cur, shrunk = quantize_to_fit(
+                cur, kern.ell, k, quantize_resolution, guard=guard, where=where
+            )
+            exact = exact and not shrunk
+            if cur_v is not None:
+                cur_v, _ = quantize_to_fit(
+                    cur_v, kern.ell, k, quantize_resolution, guard=guard, where="noise " + where
+                )
         cur = transform(cur, kern, k, guard=guard)
         if cur_v is not None:
             cur_v = transform(cur_v, kern, k, guard=guard)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import Channel, _merge_runs, derived_distributions, merge_outputs, sample_outputs
-from .gf import Kernel, field_matmul
+from .gf import Kernel, _digit_matrix, field_matmul
 
 #: default cap on the pre-merge output-alphabet size of an exact synthesis
 DEFAULT_GUARD = 10_000_000
@@ -25,16 +25,9 @@ __all__ = [
     "transform_all",
     "estimate_entropy_mc",
     "quantize_merge",
+    "quantize_to_fit",
     "DEFAULT_GUARD",
 ]
-
-
-def _digit_matrix(q: int, width: int) -> np.ndarray:
-    """All q^width digit vectors, first digit most significant."""
-    count = q**width
-    idx = np.arange(count, dtype=np.int64)
-    shifts = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // shifts[None, :]) % q
 
 
 def transform(
@@ -162,3 +155,29 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     start = np.ones(order.size, dtype=bool)
     start[1:] = (B[:, 1:] != B[:, :-1]).any(axis=0)
     return _merge_runs(W, order, start)
+
+
+def quantize_to_fit(
+    W: Channel, ell: int, i: int, resolution: int, *, guard: int, where: str
+) -> tuple[Channel, bool]:
+    """Coarsen W until synthesizing position ``i`` of an ell-kernel fits ``guard``.
+
+    ``transform`` at position i enumerates q^(i-1) * M^ell outputs.  While
+    that is over the guard, W is binned with ``quantize_merge``, starting
+    at ``resolution`` and halving it on every pass: binning at a fixed pitch
+    only merges outputs whose posteriors collide, so one pass may not
+    shrink enough.  Returns the channel and whether it was quantized.
+    Raises ``ValueError`` naming ``where`` when even resolution 1 leaves
+    it over the guard.
+    """
+    q, shrunk = W.q, False
+    while q ** (i - 1) * W.output_size**ell > guard:
+        if resolution < 1:
+            raise ValueError(
+                f"{where} needs a {q ** (i - 1) * W.output_size**ell}-symbol synthesis "
+                f"even after quantizing at resolution 1, over the guard {guard}"
+            )
+        W = quantize_merge(W, resolution)
+        shrunk = True
+        resolution //= 2
+    return W, shrunk

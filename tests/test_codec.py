@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpolar.channel import (
     bec,
@@ -24,7 +26,7 @@ from qpolar.codec import (
     node_posterior,
     simulate,
 )
-from qpolar.gf import arikan_kernel, field_make, sample_invertible
+from qpolar.gf import _digit_matrix, arikan_kernel, field_make, field_matmul, sample_invertible
 from qpolar.kernsearch import FixedKernel, SearchKernels
 
 F2 = field_make(2)
@@ -132,6 +134,67 @@ def test_node_posterior_validates():
         node_posterior(ARIKAN, pins, np.array([0]), 1)
     with pytest.raises(ValueError, match="pins"):
         node_posterior(ARIKAN, np.full((3, 2), 0.5), np.array([]), 1)
+    for symbol in (3, -1, 2):
+        with pytest.raises(ValueError, match="decided symbol"):
+            node_posterior(ARIKAN, pins, np.array([symbol]), 2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            node_posterior(ARIKAN, np.array([[bad, 0.5], [0.5, 0.5]]), np.array([]), 1)
+
+
+# Reference copy of the node posterior before the completion table: it
+# rebuilds the completion rows U and their images X = U G on every call.
+def _node_posterior_reference(kernel, pins, decided, i):
+    f = kernel.field
+    q, ell = f.q, kernel.ell
+    pins = np.asarray(pins, dtype=float)
+    decided = np.asarray(decided, dtype=np.int64).reshape(-1)
+    tails = _digit_matrix(q, ell - i + 1)  # (candidate symbol, free suffix)
+    U = np.empty((tails.shape[0], ell), dtype=np.int64)
+    U[:, : i - 1] = decided
+    U[:, i - 1 :] = tails
+    X = field_matmul(f, U, kernel.entries)
+    w = np.ones(U.shape[0])
+    for j in range(ell):
+        w *= pins[j, X[:, j]]
+    gamma = w.reshape(q, -1).sum(axis=1)
+    total = gamma.sum()
+    if total <= 0.0:
+        return np.full(q, 1.0 / q), False
+    return gamma / total, True
+
+
+_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from([(q, ell) for q in _FIELDS for ell in (2, 3, 4) if q**ell <= 4096]),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=(2, 2), zero_share=1.0, seed=0)  # every completion contradicts the pins
+@example(case=(9, 3), zero_share=0.3, seed=1)
+def test_node_posterior_matches_reference_bitwise(case, zero_share, seed):
+    q, ell = case
+    rng = np.random.default_rng(seed)
+    kern = sample_invertible(field_make(*_FIELDS[q]), ell, rng)
+    pins = rng.random((ell, q))
+    pins[rng.random((ell, q)) < zero_share] = 0.0  # share 1.0: every pin zero
+    for i in range(1, ell + 1):
+        for prefix in itertools.product(range(q), repeat=i - 1):
+            got, ok = node_posterior(kern, pins, np.array(prefix, dtype=np.int64), i)
+            want, ok_want = _node_posterior_reference(kern, pins, prefix, i)
+            assert got.tobytes() == want.tobytes() and ok == ok_want, (i, prefix)
+
+
+def test_completion_table_is_built_on_first_use():
+    kern = sample_invertible(field_make(2, 2), 3, np.random.default_rng(3))
+    assert "completions" not in vars(kern)
+    node_posterior(kern, np.full((3, 4), 0.25), np.array([]), 1)
+    table = kern.completions
+    assert table.shape == (64, 3) and not table.flags.writeable
+    assert kern.completions is table
 
 
 # ---- encoder layout against an iterative reference

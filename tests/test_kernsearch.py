@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qpolar.channel import bec, flatten, make_channel, random_channel
+from qpolar.channel import bec, flatten
 from qpolar.ftpc import coset_enumerator, dual_coset_enumerator
 from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
 from qpolar.kernsearch import (

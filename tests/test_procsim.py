@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpolar.channel import bec, flatten, random_channel
+from qpolar.channel import bec, bsc, random_channel
 from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel, SearchKernels
 from qpolar.procsim import (
@@ -74,6 +74,24 @@ def test_sample_path_quantization_flips_exact_flag():
     )
     assert not wide.final.exact
     assert wide.final.output_size <= 3 * 64  # coarse cap: bins per posterior axis
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_quantized_sample_path_coarsens_to_fit_the_guard(seed):
+    # With guard 2000 these BSC paths outgrow the guard long before the
+    # quantize trigger of 4096: unquantized they raise, quantized they are
+    # coarsened before the synthesis that would overrun it.
+    walk = dict(guard=2000, quantize_trigger=4096)
+    with pytest.raises(ValueError, match="over the guard 2000"):
+        sample_path(bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed), **walk)
+    trace = sample_path(
+        bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed),
+        quantize_resolution=16, **walk,
+    )
+    assert not trace.final.exact
+    assert all(0.0 <= s.H <= 1.0 for s in trace.steps)
+    replay = np.random.default_rng(seed)  # coarsening draws no randomness
+    assert trace.path == tuple(int(replay.integers(1, 3)) for _ in range(6))
 
 
 def test_sample_path_search_policy_runs():

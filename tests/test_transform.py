@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolar import codec
+from qpolar import transform as transform_module
 from qpolar.channel import (
     bec,
     capacity_input,
@@ -15,7 +16,7 @@ from qpolar.channel import (
     random_channel,
     zchannel,
 )
-from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
+from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
 from qpolar.transform import estimate_entropy_mc, quantize_merge, transform, transform_all
@@ -258,5 +259,6 @@ def test_quantized_construct_is_unchanged_under_the_reference_merge(monkeypatch)
         return codec.codespec_to_dict(spec)
 
     fast = build()
-    monkeypatch.setattr(codec, "quantize_merge", _scan_quantize_merge)
+    # construct quantizes through transform.quantize_to_fit
+    monkeypatch.setattr(transform_module, "quantize_merge", _scan_quantize_merge)
     assert build() == fast
