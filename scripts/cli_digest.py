@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of the stdout of a fixed list of seeded CLI runs.
+
+Each command runs in-process through ``qpolar.cli.main``; one line per
+command gives the first 12 hex digits of the digest of its stdout and the
+command itself.  A spec written by ``construct`` is shared through a
+temporary file shown as {spec}.  The exit status is 1 if any command exits
+nonzero.  Two trees that print the same lines give byte-identical output on
+every listed command, so the list serves as a quick check that a change
+leaves the CLI's results alone.  It takes a few seconds.
+
+example:
+  PYTHONPATH=src python3 scripts/cli_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from qpolar.cli import main
+
+C11_SPEC = "construct --bec 0.5 --arikan --ell 2 --depth 3 --pi 0.2 --seed 42"
+COMMANDS = [
+    "transform --zchan 0.3 --arikan",
+    "construct --zchan 0.3 --arikan --ell 2 --depth 5 --pi 0.2 --seed 7",
+    "construct --bsc 0.11 --ell 3 --depth 2 --pi 0.2 --seed 7 --search-budget 200",
+    C11_SPEC,
+    "encode --spec {spec} --message 1,0,1 --seed 5",
+    "decode --spec {spec} --received 0,2,1,0,2,2,1,0 --bec 0.5 --seed 5",
+    "simulate --spec {spec} --bec 0.5 --trials 200 --seed 99 --jobs 1",
+    "simulate --spec {spec} --bec 0.5 --trials 200 --seed 99 --jobs 2",
+    "process --bec 0.5 --arikan --depth 10 --paths 200 --seed 0 --full",
+    "process --bsc 0.11 --arikan --depth 6 --paths 20 --seed 0 --quantize 64",
+    "kernel --search --bsc 0.11 --ell 3 --budget 200 --seed 5",
+    "verify --seed 0",
+]
+
+
+def run(command: str, spec: Path) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.format(spec=spec).split())
+    return code, out.getvalue()
+
+
+def digest_all() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        for command in COMMANDS:
+            code, text = run(command, spec)
+            if command == C11_SPEC:
+                spec.write_text(text)
+            digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+            print(f"{digest}  {command}" + (f"  (exit {code})" if code else ""))
+            failed += code != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(digest_all())

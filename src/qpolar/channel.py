@@ -139,19 +139,19 @@ def sample_outputs(W: Channel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- capacity search
 
-def capacity_input(W: Channel, tol: float = 1e-9, max_iter: int = 10**5) -> np.ndarray:
+def capacity_input(W: Channel, tol: float = 1e-9) -> np.ndarray:
     """Capacity-achieving input distribution via alternating maximisation.
 
     Iterates the classic update r(x) <- r(x) exp(D(W(.|x) || out)) / Z and
     stops once the optimality-gap certificate max_x D_x - I drops below
     ``tol`` (everything in nats internally).  Raises ``ValueError`` if the
-    gap has not closed after ``max_iter`` rounds.
+    gap has not closed after 10^5 rounds.
     """
     T = W.transition
     q = W.q
     r = np.full(q, 1.0 / q)
     logT = np.where(T > 0, np.log(np.where(T > 0, T, 1.0)), 0.0)
-    for _ in range(max_iter):
+    for _ in range(10**5):
         out = r @ T
         with np.errstate(invalid="ignore", divide="ignore"):
             log_out = np.where(out > 0, np.log(np.where(out > 0, out, 1.0)), 0.0)
@@ -161,7 +161,7 @@ def capacity_input(W: Channel, tol: float = 1e-9, max_iter: int = 10**5) -> np.n
             return r / r.sum()
         r = r * np.exp(D - D.max())
         r /= r.sum()
-    raise ValueError(f"capacity search did not converge within {max_iter} iterations")
+    raise ValueError("capacity search did not converge within 100000 iterations")
 
 
 # ------------------------------------------------- alphabet manipulation
@@ -333,10 +333,9 @@ def random_channel(
     output_size: int,
     rng: np.random.Generator,
     random_input: bool = False,
-    concentration: float = 1.0,
 ) -> Channel:
-    """Dirichlet-random transition rows, optionally a random input simplex."""
-    trans = rng.dirichlet(np.full(output_size, concentration), size=field.q)
+    """Flat-Dirichlet transition rows, optionally a random input simplex."""
+    trans = rng.dirichlet(np.full(output_size, 1.0), size=field.q)
     dist = rng.dirichlet(np.full(field.q, 1.0)) if random_input else None
     return make_channel(field, trans, dist)
 

@@ -109,8 +109,8 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _add_channel_opts(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
+def _add_channel_opts(p: argparse.ArgumentParser, required: bool = True) -> None:
+    g = p.add_mutually_exclusive_group(required=required)
     g.add_argument("--channel", metavar="FILE", help="channel description JSON")
     g.add_argument("--bec", type=float, metavar="EPS", help="binary erasure channel")
     g.add_argument("--bsc", type=float, metavar="DELTA", help="binary symmetric channel")
@@ -517,12 +517,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("kernel", help="kernel weights, certification, or search")
     _add_kernel_opts(sp)
+    _add_channel_opts(sp, required=False)
     sp.add_argument("--certify", nargs=2, type=float, metavar=("Z", "S"))
     sp.add_argument("--search", action="store_true")
-    sp.add_argument("--channel", metavar="FILE")
-    sp.add_argument("--bec", type=float, metavar="EPS")
-    sp.add_argument("--bsc", type=float, metavar="DELTA")
-    sp.add_argument("--zchan", type=float, metavar="EPS")
     sp.add_argument("--ell", type=int, default=2)
     sp.add_argument("--budget", type=int, default=200)
     sp.add_argument("--seed", type=int)
@@ -546,14 +543,11 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_encode)
 
     sp = sub.add_parser("decode", help="received symbols or posteriors to message")
+    _add_channel_opts(sp, required=False)
     sp.add_argument("--spec", required=True, metavar="FILE")
     sp.add_argument("--received", help="comma-separated output symbols")
     sp.add_argument("--posteriors", metavar="FILE", help="JSON (N, q) posterior array")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--channel", metavar="FILE")
-    sp.add_argument("--bec", type=float, metavar="EPS")
-    sp.add_argument("--bsc", type=float, metavar="DELTA")
-    sp.add_argument("--zchan", type=float, metavar="EPS")
     sp.set_defaults(fn=_cmd_decode)
 
     sp = sub.add_parser("simulate", help="Monte Carlo error rates")

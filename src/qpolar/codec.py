@@ -87,10 +87,15 @@ class CodeSpec:
 
     def leaf_paths(self) -> list[tuple[int, ...]]:
         """All leaf paths in lexicographic order."""
-        out = [()]
-        for _ in range(self.n):
-            out = [p + (k,) for p in out for k in range(1, self.ell + 1)]
-        return out
+        return _level_paths(self.ell, self.n)
+
+
+def _level_paths(ell: int, depth: int) -> list[tuple[int, ...]]:
+    """All tree paths of length ``depth`` in lexicographic order."""
+    out = [()]
+    for _ in range(depth):
+        out = [p + (k,) for p in out for k in range(1, ell + 1)]
+    return out
 
 
 def construct(
@@ -102,7 +107,6 @@ def construct(
     seed: int,
     *,
     guard: int = DEFAULT_GUARD,
-    fallback_resolution: int = 2048,
 ) -> CodeSpec:
     """Design a blocklength ell^n code for W.
 
@@ -115,8 +119,8 @@ def construct(
     theta are tagged shaping ("C"), everything else shared randomness
     ("B") — a rate-accounting label, since every frozen leaf samples the
     same way at run time.  When an intermediate alphabet would overrun the
-    enumeration guard, the node is quantized first and the whole subtree is
-    marked inexact.
+    enumeration guard, the node is quantized first (from resolution 2048,
+    before its kernel is chosen) and the whole subtree is marked inexact.
     """
     if isinstance(kernel_policy, FixedKernel) and kernel_policy.kernel.ell != ell:
         raise ValueError("fixed kernel size disagrees with ell")
@@ -140,21 +144,18 @@ def construct(
             else:
                 fclass[path] = "B"
             return
+        # Pre-shrink rather than letting the search or the child transforms
+        # trip the guard: certification synthesizes every position too.
+        where = f"channel at node path {list(path)}"
+        Wn, shrunk_w = quantize_to_fit(Wn, ell, ell, 2048, guard=guard, where="data " + where)
+        Vn, shrunk_v = quantize_to_fit(Vn, ell, ell, 2048, guard=guard, where="noise " + where)
+        exact = exact and not (shrunk_w or shrunk_v)
         if isinstance(kernel_policy, FixedKernel):
             kern = kernel_policy.kernel
         else:
             rng = np.random.default_rng([seed] + list(path))
             kern = search(Wn, Vn, ell, kernel_policy.budget, rng, guard=guard)
         kernels[path] = kern
-        # Pre-shrink rather than letting the child transforms trip the guard.
-        where = f"channel at node path {list(path)}"
-        Wn, shrunk_w = quantize_to_fit(
-            Wn, ell, ell, fallback_resolution, guard=guard, where="data " + where
-        )
-        Vn, shrunk_v = quantize_to_fit(
-            Vn, ell, ell, fallback_resolution, guard=guard, where="noise " + where
-        )
-        exact = exact and not (shrunk_w or shrunk_v)
         for k in range(1, ell + 1):
             cw = transform(Wn, kern, k, guard=guard)
             cv = transform(Vn, kern, k, guard=guard)
@@ -483,13 +484,52 @@ def codespec_to_dict(spec: CodeSpec) -> dict:
     }
 
 
+def _check_paths(what: str, got: list, want: list) -> None:
+    if len(got) != len(want) or set(got) != set(want):
+        missing = sorted(set(want) - set(got))
+        extra = sorted(set(got) - set(want))
+        raise ValueError(
+            f"spec has {len(got)} {what} for the {len(want)} expected"
+            f" (missing {missing[:3]}, unexpected {extra[:3]})"
+        )
+
+
 def codespec_from_dict(doc: dict) -> CodeSpec:
+    """Rebuild a spec from ``codespec_to_dict`` output, checking it first.
+
+    Raises ``ValueError`` naming the problem unless the document holds one
+    ell x ell kernel per internal path of the depth-n tree, one leaf_stats
+    entry per leaf, an info_set and frozen_class that split the leaves
+    between them, and a length-q input_dist.
+    """
     f = field_make(int(doc["p"]), int(doc.get("m", 1)))
+    ell, n = int(doc["ell"]), int(doc["n"])
+    if ell < 2 or n < 0:
+        raise ValueError(f"spec needs ell >= 2 and n >= 0, got ell={ell}, n={n}")
+    n_stats = len(doc["leaf_stats"])
+    # ell^n > n: testing n first keeps an absurd depth from computing ell**n
+    if n > n_stats or ell**n != n_stats:
+        raise ValueError(
+            f"spec has {n_stats} leaf_stats entries, not one per leaf of a"
+            f" depth-{n} tree with ell={ell}"
+        )
+    leaves = _level_paths(ell, n)
+    internal = [p for depth in range(n) for p in _level_paths(ell, depth)]
+    _check_paths("kernels", [tuple(e["path"]) for e in doc["kernels"]], internal)
+    _check_paths("leaf_stats entries", [tuple(e["path"]) for e in doc["leaf_stats"]], leaves)
+    info = [tuple(p) for p in doc["info_set"]]
+    frozen = [tuple(int(x) for x in key.split(",")) for key in doc["frozen_class"]]
+    _check_paths("info_set and frozen_class leaves", info + frozen, leaves)
     input_dist = np.array(doc["input_dist"], dtype=float)
+    if input_dist.shape != (f.q,):
+        raise ValueError(f"input_dist must have {f.q} entries, got shape {input_dist.shape}")
     input_dist.setflags(write=False)
-    kernels = {
-        tuple(entry["path"]): mat_invert(f, entry["matrix"]) for entry in doc["kernels"]
-    }
+    kernels = {}
+    for entry in doc["kernels"]:
+        kern = mat_invert(f, entry["matrix"])
+        if kern.ell != ell:
+            raise ValueError(f"kernel at path {entry['path']} is not {ell}x{ell}")
+        kernels[tuple(entry["path"])] = kern
     stats = {
         tuple(entry["path"]): LeafStat(
             H_w=float(entry["H_w"]),
@@ -502,19 +542,14 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
     }
     return CodeSpec(
         field=f,
-        ell=int(doc["ell"]),
-        n=int(doc["n"]),
+        ell=ell,
+        n=n,
         pi=float(doc["pi"]),
         theta=float(doc["theta"]),
         seed=int(doc["seed"]),
         input_dist=input_dist,
         kernels=kernels,
-        info_set=frozenset(
-            tuple(p) for p in doc["info_set"]
-        ),
-        frozen_class={
-            tuple(int(x) for x in key.split(",")): cls
-            for key, cls in doc["frozen_class"].items()
-        },
+        info_set=frozenset(info),
+        frozen_class=dict(zip(frozen, doc["frozen_class"].values())),
         leaf_stats=stats,
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import Channel
 from .gf import Kernel, field_matmul, mat_invert
 from .params import param_vector
-from .transform import DEFAULT_GUARD, transform
+from .transform import transform
 
 #: default cap on the number of coset words enumerated in one call
 ENUM_GUARD = 1 << 24
@@ -112,39 +112,25 @@ def reversed_dual_kernel(kernel: Kernel) -> Kernel:
     return mat_invert(kernel.field, flipped)
 
 
-def verify_ftpcz(
-    W: Channel,
-    kernel: Kernel,
-    i: int,
-    *,
-    tol: float = 1e-9,
-    guard: int = DEFAULT_GUARD,
-) -> dict:
+def verify_ftpcz(W: Channel, kernel: Kernel, i: int) -> dict:
     """Check the worst-overlap bound at one synthesized position.
 
     Recomputes the synthesized channel exactly, then tests
-    Zmad(child_i) <= primal_enumerator_i(Zmad(parent)) + tol.
+    Zmad(child_i) <= primal_enumerator_i(Zmad(parent)) + 1e-9.
     """
     parent = param_vector(W).Zmad
-    child = param_vector(transform(W, kernel, i, guard=guard)).Zmad
+    child = param_vector(transform(W, kernel, i)).Zmad
     rhs = coset_enumerator(kernel, i).evaluate(parent)
-    return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + tol)}
+    return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + 1e-9)}
 
 
-def verify_ftpcs(
-    W: Channel,
-    kernel: Kernel,
-    i: int,
-    *,
-    tol: float = 1e-9,
-    guard: int = DEFAULT_GUARD,
-) -> dict:
+def verify_ftpcs(W: Channel, kernel: Kernel, i: int) -> dict:
     """Check the worst-correlation bound at one synthesized position.
 
     Recomputes the synthesized channel exactly, then tests
-    Smax(child_i) <= dual_enumerator_i(Smax(parent)) + tol.
+    Smax(child_i) <= dual_enumerator_i(Smax(parent)) + 1e-9.
     """
     parent = param_vector(W).Smax
-    child = param_vector(transform(W, kernel, i, guard=guard)).Smax
+    child = param_vector(transform(W, kernel, i)).Smax
     rhs = dual_coset_enumerator(kernel, i).evaluate(parent)
-    return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + tol)}
+    return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + 1e-9)}

@@ -26,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .ftpc import ENUM_GUARD, coset_enumerator, dual_coset_enumerator
+from .ftpc import coset_enumerator, dual_coset_enumerator
 from .gf import Kernel, field_make, sample_invertible
 from .params import param_vector
-from .transform import DEFAULT_GUARD, estimate_entropy_mc, transform_all
+from .transform import DEFAULT_GUARD, transform_all
 
 __all__ = [
     "FixedKernel",
     "SearchKernels",
-    "min_coset_weight",
     "certify_ldp",
     "certify_clt",
     "search",
@@ -61,20 +60,21 @@ class SearchKernels:
 
 # ----------------------------------------------------------- primitives
 
-def min_coset_weight(kernel: Kernel, i: int, guard: int = ENUM_GUARD) -> int:
-    """Minimum Hamming weight over the primal coset at position i."""
-    return coset_enumerator(kernel, i, guard=guard).min_weight
-
-
 def _distance_target(i: int, ell: int) -> int:
+    """ceil(i^2 / 3 ell), in exact integer arithmetic."""
     return -((-i * i) // (3 * ell))
+
+
+def _alpha(ell: int) -> float:
+    """The spread exponent ln(ln ell)/ln ell (positive once ell >= 3)."""
+    return math.log(math.log(ell)) / math.log(ell)
 
 
 def _phase2_rhs(ell: int, q: int, x: float, d: int) -> float:
     return ell * (1 + (q - 1) * x) ** (ell - d) * ((q - 1) * x) ** d
 
 
-def certify_ldp(kernel: Kernel, z: float, s: float, *, guard: int = ENUM_GUARD) -> dict:
+def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
     """Two-phase certificate of a kernel at operating point (z, s).
 
     Returns {"ell", "q", "z", "s", "records", "pass"}; each per-position
@@ -86,8 +86,8 @@ def certify_ldp(kernel: Kernel, z: float, s: float, *, guard: int = ENUM_GUARD) 
     for i in range(1, ell + 1):
         d = _distance_target(i, ell)
         phase1_required = i * i > 3 * ell
-        prim = coset_enumerator(kernel, i, guard=guard)
-        dual = dual_coset_enumerator(kernel, ell + 1 - i, guard=guard)
+        prim = coset_enumerator(kernel, i)
+        dual = dual_coset_enumerator(kernel, ell + 1 - i)
         mw, dmw = prim.min_weight, dual.min_weight
         phase1_ok = (mw >= d and dmw >= d) if phase1_required else True
         z_lhs, z_rhs = prim.evaluate(z), _phase2_rhs(ell, q, z, d)
@@ -118,37 +118,19 @@ def certify_ldp(kernel: Kernel, z: float, s: float, *, guard: int = ENUM_GUARD) 
     }
 
 
-def certify_clt(
-    kernel: Kernel,
-    W: Channel,
-    *,
-    guard: int = DEFAULT_GUARD,
-    mc_samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> dict:
+def certify_clt(kernel: Kernel, W: Channel, *, guard: int = DEFAULT_GUARD) -> dict:
     """Entropy-spread certificate of one kernel step on one channel.
 
-    Needs ell >= 3 (the exponent alpha is only positive there).  Entropies
-    are synthesized exactly when the guard allows, otherwise estimated by
-    Monte Carlo when a budget is supplied.
+    Needs ell >= 3 (the exponent alpha is only positive there).  The
+    entropies are always synthesized exactly; a synthesis that would
+    overrun ``guard`` raises ``ValueError`` rather than fall back to an
+    estimate.
     """
     ell = kernel.ell
     if ell < 3:
         raise ValueError("entropy-spread certificate needs kernel size >= 3")
-    alpha = math.log(math.log(ell)) / math.log(ell)
-    exact = True
-    try:
-        entropies = [param_vector(child).H for child in transform_all(W, kernel, guard=guard)]
-    except ValueError:
-        if mc_samples is None:
-            raise
-        if rng is None:
-            raise ValueError("Monte Carlo fallback needs an rng")
-        entropies = [
-            estimate_entropy_mc(W, kernel, i, mc_samples, rng)["estimate"]
-            for i in range(1, ell + 1)
-        ]
-        exact = False
+    alpha = _alpha(ell)
+    entropies = [param_vector(child).H for child in transform_all(W, kernel, guard=guard)]
     hvals = np.clip(np.minimum(entropies, 1.0 - np.asarray(entropies)), 0.0, None)
     lhs = float(np.mean(hvals**alpha))
     rhs = 4.0 * ell ** (alpha - 0.5)
@@ -160,7 +142,6 @@ def certify_clt(
         "trivial": bool(trivial),
         "pass": bool(lhs <= rhs),
         "entropies": [float(h) for h in entropies],
-        "exact": exact,
     }
 
 
@@ -248,8 +229,6 @@ def empirical_failure_rate(
     z: float,
     trials: int,
     rng: np.random.Generator,
-    *,
-    guard: int = ENUM_GUARD,
 ) -> dict:
     """Fraction of uniform invertible kernels failing the overlap-side checks.
 
@@ -276,7 +255,7 @@ def empirical_failure_rate(
         witness = None
         for i in range(1, ell + 1):
             d = _distance_target(i, ell)
-            prim = coset_enumerator(kern, i, guard=guard)
+            prim = coset_enumerator(kern, i)
             if i * i > 3 * ell and prim.min_weight < d:
                 witness = {
                     "reason": "min_weight",

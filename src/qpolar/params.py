@@ -33,7 +33,6 @@ from .channel import Channel, derived_distributions
 __all__ = [
     "ParamVector",
     "param_vector",
-    "conditional_entropy",
     "holder_report",
     "gallager_e0",
     "tilted",
@@ -72,17 +71,6 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x*log(y) with the 0*log(0) = 0 convention."""
     mask = x > 0
     return np.where(mask, x * np.log(np.where(mask, y, 1.0)), 0.0)
-
-
-def conditional_entropy(W: Channel, unit: str = "symbols") -> float:
-    """H(X|Y); ``unit`` is 'symbols' (base q) or 'nats'."""
-    d = derived_distributions(W)
-    h = float(-_xlogy(d.joint, d.posterior).sum())
-    if unit == "nats":
-        return h
-    if unit == "symbols":
-        return h / math.log(W.q)
-    raise ValueError(f"unknown unit {unit!r}")
 
 
 def param_vector(W: Channel) -> ParamVector:
@@ -126,10 +114,10 @@ def _h2_bits(x: float) -> float:
     return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
 
 
-def holder_report(W: Channel, tol: float = 1e-9) -> dict:
+def holder_report(W: Channel) -> dict:
     """Check the full web of pairwise parameter inequalities on one channel.
 
-    Every entry is {"lhs", "rhs", "ok"} with ok testing lhs <= rhs + tol.
+    Every entry is {"lhs", "rhs", "ok"} with ok testing lhs <= rhs + 1e-9.
     Entropies are compared in bits where the classic guessing bounds are
     stated in bits; H itself is base q.
     """
@@ -144,7 +132,7 @@ def holder_report(W: Channel, tol: float = 1e-9) -> dict:
     checks: dict[str, dict] = {}
 
     def rec(name: str, lhs: float, rhs: float) -> None:
-        checks[name] = {"lhs": float(lhs), "rhs": float(rhs), "ok": bool(lhs <= rhs + tol)}
+        checks[name] = {"lhs": float(lhs), "rhs": float(rhs), "ok": bool(lhs <= rhs + 1e-9)}
 
     root = math.sqrt(max(1 + (q - 1) * Z, 0.0)) - math.sqrt(max(1 - Z, 0.0))
     rec("pe_lower_vs_z", (q - 1) / q**2 * root**2, Pe)
@@ -245,24 +233,22 @@ def second_moment(weights) -> float:
     return float(np.sum(np.where(mask, w * np.log(np.where(mask, w, 1.0)) ** 2, 0.0)))
 
 
-def quadratic_check(W: Channel, grid: np.ndarray | None = None) -> dict:
+def quadratic_check(W: Channel) -> dict:
     """Quadratic lower bound and curvature floor for the exponent function.
 
-    On a uniform grid in [-2/5, 1] verifies e0(t) >= I*t*ln(q) - t^2 (ln q)^2
-    (slack >= -1e-9) and that discrete second differences never drop below
-    -2 (ln q)^2 - 1e-6.
+    On a 29-point uniform grid in [-2/5, 1] verifies
+    e0(t) >= I*t*ln(q) - t^2 (ln q)^2 (slack >= -1e-9) and that discrete
+    second differences never drop below -2 (ln q)^2 - 1e-6.
     """
     _require_uniform(W, "quadratic_check")
-    if grid is None:
-        grid = np.linspace(-0.4, 1.0, 29)
-    ts = np.asarray(grid, dtype=np.float64)
+    ts = np.linspace(-0.4, 1.0, 29)
     lnq = math.log(W.q)
     I_nats = param_vector(W).I * lnq
     e0s = np.array([gallager_e0(W, float(t))["e0"] for t in ts])
     slacks = e0s - (I_nats * ts - ts**2 * lnq**2)
     h = np.diff(ts)
     curv = (e0s[2:] - 2 * e0s[1:-1] + e0s[:-2]) / (h[1:] * h[:-1])
-    min_curv = float(curv.min()) if curv.size else 0.0
+    min_curv = float(curv.min())
     report = {
         "ts": ts.tolist(),
         "e0": e0s.tolist(),

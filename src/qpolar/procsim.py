@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Channel, flatten
 from .gf import Kernel
-from .kernsearch import FixedKernel, SearchKernels, search
+from .kernsearch import FixedKernel, SearchKernels, _alpha, _distance_target, search
 from .params import param_vector
 from .transform import DEFAULT_GUARD, quantize_merge, quantize_to_fit, transform, transform_all
 
@@ -30,7 +30,11 @@ __all__ = [
     "check_local",
     "gadget_bound",
     "trace_rows",
+    "QUANTIZE_TRIGGER",
 ]
+
+#: output-alphabet size past which a quantized walk bins the channel
+QUANTIZE_TRIGGER = 4096
 
 
 @dataclass(frozen=True)
@@ -78,18 +82,19 @@ def sample_path(
     *,
     guard: int = DEFAULT_GUARD,
     quantize_resolution: int | None = None,
-    quantize_trigger: int = 4096,
 ) -> ProcessTrace:
     """Walk n random one-step synthesis steps from W, recording parameters.
 
     Positions are uniform on 1..ell.  Lossless merging always applies (it is
     part of synthesis); when ``quantize_resolution`` is set and an alphabet
-    outgrows ``quantize_trigger``, the channel is additionally quantized and
+    outgrows ``QUANTIZE_TRIGGER``, the channel is additionally quantized and
     everything downstream is flagged exact=False.  With a resolution set, a
     channel whose next synthesis would overrun ``guard`` is first coarsened
-    until it fits (``quantize_to_fit``), with the same flag.  With a search
-    policy the pure-noise companion channel is tracked alongside, since
-    certification needs both.
+    until it fits (``quantize_to_fit``), with the same flag; under a search
+    policy that happens before the search, for all ell positions, since
+    certification synthesizes every one.  With a search policy the
+    pure-noise companion channel is tracked alongside, since certification
+    needs both.
     """
     cur: Channel = W
     cur_v: Channel | None = None
@@ -100,26 +105,30 @@ def sample_path(
     for depth in range(1, n + 1):
         if isinstance(kernel_policy, FixedKernel):
             kern = kernel_policy.kernel
-        else:
-            kern = search(cur, cur_v, kernel_policy.ell, kernel_policy.budget, rng, guard=guard)
-        k = int(rng.integers(1, kern.ell + 1))
+            k = int(rng.integers(1, kern.ell + 1))
+            ell, fit = kern.ell, k
+        else:  # the search certifies every position: fit the last before it
+            ell = fit = kernel_policy.ell
         if quantize_resolution is not None:
             where = f"channel at depth {depth}"
             cur, shrunk = quantize_to_fit(
-                cur, kern.ell, k, quantize_resolution, guard=guard, where=where
+                cur, ell, fit, quantize_resolution, guard=guard, where=where
             )
             exact = exact and not shrunk
             if cur_v is not None:
                 cur_v, _ = quantize_to_fit(
-                    cur_v, kern.ell, k, quantize_resolution, guard=guard, where="noise " + where
+                    cur_v, ell, fit, quantize_resolution, guard=guard, where="noise " + where
                 )
+        if isinstance(kernel_policy, SearchKernels):
+            kern = search(cur, cur_v, ell, kernel_policy.budget, rng, guard=guard)
+            k = int(rng.integers(1, ell + 1))
         cur = transform(cur, kern, k, guard=guard)
         if cur_v is not None:
             cur_v = transform(cur_v, kern, k, guard=guard)
-        if quantize_resolution is not None and cur.output_size > quantize_trigger:
+        if quantize_resolution is not None and cur.output_size > QUANTIZE_TRIGGER:
             cur = quantize_merge(cur, quantize_resolution)
             exact = False
-            if cur_v is not None and cur_v.output_size > quantize_trigger:
+            if cur_v is not None and cur_v.output_size > QUANTIZE_TRIGGER:
                 cur_v = quantize_merge(cur_v, quantize_resolution)
         steps.append(_record(depth, k, cur, exact))
     return ProcessTrace(steps=tuple(steps))
@@ -133,7 +142,6 @@ def polarization_stats(
     rng: np.random.Generator,
     *,
     thresholds: tuple[float, float] = (0.01, 0.99),
-    guard: int = DEFAULT_GUARD,
     quantize_resolution: int | None = None,
 ) -> dict:
     """Endpoint-entropy statistics over many sampled process paths."""
@@ -141,9 +149,7 @@ def polarization_stats(
     finals = np.empty(paths)
     all_exact = True
     for t in range(paths):
-        trace = sample_path(
-            W, kernel_policy, n, rng, guard=guard, quantize_resolution=quantize_resolution
-        )
+        trace = sample_path(W, kernel_policy, n, rng, quantize_resolution=quantize_resolution)
         finals[t] = trace.final.H
         all_exact = all_exact and trace.final.exact
     return {
@@ -159,7 +165,7 @@ def polarization_stats(
 
 # ----------------------------------------------------------- local checks
 
-def check_local(W: Channel, kernel: Kernel, *, guard: int = DEFAULT_GUARD) -> dict:
+def check_local(W: Channel, kernel: Kernel) -> dict:
     """One-step law report for a (channel, kernel) pair.
 
     Always-binding checks: conservation of conditional entropy across the
@@ -171,7 +177,7 @@ def check_local(W: Channel, kernel: Kernel, *, guard: int = DEFAULT_GUARD) -> di
     """
     ell, q = kernel.ell, W.q
     parent = param_vector(W)
-    kids = [param_vector(child) for child in transform_all(W, kernel, guard=guard)]
+    kids = [param_vector(child) for child in transform_all(W, kernel)]
     hs = np.array([k.H for k in kids])
     zs = np.array([k.Zmad for k in kids])
 
@@ -189,7 +195,7 @@ def check_local(W: Channel, kernel: Kernel, *, guard: int = DEFAULT_GUARD) -> di
     }
 
     if ell >= 3:
-        alpha = math.log(math.log(ell)) / math.log(ell)
+        alpha = _alpha(ell)
         h_parent = max(min(parent.H, 1 - parent.H), 0.0) ** alpha
         lhs = float(np.mean(np.clip(np.minimum(hs, 1 - hs), 0.0, None) ** alpha))
         rhs = 4.0 * ell ** (-0.5 + 3 * alpha) * h_parent
@@ -235,8 +241,8 @@ def gadget_bound(ell: int) -> dict:
     """
     if ell < 3:
         raise ValueError("bound needs ell >= 3")
-    alpha = math.log(math.log(ell)) / math.log(ell)
-    targets = [-((-k * k) // (3 * ell)) for k in range(1, ell + 1)]
+    alpha = _alpha(ell)
+    targets = [_distance_target(k, ell) for k in range(1, ell + 1)]
     lhs = sum((d * 0.75) ** -0.5 for d in targets) / ell
     rhs = ell ** (-0.5 + 2 * alpha)
     required = ell >= math.e**4

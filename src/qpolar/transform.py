@@ -88,8 +88,6 @@ def estimate_entropy_mc(
     i: int,
     samples: int,
     rng: np.random.Generator,
-    *,
-    chunk: int = 2048,
 ) -> dict:
     """Monte Carlo estimate of the synthesized conditional entropy (base q).
 
@@ -110,7 +108,7 @@ def estimate_entropy_mc(
     losses = np.empty(samples)
     done = 0
     # keep the (B*ell, M) inverse-CDF workspace bounded regardless of M
-    max_b = max(1, min(chunk, 30_000_000 // max(ell * M, 1)))
+    max_b = max(1, min(2048, 30_000_000 // max(ell * M, 1)))
     while done < samples:
         B = min(max_b, samples - done)
         xs = np.searchsorted(in_cdf, rng.random((B, ell)), side="right")

@@ -227,6 +227,38 @@ def test_usage_errors_exit_one(capsys, spec_file):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: doc.update(n=2), "8 leaf_stats entries, not one per leaf"),
+        (lambda doc: doc["kernels"].pop(), "6 kernels for the 7 expected"),
+    ],
+    ids=["n-edited", "kernel-deleted"],
+)
+def test_malformed_spec_exits_one(capsys, spec_file, edit, match):
+    doc = json.loads(spec_file.read_text())
+    edit(doc)
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "encode", "--spec", str(spec_file), "--message", "1,0,1", "--seed", "7"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: spec has ") and match in err
+
+
+def test_two_channels_exit_one(capsys, spec_file):
+    code, out, err = run_cli(
+        capsys, "decode", "--spec", str(spec_file), "--received", "0,1,2,0,1,1,0,1",
+        "--bec", "0.5", "--bsc", "0.1", "--seed", "7",
+    )
+    assert code == 1 and out == ""
+    assert "not allowed with argument" in err
+    code, _, err = run_cli(
+        capsys, "kernel", "--search", "--bec", "0.3", "--zchan", "0.3", "--seed", "5"
+    )
+    assert code == 1 and "not allowed with argument" in err
+
+
 def test_decode_out_of_range_symbol_exits_one(capsys, spec_file):
     code, out, err = run_cli(
         capsys, "decode", "--spec", str(spec_file), "--received", "0,1,2,0,1,5,0,1",

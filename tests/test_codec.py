@@ -85,6 +85,56 @@ def test_construct_names_the_node_that_stays_over_the_guard():
         construct(bec(0.5), 2, 2, 0.2, FixedKernel(ARIKAN), seed=0, guard=1)
 
 
+def test_searched_construct_coarsens_before_the_search():
+    # Certifying an ell=3 candidate synthesizes every position, a 108-symbol
+    # alphabet over guard 100 at the root: the node is coarsened first.
+    spec = construct(bsc(0.11), 3, 2, 0.2, SearchKernels(ell=3, budget=200), seed=7, guard=100)
+    assert len(spec.kernels) == 4 and len(spec.leaf_stats) == 9
+    assert not all(s.exact for s in spec.leaf_stats.values())
+
+
+def _bec_spec_doc(**edits):
+    doc = codespec_to_dict(construct(bec(0.5), 2, 3, 0.2, FixedKernel(ARIKAN), seed=42))
+    doc.update(edits)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edits, match",
+    [
+        ({"n": 2}, "8 leaf_stats entries, not one per leaf of a depth-2 tree"),
+        ({"n": 4}, "8 leaf_stats entries, not one per leaf of a depth-4 tree"),
+        ({"ell": 1}, "ell >= 2"),
+        ({"input_dist": [1.0]}, "input_dist must have 2 entries"),
+    ],
+    ids=["n-down", "n-up", "ell", "input_dist"],
+)
+def test_codespec_from_dict_rejects_inconsistent_shapes(edits, match):
+    with pytest.raises(ValueError, match=match):
+        codespec_from_dict(_bec_spec_doc(**edits))
+
+
+def test_codespec_from_dict_rejects_inconsistent_paths():
+    doc = _bec_spec_doc()
+    kept = doc["kernels"][:-1]  # drops the kernel at path [2, 2]
+    with pytest.raises(ValueError, match=r"6 kernels for the 7 expected"):
+        codespec_from_dict(dict(doc, kernels=kept))
+    stray = {"path": [3], "matrix": [[1, 0], [1, 1]]}
+    with pytest.raises(ValueError, match=r"missing \[\(2, 2\)\], unexpected \[\(3,\)\]"):
+        codespec_from_dict(dict(doc, kernels=kept + [stray]))
+    with pytest.raises(ValueError, match="is not 2x2"):
+        codespec_from_dict(dict(doc, kernels=kept + [{"path": [2, 2], "matrix": [[1]]}]))
+    with pytest.raises(ValueError, match="leaf_stats entries for the 8 expected"):
+        codespec_from_dict(dict(doc, leaf_stats=doc["leaf_stats"][:-1] + doc["leaf_stats"][:1]))
+    # a leaf in both sets, and a leaf in neither
+    leaf = sorted(doc["info_set"])[0]
+    both = dict(doc["frozen_class"], **{",".join(map(str, leaf)): "B"})
+    with pytest.raises(ValueError, match="info_set and frozen_class leaves"):
+        codespec_from_dict(dict(doc, frozen_class=both))
+    with pytest.raises(ValueError, match="info_set and frozen_class leaves"):
+        codespec_from_dict(dict(doc, info_set=sorted(doc["info_set"])[1:]))
+
+
 # ---- single-step posterior against direct Bayes enumeration
 
 

@@ -18,7 +18,6 @@ from qpolar.channel import (
 )
 from qpolar.gf import field_make
 from qpolar.params import (
-    conditional_entropy,
     gallager_e0,
     holder_report,
     param_vector,
@@ -129,14 +128,6 @@ def test_binary_collapse_is_exact():
         assert pv.S == pv.Smax
 
 
-def test_conditional_entropy_units():
-    W = bec(0.5)
-    assert conditional_entropy(W, "symbols") == pytest.approx(0.5, abs=1e-12)
-    assert conditional_entropy(W, "nats") == pytest.approx(0.5 * math.log(2), abs=1e-12)
-    with pytest.raises(ValueError):
-        conditional_entropy(W, "furlongs")
-
-
 # --------------------------------------------------------- inequality web
 
 @given(st.integers(0, 2**32 - 1))
@@ -230,7 +221,8 @@ def test_tilted_derivative_matches_conditional_entropy():
         fd = (
             gallager_e0(W, t + h)["e0_dual"] - gallager_e0(W, t - h)["e0_dual"]
         ) / (2 * h)
-        assert abs(fd - conditional_entropy(tilted(W, t), "nats")) <= 1e-4
+        V = tilted(W, t)
+        assert abs(fd - param_vector(V).H * math.log(V.q)) <= 1e-4
 
 
 def test_tilted_validates():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpolar import procsim
 from qpolar.channel import bec, bsc, random_channel
 from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel, SearchKernels
@@ -52,25 +53,25 @@ def test_sample_path_deterministic():
     assert a == b
 
 
-def test_sample_path_quantization_flips_exact_flag():
+def test_sample_path_quantization_flips_exact_flag(monkeypatch):
     W = random_channel(F2, 9, np.random.default_rng(5))
+    monkeypatch.setattr(procsim, "QUANTIZE_TRIGGER", 2)
     trace = sample_path(
         bec(0.5).with_input(np.array([0.5, 0.5])),
         FixedKernel(ARIKAN),
         2,
         np.random.default_rng(0),
         quantize_resolution=64,
-        quantize_trigger=2,
     )
     # BEC children stay tiny, so force the trigger with a wide channel too.
     assert all(s.exact for s in trace.steps) or not trace.final.exact
+    monkeypatch.setattr(procsim, "QUANTIZE_TRIGGER", 4)
     wide = sample_path(
         W,
         FixedKernel(ARIKAN),
         3,
         np.random.default_rng(0),
         quantize_resolution=64,
-        quantize_trigger=4,
     )
     assert not wide.final.exact
     assert wide.final.output_size <= 3 * 64  # coarse cap: bins per posterior axis
@@ -81,7 +82,7 @@ def test_quantized_sample_path_coarsens_to_fit_the_guard(seed):
     # With guard 2000 these BSC paths outgrow the guard long before the
     # quantize trigger of 4096: unquantized they raise, quantized they are
     # coarsened before the synthesis that would overrun it.
-    walk = dict(guard=2000, quantize_trigger=4096)
+    walk = dict(guard=2000)
     with pytest.raises(ValueError, match="over the guard 2000"):
         sample_path(bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed), **walk)
     trace = sample_path(
@@ -92,6 +93,21 @@ def test_quantized_sample_path_coarsens_to_fit_the_guard(seed):
     assert all(0.0 <= s.H <= 1.0 for s in trace.steps)
     replay = np.random.default_rng(seed)  # coarsening draws no randomness
     assert trace.path == tuple(int(replay.integers(1, 3)) for _ in range(6))
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_quantized_search_path_coarsens_before_the_search(seed):
+    # Certifying an ell=3 candidate synthesizes all three positions, a
+    # 108-symbol alphabet over guard 100 on these paths: the channels must be
+    # coarsened before the search, not only before the chosen synthesis.
+    policy = SearchKernels(ell=3, budget=200)
+    with pytest.raises(ValueError, match="over the guard 100"):
+        sample_path(bsc(0.11), policy, 3, np.random.default_rng(seed), guard=100)
+    trace = sample_path(
+        bsc(0.11), policy, 3, np.random.default_rng(seed), guard=100, quantize_resolution=16
+    )
+    assert not trace.final.exact
+    assert all(0.0 <= s.H <= 1.0 for s in trace.steps)
 
 
 def test_sample_path_search_policy_runs():
