@@ -4,7 +4,8 @@
 Each command runs in-process through ``qpolar.cli.main``; one line per
 command gives the first 12 hex digits of the digest of its stdout and the
 command itself.  A spec written by ``construct`` is shared through a
-temporary file shown as {spec}.  The exit status is 1 if any command exits
+temporary file shown as {spec}, and a fixed invertible GF(4) 8x8 kernel is
+written to one shown as {kernel}.  The exit status is 1 if any command exits
 nonzero.  Two trees that print the same lines give byte-identical output on
 every listed command, so the list serves as a quick check that a change
 leaves the CLI's results alone.  It takes a few seconds.
@@ -16,12 +17,28 @@ example:
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from qpolar.cli import main
 
+# certifying it enumerates every primal and dual coset over GF(4), after mat_invert
+GF4_KERNEL = {
+    "p": 2,
+    "m": 2,
+    "matrix": [
+        [2, 3, 3, 2, 3, 3, 3, 0],
+        [1, 2, 1, 1, 2, 3, 2, 0],
+        [2, 3, 0, 2, 1, 3, 0, 1],
+        [3, 1, 0, 3, 3, 3, 3, 1],
+        [2, 3, 2, 3, 2, 0, 1, 2],
+        [1, 2, 1, 3, 0, 2, 0, 0],
+        [2, 1, 1, 1, 3, 2, 1, 3],
+        [3, 1, 0, 0, 0, 2, 2, 2],
+    ],
+}
 C11_SPEC = "construct --bec 0.5 --arikan --ell 2 --depth 3 --pi 0.2 --seed 42"
 COMMANDS = [
     "transform --zchan 0.3 --arikan",
@@ -36,13 +53,14 @@ COMMANDS = [
     "process --bsc 0.11 --arikan --depth 6 --paths 20 --seed 0 --quantize 64",
     "kernel --search --bsc 0.11 --ell 3 --budget 200 --seed 5",
     "verify --seed 0",
+    "kernel --certify 0.3 0.3 --kernel {kernel}",
 ]
 
 
-def run(command: str, spec: Path) -> tuple[int, str]:
+def run(command: str, spec: Path, kernel: Path) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(command.format(spec=spec).split())
+        code = main(command.format(spec=spec, kernel=kernel).split())
     return code, out.getvalue()
 
 
@@ -50,8 +68,10 @@ def digest_all() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "spec.json"
+        kernel = Path(tmp) / "kernel.json"
+        kernel.write_text(json.dumps(GF4_KERNEL))
         for command in COMMANDS:
-            code, text = run(command, spec)
+            code, text = run(command, spec, kernel)
             if command == C11_SPEC:
                 spec.write_text(text)
             digest = hashlib.sha256(text.encode()).hexdigest()[:12]

@@ -22,6 +22,7 @@ message decisions are right.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -494,18 +495,44 @@ def _check_paths(what: str, got: list, want: list) -> None:
         )
 
 
+def _typed(cast, value, name: str):
+    """cast(value), reporting a value of the wrong type as a ValueError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"spec field {name} has the wrong type: {value!r}") from exc
+
+
+def _as_path(value) -> tuple[int, ...]:
+    return tuple(operator.index(x) for x in value)
+
+
 def codespec_from_dict(doc: dict) -> CodeSpec:
     """Rebuild a spec from ``codespec_to_dict`` output, checking it first.
 
-    Raises ``ValueError`` naming the problem unless the document holds one
+    Raises ``ValueError`` naming the problem unless every field has its
+    type (integer p, m, ell, n and seed; numeric pi, theta and leaf values;
+    lists for kernels, leaf_stats and info_set, with each path a list of
+    integers; an object for frozen_class) and the document holds one
     ell x ell kernel per internal path of the depth-n tree, one leaf_stats
     entry per leaf, an info_set and frozen_class that split the leaves
     between them, and a length-q input_dist.
     """
-    f = field_make(int(doc["p"]), int(doc.get("m", 1)))
-    ell, n = int(doc["ell"]), int(doc["n"])
+    f = field_make(
+        _typed(operator.index, doc["p"], "p"), _typed(operator.index, doc.get("m", 1), "m")
+    )
+    ell = _typed(operator.index, doc["ell"], "ell")
+    n = _typed(operator.index, doc["n"], "n")
     if ell < 2 or n < 0:
         raise ValueError(f"spec needs ell >= 2 and n >= 0, got ell={ell}, n={n}")
+    containers = {"kernels": list, "leaf_stats": list, "info_set": list, "frozen_class": dict}
+    for key, kind in containers.items():
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"spec field {key} has the wrong type: {doc[key]!r}")
+    for key in ("kernels", "leaf_stats"):
+        for k, entry in enumerate(doc[key]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"spec field {key}[{k}] has the wrong type: {entry!r}")
     n_stats = len(doc["leaf_stats"])
     # ell^n > n: testing n first keeps an absurd depth from computing ell**n
     if n > n_stats or ell**n != n_stats:
@@ -515,9 +542,16 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
         )
     leaves = _level_paths(ell, n)
     internal = [p for depth in range(n) for p in _level_paths(ell, depth)]
-    _check_paths("kernels", [tuple(e["path"]) for e in doc["kernels"]], internal)
-    _check_paths("leaf_stats entries", [tuple(e["path"]) for e in doc["leaf_stats"]], leaves)
-    info = [tuple(p) for p in doc["info_set"]]
+    kernel_paths = [
+        _typed(_as_path, e["path"], f"kernels[{k}].path") for k, e in enumerate(doc["kernels"])
+    ]
+    leaf_paths = [
+        _typed(_as_path, e["path"], f"leaf_stats[{k}].path")
+        for k, e in enumerate(doc["leaf_stats"])
+    ]
+    _check_paths("kernels", kernel_paths, internal)
+    _check_paths("leaf_stats entries", leaf_paths, leaves)
+    info = [_typed(_as_path, p, f"info_set[{k}]") for k, p in enumerate(doc["info_set"])]
     frozen = [tuple(int(x) for x in key.split(",")) for key in doc["frozen_class"]]
     _check_paths("info_set and frozen_class leaves", info + frozen, leaves)
     input_dist = np.array(doc["input_dist"], dtype=float)
@@ -525,28 +559,28 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
         raise ValueError(f"input_dist must have {f.q} entries, got shape {input_dist.shape}")
     input_dist.setflags(write=False)
     kernels = {}
-    for entry in doc["kernels"]:
+    for path, entry in zip(kernel_paths, doc["kernels"]):
         kern = mat_invert(f, entry["matrix"])
         if kern.ell != ell:
-            raise ValueError(f"kernel at path {entry['path']} is not {ell}x{ell}")
-        kernels[tuple(entry["path"])] = kern
+            raise ValueError(f"kernel at path {list(path)} is not {ell}x{ell}")
+        kernels[path] = kern
     stats = {
-        tuple(entry["path"]): LeafStat(
-            H_w=float(entry["H_w"]),
-            H_v=float(entry["H_v"]),
-            Pe_w=float(entry["Pe_w"]),
-            T_v=float(entry["T_v"]),
+        path: LeafStat(
+            **{
+                key: _typed(float, entry[key], f"leaf_stats[{k}].{key}")
+                for key in ("H_w", "H_v", "Pe_w", "T_v")
+            },
             exact=bool(entry["exact"]),
         )
-        for entry in doc["leaf_stats"]
+        for k, (path, entry) in enumerate(zip(leaf_paths, doc["leaf_stats"]))
     }
     return CodeSpec(
         field=f,
         ell=ell,
         n=n,
-        pi=float(doc["pi"]),
-        theta=float(doc["theta"]),
-        seed=int(doc["seed"]),
+        pi=_typed(float, doc["pi"], "pi"),
+        theta=_typed(float, doc["theta"], "theta"),
+        seed=_typed(operator.index, doc["seed"], "seed"),
         input_dist=input_dist,
         kernels=kernels,
         info_set=frozenset(info),

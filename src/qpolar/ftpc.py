@@ -19,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .gf import Kernel, field_matmul, mat_invert
+from .gf import FieldSpec, Kernel
 from .params import param_vector
 from .transform import transform
 
 #: default cap on the number of coset words enumerated in one call
 ENUM_GUARD = 1 << 24
+
+#: most coset words held in memory at once during one enumeration
+_BLOCK_WORDS = 1 << 16
 
 __all__ = [
     "WeightEnumerator",
@@ -58,58 +61,65 @@ class WeightEnumerator:
         return int(self.counts.sum())
 
 
+def _span(field: FieldSpec, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Every word start + c_1 r_1 + ... + c_k r_k, one row per word.
+
+    Nested from the last row to the first: each level adds the q scalar
+    multiples of one row to every word built so far.
+    """
+    words = start
+    for row in rows[::-1]:
+        multiples = field.mul(field.elements[:, None], row[None, :])
+        words = field.add(multiples[:, None, :], words[None, :, :]).reshape(-1, row.size)
+    return words
+
+
 def _coset_weights(
-    matrix: np.ndarray,
-    kernel: Kernel,
-    i: int,
-    free_tail: bool,
-    guard: int,
+    field: FieldSpec, lead: np.ndarray, free: np.ndarray, guard: int
 ) -> WeightEnumerator:
-    """Weight histogram of {(prefix, 1, suffix) @ matrix} with one free side."""
-    field = kernel.field
-    q, ell = field.q, kernel.ell
-    if not 1 <= i <= ell:
-        raise ValueError(f"position {i} outside 1..{ell}")
-    free = ell - i if free_tail else i - 1
-    count = q**free
+    """Weight histogram of the coset lead + span(free rows).
+
+    The trailing free rows span a block of at most 2^16 words, the leading
+    ones a set of offsets containing ``lead``; each batch of offsets is added
+    to the block in one step, so no step holds more than 2^16 words.
+    """
+    q, ell = field.q, lead.size
+    count = q ** len(free)
     if count > guard:
         raise ValueError(f"coset of size {count} exceeds enumeration guard {guard}")
+    in_block = 0
+    while in_block < len(free) and q ** (in_block + 1) <= _BLOCK_WORDS:
+        in_block += 1
+    split = len(free) - in_block
+    block = _span(field, free[split:], np.zeros((1, ell), dtype=np.int64))
+    offsets = _span(field, free[:split], lead[None, :])
+    step = _BLOCK_WORDS // len(block)
     counts = np.zeros(ell + 1, dtype=np.int64)
-    shifts = q ** np.arange(free - 1, -1, -1, dtype=np.int64)
-    chunk = 1 << 16
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        digits = (idx[:, None] // shifts[None, :]) % q if free else np.zeros((idx.size, 0), dtype=np.int64)
-        rows = np.zeros((idx.size, ell), dtype=np.int64)
-        rows[:, i - 1] = 1
-        if free_tail:
-            rows[:, i:] = digits
-        else:
-            rows[:, : i - 1] = digits
-        words = field_matmul(field, rows, matrix)
-        weights = np.count_nonzero(words, axis=1)
-        counts += np.bincount(weights, minlength=ell + 1)
+    for first in range(0, len(offsets), step):
+        weights = np.count_nonzero(
+            field.add(offsets[first : first + step, None, :], block[None, :, :]), axis=2
+        )
+        counts += np.bincount(weights.ravel(), minlength=ell + 1)
     return WeightEnumerator(ell=ell, counts=counts)
+
+
+def _check_position(kernel: Kernel, i: int) -> None:
+    if not 1 <= i <= kernel.ell:
+        raise ValueError(f"position {i} outside 1..{kernel.ell}")
 
 
 def coset_enumerator(kernel: Kernel, i: int, guard: int = ENUM_GUARD) -> WeightEnumerator:
     """Primal enumerator: words (0^(i-1), 1, free suffix) @ G."""
-    return _coset_weights(kernel.entries, kernel, i, free_tail=True, guard=guard)
+    _check_position(kernel, i)
+    rows = kernel.entries
+    return _coset_weights(kernel.field, rows[i - 1], rows[i:], guard)
 
 
 def dual_coset_enumerator(kernel: Kernel, i: int, guard: int = ENUM_GUARD) -> WeightEnumerator:
     """Dual enumerator: words (free prefix, 1, 0^(ell-i)) @ G^-T."""
-    return _coset_weights(kernel.inv_transpose, kernel, i, free_tail=False, guard=guard)
-
-
-def reversed_dual_kernel(kernel: Kernel) -> Kernel:
-    """Row-and-column reversed inverse-transpose, as a kernel of its own.
-
-    Satisfies: dual enumerator of G at i == primal enumerator of this kernel
-    at position ell+1-i.
-    """
-    flipped = np.ascontiguousarray(kernel.inv_transpose[::-1, ::-1])
-    return mat_invert(kernel.field, flipped)
+    _check_position(kernel, i)
+    rows = kernel.inv_transpose
+    return _coset_weights(kernel.field, rows[i - 1], rows[: i - 1], guard)
 
 
 def verify_ftpcz(W: Channel, kernel: Kernel, i: int) -> dict:

@@ -335,17 +335,24 @@ def mat_invert(spec: FieldSpec, entries) -> Kernel:
     """Invert a square matrix over GF(q) by Gaussian elimination.
 
     Returns a :class:`Kernel` carrying the matrix, its inverse and the
-    transpose of the inverse.  Raises ``ValueError`` when the matrix is
+    transpose of the inverse.  Raises ``ValueError`` when an entry is not a
+    finite integer in [0, q), when the matrix is not square, and when it is
     singular.
     """
-    A = np.array(entries, dtype=np.int64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValueError(f"kernel must be square and non-empty, got shape {A.shape}")
-    if A.min() < 0 or A.max() >= spec.q:
+    raw = np.asarray(entries)
+    integral = raw.dtype.kind in "biu" or (
+        raw.dtype.kind == "f" and bool(np.all(np.isfinite(raw) & (raw == np.trunc(raw))))
+    )
+    if not integral:
+        raise ValueError("kernel entries must be finite integers")
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
+        raise ValueError(f"kernel must be square and non-empty, got shape {raw.shape}")
+    if raw.min() < 0 or raw.max() >= spec.q:
         raise ValueError("matrix entries outside [0, q)")
+    A = raw.astype(np.int64)
     ell = A.shape[0]
-    work = A.copy()
-    inv = np.eye(ell, dtype=np.int64)
+    # [A | I] reduces to [I | A^-1]; each column costs one mul and one sub
+    work = np.concatenate([A, np.eye(ell, dtype=np.int64)], axis=1)
     for col in range(ell):
         piv_rows = np.nonzero(work[col:, col])[0]
         if piv_rows.size == 0:
@@ -353,15 +360,11 @@ def mat_invert(spec: FieldSpec, entries) -> Kernel:
         piv = col + int(piv_rows[0])
         if piv != col:
             work[[col, piv]] = work[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        scale = spec.inv(int(work[col, col]))
-        work[col] = spec.mul(scale, work[col])
-        inv[col] = spec.mul(scale, inv[col])
-        for r in range(ell):
-            f = int(work[r, col])
-            if r != col and f:
-                work[r] = spec.sub(work[r], spec.mul(f, work[col]))
-                inv[r] = spec.sub(inv[r], spec.mul(f, inv[col]))
+        work[col] = spec.mul(spec.inv(int(work[col, col])), work[col])
+        factors = work[:, col].copy()
+        factors[col] = 0
+        work = spec.sub(work, spec.mul(factors[:, None], work[col][None, :]))
+    inv = np.ascontiguousarray(work[:, ell:])
     for arr in (A, inv):
         arr.setflags(write=False)
     inv_t = np.ascontiguousarray(inv.T)

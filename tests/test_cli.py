@@ -246,6 +246,34 @@ def test_malformed_spec_exits_one(capsys, spec_file, edit, match):
     assert err.startswith("error: spec has ") and match in err
 
 
+def _wrong_typed_kernel_path(doc):
+    doc["kernels"][0]["path"] = [[1]]
+
+
+def _wrong_typed_leaf_value(doc):
+    doc["leaf_stats"][0]["H_w"] = None
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda doc: doc.update(n=None), "n"),
+        (_wrong_typed_kernel_path, "kernels[0].path"),
+        (_wrong_typed_leaf_value, "leaf_stats[0].H_w"),
+    ],
+    ids=["n-null", "kernel-path-nested", "H_w-null"],
+)
+def test_wrong_typed_spec_field_exits_one(capsys, spec_file, edit, name):
+    doc = json.loads(spec_file.read_text())
+    edit(doc)
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "encode", "--spec", str(spec_file), "--message", "1,0,1", "--seed", "5"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: spec field {name} has the wrong type")
+
+
 def test_two_channels_exit_one(capsys, spec_file):
     code, out, err = run_cli(
         capsys, "decode", "--spec", str(spec_file), "--received", "0,1,2,0,1,1,0,1",

@@ -114,6 +114,36 @@ def test_codespec_from_dict_rejects_inconsistent_shapes(edits, match):
         codespec_from_dict(_bec_spec_doc(**edits))
 
 
+def _wrong_typed_kernel_path(doc):
+    doc["kernels"][0]["path"] = [[1]]
+
+
+def _wrong_typed_leaf_value(doc):
+    doc["leaf_stats"][3]["H_w"] = None
+
+
+def _wrong_typed_leaf_entry(doc):
+    doc["leaf_stats"][0] = None
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda doc: doc.update(n=None), "n"),
+        (_wrong_typed_kernel_path, r"kernels\[0\]\.path"),
+        (_wrong_typed_leaf_value, r"leaf_stats\[3\]\.H_w"),
+        (lambda doc: doc.update(kernels=None), "kernels"),
+        (_wrong_typed_leaf_entry, r"leaf_stats\[0\]"),
+    ],
+    ids=["n-null", "kernel-path-nested", "H_w-null", "kernels-null", "leaf-entry-null"],
+)
+def test_codespec_from_dict_names_a_wrong_typed_field(edit, name):
+    doc = _bec_spec_doc()
+    edit(doc)
+    with pytest.raises(ValueError, match=f"spec field {name} has the wrong type"):
+        codespec_from_dict(doc)
+
+
 def test_codespec_from_dict_rejects_inconsistent_paths():
     doc = _bec_spec_doc()
     kept = doc["kernels"][:-1]  # drops the kernel at path [2, 2]

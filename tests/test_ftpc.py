@@ -1,6 +1,7 @@
 """Weight enumerators and the synthesized-parameter bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +10,62 @@ from hypothesis import strategies as st
 
 from qpolar.channel import bec, random_channel
 from qpolar.ftpc import (
+    WeightEnumerator,
     coset_enumerator,
     dual_coset_enumerator,
-    reversed_dual_kernel,
     verify_ftpcs,
     verify_ftpcz,
 )
-from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
+from qpolar.gf import arikan_kernel, field_make, field_matmul, mat_invert, sample_invertible
 
 ARIKAN = arikan_kernel(field_make(2))
+
+
+def _coset_weights_reference(matrix, kernel, i, free_tail):
+    """The enumerator as it was before the nested build: one field_matmul per chunk."""
+    field = kernel.field
+    q, ell = field.q, kernel.ell
+    free = ell - i if free_tail else i - 1
+    count = q**free
+    counts = np.zeros(ell + 1, dtype=np.int64)
+    shifts = q ** np.arange(free - 1, -1, -1, dtype=np.int64)
+    chunk = 1 << 16
+    for start in range(0, count, chunk):
+        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        digits = (
+            (idx[:, None] // shifts[None, :]) % q if free else np.zeros((idx.size, 0), dtype=np.int64)
+        )
+        rows = np.zeros((idx.size, ell), dtype=np.int64)
+        rows[:, i - 1] = 1
+        if free_tail:
+            rows[:, i:] = digits
+        else:
+            rows[:, : i - 1] = digits
+        words = field_matmul(field, rows, matrix)
+        weights = np.count_nonzero(words, axis=1)
+        counts += np.bincount(weights, minlength=ell + 1)
+    return WeightEnumerator(ell=ell, counts=counts)
+
+
+def _assert_matches_reference(kern, i):
+    np.testing.assert_array_equal(
+        coset_enumerator(kern, i).counts,
+        _coset_weights_reference(kern.entries, kern, i, free_tail=True).counts,
+    )
+    np.testing.assert_array_equal(
+        dual_coset_enumerator(kern, i).counts,
+        _coset_weights_reference(kern.inv_transpose, kern, i, free_tail=False).counts,
+    )
+
+
+def _reversed_dual_kernel(kernel):
+    """Row-and-column reversed inverse-transpose, as a kernel of its own.
+
+    Satisfies: dual enumerator of G at i == primal enumerator of this kernel
+    at position ell+1-i.
+    """
+    flipped = np.ascontiguousarray(kernel.inv_transpose[::-1, ::-1])
+    return mat_invert(kernel.field, flipped)
 
 
 # -------------------------------------------------------------- enumerators
@@ -80,12 +128,46 @@ def test_dual_primal_reciprocity(seed):
     field = field_make(p, m)
     ell = int(rng.integers(2, 5))
     kern = sample_invertible(field, ell, rng)
-    mirror = reversed_dual_kernel(kern)
+    mirror = _reversed_dual_kernel(kern)
     for i in range(1, ell + 1):
         np.testing.assert_array_equal(
             dual_coset_enumerator(kern, i).counts,
             coset_enumerator(mirror, ell + 1 - i).counts,
         )
+
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@given(st.sampled_from(FIELDS), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_enumerators_match_the_reference(pm, ell, seed):
+    # GF(2, 3, 4, 5, 7, 8, 9), every position, primal and dual: equal counts
+    kern = sample_invertible(field_make(*pm), ell, np.random.default_rng(seed))
+    for i in range(1, ell + 1):
+        _assert_matches_reference(kern, i)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_multi_block_enumeration_matches_the_reference(i):
+    # the primal coset at 1 and the dual at 18 have 2^17 words (two offsets
+    # added to one 2^16-word block); at 2 and 17 they fill one block exactly
+    kern = sample_invertible(field_make(2), 18, np.random.default_rng(18))
+    _assert_matches_reference(kern, i)
+    _assert_matches_reference(kern, 19 - i)
+
+
+def test_enumeration_memory_stays_blocked():
+    # 2^19 words of 20 int64 entries would take about 80 MB at once
+    kern = sample_invertible(field_make(2), 20, np.random.default_rng(20))
+    tracemalloc.start()
+    try:
+        enum = coset_enumerator(kern, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.total == 2**19
+    assert peak < 40e6
 
 
 # ----------------------------------------------------------------- bounds

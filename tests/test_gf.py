@@ -147,6 +147,79 @@ def test_mat_invert_rejects_singular():
         mat_invert(field_make(2), [[0, 2], [1, 0]])  # entry out of range
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.7, 0], [1, 1.2]],
+        [[1, 0], [1, None]],
+        [[1, 0], [1, float("nan")]],
+        [[1, 0], [float("inf"), 1]],
+        [["1", "0"], ["1", "1"]],
+    ],
+    ids=["fraction", "none", "nan", "inf", "string"],
+)
+def test_mat_invert_rejects_non_integer_entries(entries):
+    with pytest.raises(ValueError, match="finite integers"):
+        mat_invert(field_make(2), entries)
+
+
+def test_mat_invert_accepts_integer_valued_floats():
+    k = mat_invert(field_make(2), [[1.0, 0.0], [1.0, 1.0]])
+    assert k.entries.dtype == np.int64
+    assert k.inverse.tobytes() == arikan_kernel(field_make(2)).inverse.tobytes()
+
+
+def _mat_invert_reference(spec, entries):
+    """Gauss-Jordan elimination as it was before: one row update per loop step."""
+    A = np.array(entries, dtype=np.int64)
+    ell = A.shape[0]
+    work = A.copy()
+    inv = np.eye(ell, dtype=np.int64)
+    for col in range(ell):
+        piv_rows = np.nonzero(work[col:, col])[0]
+        if piv_rows.size == 0:
+            raise ValueError("matrix is singular over GF(q)")
+        piv = col + int(piv_rows[0])
+        if piv != col:
+            work[[col, piv]] = work[[piv, col]]
+            inv[[col, piv]] = inv[[piv, col]]
+        scale = spec.inv(int(work[col, col]))
+        work[col] = spec.mul(scale, work[col])
+        inv[col] = spec.mul(scale, inv[col])
+        for r in range(ell):
+            f = int(work[r, col])
+            if r != col and f:
+                work[r] = spec.sub(work[r], spec.mul(f, work[col]))
+                inv[r] = spec.sub(inv[r], spec.mul(f, inv[col]))
+    return A, inv
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_mat_invert_matches_the_reference(pm, ell, seed, low_rank):
+    f = field_make(*pm)
+    rng = np.random.default_rng(seed)
+    cand = rng.integers(0, f.q, size=(ell, ell))
+    if low_rank and ell > 1:
+        cand[-1] = f.add(cand[0], f.mul(int(rng.integers(0, f.q)), cand[1]))
+    try:
+        want = _mat_invert_reference(f, cand)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            mat_invert(f, cand)
+        assert str(got.value) == str(exc)
+        return
+    k = mat_invert(f, cand)
+    assert k.entries.tobytes() == want[0].tobytes()
+    assert k.inverse.tobytes() == want[1].tobytes()
+    assert k.inv_transpose.tobytes() == np.ascontiguousarray(want[1].T).tobytes()
+
+
 @pytest.mark.parametrize("p,m,ell", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2)])
 def test_inverse_really_inverts(p, m, ell):
     f = field_make(p, m)
