@@ -42,6 +42,7 @@ GF4_KERNEL = {
 C11_SPEC = "construct --bec 0.5 --arikan --ell 2 --depth 3 --pi 0.2 --seed 42"
 COMMANDS = [
     "transform --zchan 0.3 --arikan",
+    "transform --zchan 0.3 --arikan --no-merge",
     "construct --zchan 0.3 --arikan --ell 2 --depth 5 --pi 0.2 --seed 7",
     "construct --bsc 0.11 --ell 3 --depth 2 --pi 0.2 --seed 7 --search-budget 200",
     C11_SPEC,

@@ -8,6 +8,7 @@ and the synthesized-channel machinery legitimate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "derived_distributions",
     "sample_outputs",
     "capacity_input",
-    "extend_input",
     "flatten",
     "symmetrize",
     "merge_outputs",
@@ -60,7 +60,7 @@ class Channel:
         if trans.min() < -1e-15:
             bad = np.unravel_index(int(np.argmin(trans)), trans.shape)
             raise ValueError(f"negative transition probability at {bad}")
-        trans = np.maximum(trans, 0.0)
+        np.maximum(trans, 0.0, out=trans)
         sums = trans.sum(axis=1)
         off = np.abs(sums - 1.0)
         if off.max() > ROW_TOL:
@@ -72,7 +72,7 @@ class Channel:
             raise ValueError(f"input_dist must have length q={self.field.q}")
         if dist.min() < -1e-15 or abs(dist.sum() - 1.0) > ROW_TOL:
             raise ValueError("input_dist is not a probability vector")
-        dist = np.maximum(dist, 0.0)
+        np.maximum(dist, 0.0, out=dist)
         trans.setflags(write=False)
         dist.setflags(write=False)
         object.__setattr__(self, "transition", trans)
@@ -166,23 +166,6 @@ def capacity_input(W: Channel, tol: float = 1e-9) -> np.ndarray:
 
 # ------------------------------------------------- alphabet manipulation
 
-def extend_input(W: Channel, target: FieldSpec) -> Channel:
-    """Embed an s-ary channel into a larger q-ary input alphabet.
-
-    The first s input symbols keep their rows; every new symbol behaves
-    exactly like symbol s-1, so the extra inputs are informationless clones:
-    the carried input distribution (original padded with zeros) achieves the
-    same mutual information as before, and the capacity is unchanged.
-    """
-    s = W.q
-    if target.q < s:
-        raise ValueError(f"target field size {target.q} smaller than source {s}")
-    extra = target.q - s
-    trans = np.vstack([W.transition, np.tile(W.transition[s - 1], (extra, 1))])
-    dist = np.concatenate([W.input_dist, np.zeros(extra)])
-    return Channel(target, trans, dist)
-
-
 def flatten(W: Channel) -> Channel:
     """Collapse the output alphabet to a single symbol (pure-noise channel)."""
     return Channel(W.field, np.ones((W.q, 1)), W.input_dist)
@@ -232,8 +215,8 @@ def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
     """
     post = derived_distributions(W).posterior
     order = np.lexsort(post[::-1, :])
-    P = post[:, order]
-    gap = np.abs(P[:, 1:] - P[:, :-1]).max(axis=0)
+    P = np.take(post, order, axis=1)  # C order: each posterior row is contiguous
+    gap = _sup_distance(P, slice(1, None), slice(None, -1))
     start = np.ones(order.size, dtype=bool)
     start[1:] = ~(gap <= tol)
     if ((gap > 0.0) & (gap <= tol)).any():
@@ -241,11 +224,24 @@ def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
         # previous head; a mismatch with the run rule flags the column
         heads = np.flatnonzero(start)
         ref = heads[np.cumsum(start) - 1 - start]
-        bad = (np.abs(P - P[:, ref]).max(axis=0) <= tol) == start
+        bad = (_sup_distance(P, slice(None), ref) <= tol) == start
         bad[0] = False
         if bad.any():
             _rescan_runs(P, tol, start, bad)
     return _merge_runs(W, order, start)
+
+
+def _sup_distance(P: np.ndarray, left, right) -> np.ndarray:
+    """Column-wise sup norm of ``P[:, left] - P[:, right]``, one row at a time.
+
+    Folding the rows with ``np.maximum`` keeps every temporary one row long;
+    the maximum is exact, so the result equals the (q, N) computation.
+    """
+    dist = np.abs(P[0, left] - P[0, right])
+    for row in P[1:]:
+        diff = row[left] - row[right]
+        np.maximum(dist, np.abs(diff, out=diff), out=dist)
+    return dist
 
 
 def _rescan_runs(P: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray) -> None:
@@ -285,20 +281,25 @@ def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
     Each output column is ``W.transition[:, run].sum(axis=1)`` over its
     run's columns in sorted order.  That gather keeps the q axis innermost,
     so numpy adds the columns left to right (not pairwise).  Runs of equal
-    length are gathered the same way into one (q, runs, length) block,
-    whose sum over the last axis adds in the same order, so the result is
-    bitwise the per-run sum; ``np.add.reduceat`` would not be.  Returns
-    ``W`` itself, in its original column order, when nothing merges.
+    length, consecutive in one stable argsort of the run sizes, are gathered
+    the same way into one (q, runs, length) block, whose sum over the last
+    axis adds in the same order, so the result is bitwise the per-run sum;
+    ``np.add.reduceat`` would not be.  Returns ``W`` itself, in its original
+    column order, when nothing merges.
     """
     heads = np.flatnonzero(start)
     if heads.size == order.size:
         return W
     sizes = np.concatenate((heads[1:], (order.size,))) - heads
+    by_size = np.argsort(sizes, kind="stable")
+    counts = np.bincount(sizes)
     new_trans = np.empty((W.q, heads.size))
-    for s in np.flatnonzero(np.bincount(sizes)):
-        pick = sizes == s
-        cols = order[heads[pick][:, None] + np.arange(s)]
-        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
+    end = 0
+    for s in np.flatnonzero(counts):
+        runs = by_size[end : end + counts[s]]
+        end += counts[s]
+        cols = order[heads[runs][:, None] + np.arange(s)]
+        new_trans[:, runs] = W.transition[:, cols].sum(axis=-1)
     return Channel(W.field, new_trans, W.input_dist)
 
 
@@ -352,18 +353,36 @@ def channel_to_dict(W: Channel) -> dict:
     }
 
 
+def _typed(cast, value, name: str, what: str = "spec"):
+    """cast(value), reporting a value of the wrong type as a ValueError naming the field.
+
+    Shared by the channel and spec file readers; ``what`` names the file kind.
+    """
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} field {name} has the wrong type: {value!r}") from exc
+
+
 def channel_from_dict(doc: dict, capacity_tol: float = 1e-9) -> Channel:
-    field = field_make(int(doc["p"]), int(doc.get("m", 1)))
-    trans = np.asarray(doc["transition"], dtype=np.float64)
-    if "output_size" in doc and int(doc["output_size"]) != trans.shape[1]:
-        raise ValueError(
-            f"output_size {doc['output_size']} does not match transition width "
-            f"{trans.shape[1]}"
-        )
+    """Rebuild a channel from ``channel_to_dict`` output.
+
+    Integer ``p``, ``m`` and ``output_size`` are read with
+    ``operator.index``, so a wrong-typed one (null, 1.5) raises a
+    ``ValueError`` naming the field.  ``input_dist`` may be the keyword
+    ``"capacity"``.
+    """
+    p = _typed(operator.index, doc["p"], "p", "channel")
+    m = _typed(operator.index, doc.get("m", 1), "m", "channel")
     dist = doc.get("input_dist")
-    if isinstance(dist, str):
-        if dist != "capacity":
-            raise ValueError(f"unknown input_dist keyword {dist!r}")
-        W0 = make_channel(field, trans)
-        return W0.with_input(capacity_input(W0, tol=capacity_tol))
-    return make_channel(field, trans, dist)
+    capacity = isinstance(dist, str)
+    if capacity and dist != "capacity":
+        raise ValueError(f"unknown input_dist keyword {dist!r}")
+    W = make_channel(field_make(p, m), doc["transition"], None if capacity else dist)
+    if "output_size" in doc:
+        size = _typed(operator.index, doc["output_size"], "output_size", "channel")
+        if size != W.output_size:
+            raise ValueError(
+                f"output_size {size} does not match transition width {W.output_size}"
+            )
+    return W.with_input(capacity_input(W, tol=capacity_tol)) if capacity else W

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, derived_distributions, flatten, sample_outputs
+from .channel import Channel, _typed, derived_distributions, flatten, sample_outputs
 from .gf import FieldSpec, Kernel, field_make, mat_invert
 from .kernsearch import FixedKernel, SearchKernels, search
 from .params import param_vector
@@ -495,28 +495,24 @@ def _check_paths(what: str, got: list, want: list) -> None:
         )
 
 
-def _typed(cast, value, name: str):
-    """cast(value), reporting a value of the wrong type as a ValueError naming the field."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"spec field {name} has the wrong type: {value!r}") from exc
-
-
 def _as_path(value) -> tuple[int, ...]:
     return tuple(operator.index(x) for x in value)
+
+
+def _as_reals(value) -> np.ndarray:
+    return np.array([float(x) for x in value])
 
 
 def codespec_from_dict(doc: dict) -> CodeSpec:
     """Rebuild a spec from ``codespec_to_dict`` output, checking it first.
 
     Raises ``ValueError`` naming the problem unless every field has its
-    type (integer p, m, ell, n and seed; numeric pi, theta and leaf values;
-    lists for kernels, leaf_stats and info_set, with each path a list of
-    integers; an object for frozen_class) and the document holds one
-    ell x ell kernel per internal path of the depth-n tree, one leaf_stats
-    entry per leaf, an info_set and frozen_class that split the leaves
-    between them, and a length-q input_dist.
+    type (integer p, m, ell, n and seed; numeric pi, theta, leaf values and
+    input_dist entries; lists for kernels, leaf_stats and info_set, with
+    each path a list of integers; an object for frozen_class) and the
+    document holds one ell x ell kernel per internal path of the depth-n
+    tree, one leaf_stats entry per leaf, an info_set and frozen_class that
+    split the leaves between them, and a length-q input_dist.
     """
     f = field_make(
         _typed(operator.index, doc["p"], "p"), _typed(operator.index, doc.get("m", 1), "m")
@@ -554,7 +550,7 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
     info = [_typed(_as_path, p, f"info_set[{k}]") for k, p in enumerate(doc["info_set"])]
     frozen = [tuple(int(x) for x in key.split(",")) for key in doc["frozen_class"]]
     _check_paths("info_set and frozen_class leaves", info + frozen, leaves)
-    input_dist = np.array(doc["input_dist"], dtype=float)
+    input_dist = _typed(_as_reals, doc["input_dist"], "input_dist")
     if input_dist.shape != (f.q,):
         raise ValueError(f"input_dist must have {f.q} entries, got shape {input_dist.shape}")
     input_dist.setflags(write=False)

@@ -220,7 +220,7 @@ class FieldSpec:
         return self._neg_t[a]
 
     def sub(self, a, b):
-        return self.add(a, self._neg_t[b])
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if self.m == 1:

@@ -16,9 +16,8 @@ S           average absolute correlation of the posterior with the
 Smax        the worst single-character correlation
 ==========  ==============================================================
 
-plus an inequality report tying them together, Gallager-type exponent
-functions with their source-coding duals, and exponential tilting of the
-joint law.
+plus an inequality report tying them together and Gallager-type exponent
+functions with their source-coding duals.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "param_vector",
     "holder_report",
     "gallager_e0",
-    "tilted",
     "second_moment",
     "quadratic_check",
 ]
@@ -192,36 +190,6 @@ def gallager_e0(W: Channel, t: float) -> dict:
     inner_d = np.power(joint, a).sum(axis=0)
     e0_dual = math.log(float(np.power(inner_d, 1.0 + t).sum()))
     return {"e0": e0, "e0_dual": e0_dual, "t": float(t)}
-
-
-def tilted(W: Channel, t: float) -> Channel:
-    """Exponentially tilt the joint law by 1/(1+t) and renormalise.
-
-    Returns a channel whose joint distribution is
-
-        J_t(x,y) = A(y)^(1+t)/Z * J(x,y)^(1/(1+t))/A(y),
-        A(y) = sum_x J(x,y)^(1/(1+t)),
-
-    i.e. the output law is reweighted by A(y)^(1+t) and each posterior is
-    power-tilted.  t = 0 returns W itself.
-    """
-    if not -0.4 <= t <= 1.0:
-        raise ValueError(f"tilt parameter {t} outside [-2/5, 1]")
-    if np.any(W.input_dist <= 0):
-        raise ValueError("tilting needs a full-support input distribution")
-    if t == 0.0:
-        return W
-    a = 1.0 / (1.0 + t)
-    joint = derived_distributions(W).joint
-    powered = np.power(joint, a)
-    A = powered.sum(axis=0)
-    out_t = np.power(A, 1.0 + t)
-    out_t /= out_t.sum()
-    post_t = powered / np.where(A > 0, A, 1.0)[None, :]
-    joint_t = post_t * out_t[None, :]
-    marg = joint_t.sum(axis=1)
-    trans = joint_t / marg[:, None]
-    return Channel(W.field, trans, marg)
 
 
 def second_moment(weights) -> float:

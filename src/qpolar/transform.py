@@ -4,26 +4,27 @@ Feeding an ell-block of i.i.d. channel uses through an invertible kernel G
 turns position i of the block into a new channel: its input is the i-th
 source symbol, its output is the pair (all previous source symbols, all ell
 channel outputs).  This module builds that channel exactly (with a lossless
-output merge so alphabets stay as small as the law allows), estimates its
-conditional entropy by Monte Carlo when exact synthesis is out of budget,
-and provides the lossy posterior-quantization merge used by long-horizon
-simulations.
+output merge so alphabets stay as small as the law allows) and provides the
+lossy posterior-quantization merge used by long-horizon simulations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, _merge_runs, derived_distributions, merge_outputs, sample_outputs
-from .gf import Kernel, _digit_matrix, field_matmul
+from .channel import Channel, _merge_runs, derived_distributions, merge_outputs
+from .gf import Kernel
 
 #: default cap on the pre-merge output-alphabet size of an exact synthesis
 DEFAULT_GUARD = 10_000_000
 
+#: word-product entries that one synthesis gathers at a time (8 MB of floats);
+#: a suffix block larger than this is still gathered whole
+_GATHER_ENTRIES = 1 << 20
+
 __all__ = [
     "transform",
     "transform_all",
-    "estimate_entropy_mc",
     "quantize_merge",
     "quantize_to_fit",
     "DEFAULT_GUARD",
@@ -56,23 +57,47 @@ def transform(
         raise ValueError(
             f"exact synthesis needs a {pre_merge}-symbol alphabet, over the guard {guard}"
         )
-    joint = derived_distributions(W).joint
-    U = _digit_matrix(q, ell)
-    X = kernel.apply_rows(U)
-    prefix_size = q ** (i - 1)
-    shifts = q ** np.arange(i - 2, -1, -1, dtype=np.int64) if i > 1 else None
-    A = np.zeros((q, prefix_size * M**ell))
-    for k in range(U.shape[0]):
-        w = joint[X[k, 0]]
-        for j in range(1, ell):
-            w = (w[:, None] * joint[X[k, j]][None, :]).ravel()
-        pu = int(U[k, : i - 1] @ shifts) if i > 1 else 0
-        ui = int(U[k, i - 1])
-        A[ui, pu * M**ell : (pu + 1) * M**ell] += w
-    mass = A.sum(axis=1)
-    rows = np.where(mass[:, None] > 0, A / np.where(mass > 0, mass, 1.0)[:, None], 1.0 / A.shape[1])
-    out = Channel(W.field, rows, mass)
+    out = Channel(W.field, *_raw_law(derived_distributions(W).joint, kernel, i))
     return merge_outputs(out, tol=1e-12) if merge else out
+
+
+def _raw_law(joint: np.ndarray, kernel: Kernel, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transition rows and input law of position ``i`` before any merge.
+
+    Column ``prefix * M^ell + y`` of row ``u_i`` holds the joint mass of the
+    words with that prefix and symbol summed over their q^(ell-i) suffixes.
+    Each word's joint comes from the kernel's completion table: the stacked
+    joint is gathered at the table's pin indices and the ell channel rows
+    are multiplied as outer products, left to right.  Words are taken in
+    (suffix, u_i, prefix) order, so each suffix block is one contiguous
+    (q, prefix * M^ell) slab, and the blocks are added in word order one
+    ``+`` at a time: the bits equal a word-by-word accumulation from zero (a
+    reduction over the suffix axis would add pairwise).  Blocks are gathered
+    together up to ``_GATHER_ENTRIES`` entries.  Rows of zero mass are
+    uniform.
+    """
+    q, ell = kernel.field.q, kernel.ell
+    block_cols = q ** (i - 1) * joint.shape[1] ** ell
+    perm = np.arange(q**ell).reshape(q ** (i - 1), q, q ** (ell - i)).T.ravel()
+    table = kernel.completions[perm]
+    stacked = np.concatenate([joint] * ell)
+    step = q**i * max(1, _GATHER_ENTRIES // (q * block_cols))
+    A = None
+    for lo in range(0, table.shape[0], step):
+        rows = stacked[table[lo : lo + step]]  # (words, ell, M)
+        w = rows[:, 0]
+        for j in range(1, ell):
+            w = (w[:, :, None] * rows[:, j, None, :]).reshape(rows.shape[0], -1)
+        for block in w.reshape(-1, q, block_cols):
+            if A is None:
+                A = block
+            else:
+                A += block
+        del rows, w
+    mass = A.sum(axis=1)
+    A /= np.where(mass > 0, mass, 1.0)[:, None]
+    A[mass <= 0] = 1.0 / block_cols
+    return A, mass
 
 
 def transform_all(
@@ -80,55 +105,6 @@ def transform_all(
 ) -> list[Channel]:
     """All ell synthesized positions of one kernel step."""
     return [transform(W, kernel, i, guard=guard, merge=merge) for i in range(1, kernel.ell + 1)]
-
-
-def estimate_entropy_mc(
-    W: Channel,
-    kernel: Kernel,
-    i: int,
-    samples: int,
-    rng: np.random.Generator,
-) -> dict:
-    """Monte Carlo estimate of the synthesized conditional entropy (base q).
-
-    Draws source blocks and channel outputs from the true law, computes the
-    exact posterior of the i-th source symbol given (previous symbols, output
-    block) by summing the q^(ell-i+1) completions, and averages the log-loss
-    of the true symbol.  Returns estimate, standard error and sample count.
-    """
-    ell = kernel.ell
-    if not 1 <= i <= ell:
-        raise ValueError(f"position {i} outside 1..{ell}")
-    q, M = W.q, W.output_size
-    field = W.field
-    joint = derived_distributions(W).joint
-    in_cdf = np.cumsum(W.input_dist)
-    cands = _digit_matrix(q, ell - i + 1)  # candidate (u_i, suffix) blocks
-    C = cands.shape[0]
-    losses = np.empty(samples)
-    done = 0
-    # keep the (B*ell, M) inverse-CDF workspace bounded regardless of M
-    max_b = max(1, min(2048, 30_000_000 // max(ell * M, 1)))
-    while done < samples:
-        B = min(max_b, samples - done)
-        xs = np.searchsorted(in_cdf, rng.random((B, ell)), side="right")
-        xs = np.minimum(xs, q - 1)
-        ys = sample_outputs(W, xs, rng.random((B, ell)))
-        us = field_matmul(field, xs, kernel.inverse)
-        full = np.empty((B, C, ell), dtype=np.int64)
-        full[:, :, : i - 1] = us[:, None, : i - 1]
-        full[:, :, i - 1 :] = cands[None, :, :]
-        xc = field_matmul(field, full.reshape(B * C, ell), kernel.entries)
-        w = joint[xc.reshape(B, C, ell), ys[:, None, :]]
-        scores = w.prod(axis=2)  # (B, C)
-        per_sym = scores.reshape(B, q, C // q).sum(axis=2)
-        total = per_sym.sum(axis=1)
-        p_true = per_sym[np.arange(B), us[:, i - 1]] / total
-        losses[done : done + B] = -np.log(p_true) / np.log(q)
-        done += B
-    est = float(losses.mean())
-    stderr = float(losses.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
-    return {"estimate": est, "stderr": stderr, "samples": int(samples)}
 
 
 def quantize_merge(W: Channel, resolution: int) -> Channel:

