@@ -281,25 +281,20 @@ def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
     Each output column is ``W.transition[:, run].sum(axis=1)`` over its
     run's columns in sorted order.  That gather keeps the q axis innermost,
     so numpy adds the columns left to right (not pairwise).  Runs of equal
-    length, consecutive in one stable argsort of the run sizes, are gathered
-    the same way into one (q, runs, length) block, whose sum over the last
-    axis adds in the same order, so the result is bitwise the per-run sum;
-    ``np.add.reduceat`` would not be.  Returns ``W`` itself, in its original
-    column order, when nothing merges.
+    length are gathered the same way into one (q, runs, length) block,
+    whose sum over the last axis adds in the same order, so the result is
+    bitwise the per-run sum; ``np.add.reduceat`` would not be.  Returns
+    ``W`` itself, in its original column order, when nothing merges.
     """
     heads = np.flatnonzero(start)
     if heads.size == order.size:
         return W
     sizes = np.concatenate((heads[1:], (order.size,))) - heads
-    by_size = np.argsort(sizes, kind="stable")
-    counts = np.bincount(sizes)
     new_trans = np.empty((W.q, heads.size))
-    end = 0
-    for s in np.flatnonzero(counts):
-        runs = by_size[end : end + counts[s]]
-        end += counts[s]
-        cols = order[heads[runs][:, None] + np.arange(s)]
-        new_trans[:, runs] = W.transition[:, cols].sum(axis=-1)
+    for s in np.flatnonzero(np.bincount(sizes)):
+        pick = sizes == s
+        cols = order[heads[pick][:, None] + np.arange(s)]
+        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
     return Channel(W.field, new_trans, W.input_dist)
 
 

@@ -508,8 +508,9 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
 
     Raises ``ValueError`` naming the problem unless every field has its
     type (integer p, m, ell, n and seed; numeric pi, theta, leaf values and
-    input_dist entries; lists for kernels, leaf_stats and info_set, with
-    each path a list of integers; an object for frozen_class) and the
+    input_dist entries; lists for kernels, leaf_stats, info_set and
+    input_dist, with each path a list of integers; an object for
+    frozen_class) and the
     document holds one ell x ell kernel per internal path of the depth-n
     tree, one leaf_stats entry per leaf, an info_set and frozen_class that
     split the leaves between them, and a length-q input_dist.
@@ -521,7 +522,10 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
     n = _typed(operator.index, doc["n"], "n")
     if ell < 2 or n < 0:
         raise ValueError(f"spec needs ell >= 2 and n >= 0, got ell={ell}, n={n}")
-    containers = {"kernels": list, "leaf_stats": list, "info_set": list, "frozen_class": dict}
+    containers = {
+        "kernels": list, "leaf_stats": list, "info_set": list, "frozen_class": dict,
+        "input_dist": list,
+    }
     for key, kind in containers.items():
         if not isinstance(doc[key], kind):
             raise ValueError(f"spec field {key} has the wrong type: {doc[key]!r}")

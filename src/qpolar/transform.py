@@ -18,10 +18,6 @@ from .gf import Kernel
 #: default cap on the pre-merge output-alphabet size of an exact synthesis
 DEFAULT_GUARD = 10_000_000
 
-#: word-product entries that one synthesis gathers at a time (8 MB of floats);
-#: a suffix block larger than this is still gathered whole
-_GATHER_ENTRIES = 1 << 20
-
 __all__ = [
     "transform",
     "transform_all",
@@ -70,33 +66,30 @@ def _raw_law(joint: np.ndarray, kernel: Kernel, i: int) -> tuple[np.ndarray, np.
     joint is gathered at the table's pin indices and the ell channel rows
     are multiplied as outer products, left to right.  Words are taken in
     (suffix, u_i, prefix) order, so each suffix block is one contiguous
-    (q, prefix * M^ell) slab, and the blocks are added in word order one
-    ``+`` at a time: the bits equal a word-by-word accumulation from zero (a
-    reduction over the suffix axis would add pairwise).  Blocks are gathered
-    together up to ``_GATHER_ENTRIES`` entries.  Rows of zero mass are
-    uniform.
+    (q, prefix * M^ell) slab.  The blocks are gathered one at a time and
+    added in word order one ``+`` at a time: the bits equal a word-by-word
+    accumulation from zero (a reduction over the suffix axis would add
+    pairwise).  Rows of zero mass are uniform.
     """
     q, ell = kernel.field.q, kernel.ell
-    block_cols = q ** (i - 1) * joint.shape[1] ** ell
+    words = q**i
     perm = np.arange(q**ell).reshape(q ** (i - 1), q, q ** (ell - i)).T.ravel()
     table = kernel.completions[perm]
     stacked = np.concatenate([joint] * ell)
-    step = q**i * max(1, _GATHER_ENTRIES // (q * block_cols))
     A = None
-    for lo in range(0, table.shape[0], step):
-        rows = stacked[table[lo : lo + step]]  # (words, ell, M)
+    for lo in range(0, table.shape[0], words):
+        rows = stacked[table[lo : lo + words]]  # (words, ell, M)
         w = rows[:, 0]
         for j in range(1, ell):
-            w = (w[:, :, None] * rows[:, j, None, :]).reshape(rows.shape[0], -1)
-        for block in w.reshape(-1, q, block_cols):
-            if A is None:
-                A = block
-            else:
-                A += block
+            w = (w[:, :, None] * rows[:, j, None, :]).reshape(words, -1)
+        if A is None:
+            A = w.reshape(q, -1)
+        else:
+            A += w.reshape(q, -1)
         del rows, w
     mass = A.sum(axis=1)
     A /= np.where(mass > 0, mass, 1.0)[:, None]
-    A[mass <= 0] = 1.0 / block_cols
+    A[mass <= 0] = 1.0 / A.shape[1]
     return A, mass
 
 

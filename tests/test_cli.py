@@ -261,8 +261,10 @@ def _wrong_typed_leaf_value(doc):
         (_wrong_typed_kernel_path, "kernels[0].path"),
         (_wrong_typed_leaf_value, "leaf_stats[0].H_w"),
         (lambda doc: doc.update(input_dist=[None, 0.5]), "input_dist"),
+        (lambda doc: doc.update(input_dist="10"), "input_dist"),
     ],
-    ids=["n-null", "kernel-path-nested", "H_w-null", "input-dist-entry-null"],
+    ids=["n-null", "kernel-path-nested", "H_w-null", "input-dist-entry-null",
+         "input-dist-string"],
 )
 def test_wrong_typed_spec_field_exits_one(capsys, spec_file, edit, name):
     doc = json.loads(spec_file.read_text())

@@ -135,9 +135,10 @@ def _wrong_typed_leaf_entry(doc):
         (lambda doc: doc.update(kernels=None), "kernels"),
         (_wrong_typed_leaf_entry, r"leaf_stats\[0\]"),
         (lambda doc: doc.update(input_dist=[None, 0.5]), "input_dist"),
+        (lambda doc: doc.update(input_dist="10"), "input_dist"),
     ],
     ids=["n-null", "kernel-path-nested", "H_w-null", "kernels-null", "leaf-entry-null",
-         "input-dist-entry-null"],
+         "input-dist-entry-null", "input-dist-string"],
 )
 def test_codespec_from_dict_names_a_wrong_typed_field(edit, name):
     doc = _bec_spec_doc()

@@ -1,7 +1,6 @@
 """Single-step synthesis: closed forms, conservation, quotient oracle, MC."""
 
 import tracemalloc
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -208,17 +207,11 @@ def synthesis_cases(draw):
     return make_channel(field, T, dist / dist.sum()), kern, i
 
 
-@given(
-    synthesis_cases(),
-    st.booleans(),
-    st.sampled_from([1, 200, transform_module._GATHER_ENTRIES]),
-)
+@given(synthesis_cases(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_transform_matches_word_loop_bitwise(case, merge, gather):
-    # a small gather budget splits the suffix blocks over several gathers
+def test_transform_matches_word_loop_bitwise(case, merge):
     W, kern, i = case
-    with patch.object(transform_module, "_GATHER_ENTRIES", gather):
-        got = transform(W, kern, i, merge=merge)
+    got = transform(W, kern, i, merge=merge)
     want = _loop_transform(W, kern, i, merge)
     assert got.transition.tobytes() == want.transition.tobytes()
     assert got.input_dist.tobytes() == want.input_dist.tobytes()
