@@ -44,12 +44,14 @@ COMMANDS = [
     "transform --zchan 0.3 --arikan",
     "transform --zchan 0.3 --arikan --no-merge",
     "construct --zchan 0.3 --arikan --ell 2 --depth 5 --pi 0.2 --seed 7",
+    "construct --zchan 0.3 --arikan --ell 2 --depth 5 --pi 0.2 --seed 7 --summary",
     "construct --bsc 0.11 --ell 3 --depth 2 --pi 0.2 --seed 7 --search-budget 200",
     C11_SPEC,
     "encode --spec {spec} --message 1,0,1 --seed 5",
     "decode --spec {spec} --received 0,2,1,0,2,2,1,0 --bec 0.5 --seed 5",
     "simulate --spec {spec} --bec 0.5 --trials 200 --seed 99 --jobs 1",
     "simulate --spec {spec} --bec 0.5 --trials 200 --seed 99 --jobs 2",
+    "simulate --spec {spec} --bec 0.5 --trials 200 --seed 99 --jobs 3",
     "process --bec 0.5 --arikan --depth 10 --paths 200 --seed 0 --full",
     "process --bsc 0.11 --arikan --depth 6 --paths 20 --seed 0 --quantize 64",
     "kernel --search --bsc 0.11 --ell 3 --budget 200 --seed 5",

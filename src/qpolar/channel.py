@@ -46,7 +46,7 @@ class Channel:
     input_dist: np.ndarray
 
     def __post_init__(self) -> None:
-        trans = np.array(self.transition, dtype=np.float64)
+        trans = np.array(self.transition, dtype=np.float64, order="C")
         dist = np.array(self.input_dist, dtype=np.float64)
         if trans.ndim != 2 or trans.shape[0] != self.field.q:
             raise ValueError(
@@ -299,29 +299,30 @@ def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
 
 
 # ------------------------------------------------------- stock channels
+# Each runs at the uniform input; ``Channel.with_input`` sets another law.
 
-def bec(eps: float, input_dist=None) -> Channel:
+def bec(eps: float) -> Channel:
     """Binary erasure channel; outputs are (0, 1, erasure)."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("erasure probability must lie in [0, 1]")
     trans = [[1 - eps, 0.0, eps], [0.0, 1 - eps, eps]]
-    return make_channel(field_make(2), trans, input_dist)
+    return make_channel(field_make(2), trans)
 
 
-def bsc(delta: float, input_dist=None) -> Channel:
+def bsc(delta: float) -> Channel:
     """Binary symmetric channel with flip probability delta."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("flip probability must lie in [0, 1]")
     trans = [[1 - delta, delta], [delta, 1 - delta]]
-    return make_channel(field_make(2), trans, input_dist)
+    return make_channel(field_make(2), trans)
 
 
-def zchannel(eps: float, input_dist=None) -> Channel:
+def zchannel(eps: float) -> Channel:
     """Z-channel: 0 passes clean, 1 flips to 0 with probability eps."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("crossover probability must lie in [0, 1]")
     trans = [[1.0, 0.0], [eps, 1 - eps]]
-    return make_channel(field_make(2), trans, input_dist)
+    return make_channel(field_make(2), trans)
 
 
 def random_channel(

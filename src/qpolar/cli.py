@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .channel import (
     Channel,
+    _typed,
     bec,
     bsc,
     channel_from_dict,
-    channel_to_dict,
     flatten,
     random_channel,
     symmetrize,
@@ -33,7 +35,6 @@ from .codec import (
     construct,
     decode,
     encode,
-    simulate,
     simulate_counts,
     summarize_counts,
 )
@@ -139,7 +140,10 @@ def _add_kernel_opts(p: argparse.ArgumentParser) -> None:
 def _load_kernel(path: str) -> Kernel:
     with open(path) as fh:
         doc = json.load(fh)
-    f = field_make(int(doc["p"]), int(doc.get("m", 1)))
+    f = field_make(
+        _typed(operator.index, doc["p"], "p", "kernel"),
+        _typed(operator.index, doc.get("m", 1), "m", "kernel"),
+    )
     return mat_invert(f, doc["matrix"])
 
 
@@ -254,21 +258,19 @@ def _cmd_construct(args) -> int:
         kern = _resolve_kernel(args, default_field=W.field)
         policy = FixedKernel(kern)
     spec = construct(W, args.ell, args.depth, args.pi, policy, args.seed)
-    doc = codespec_to_dict(spec)
     if args.summary:
-        info = [spec.leaf_stats[p] for p in spec.info_set]
         _emit(
             {
                 "block_length": spec.block_length,
                 "dimension": spec.dimension,
                 "rate": spec.rate,
                 "theta": spec.theta,
-                "union_bound": sum(s.Pe_w + s.T_v for s in info),
+                "union_bound": spec.union_bound,
                 "shaping_leaves": sum(1 for c in spec.frozen_class.values() if c == "C"),
             }
         )
         return 0
-    _emit(doc)
+    _emit(codespec_to_dict(spec))
     return 0
 
 
@@ -300,45 +302,22 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _simulate_shard(spec_doc, chan_doc, seed, trials, lo, hi):
-    spec = codespec_from_dict(spec_doc)
-    W = channel_from_dict(chan_doc)
-    streams = np.random.SeedSequence(seed).spawn(trials)[lo:hi]
-    return simulate_counts(spec, W, streams)
-
-
 def _cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
     W = _resolve_channel(args)
-    if args.jobs <= 1:
-        _emit(simulate(spec, W, args.trials, args.seed))
-        return 0
-    # Shard the trial range; per-trial streams come from the same master
-    # sequence, so the merged tallies match a sequential run bit for bit.
-    spec_doc = codespec_to_dict(spec)
-    chan_doc = channel_to_dict(W)
-    bounds = [args.trials * j // args.jobs for j in range(args.jobs + 1)]
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        parts = list(
-            pool.map(
-                _simulate_shard,
-                *zip(
-                    *[
-                        (spec_doc, chan_doc, args.seed, args.trials, lo, hi)
-                        for lo, hi in zip(bounds, bounds[1:])
-                        if hi > lo
-                    ]
-                ),
-            )
-        )
-    merged = {
-        "blocks": sum(p["blocks"] for p in parts),
-        "block_errs": sum(p["block_errs"] for p in parts),
-        "sym_errs": sum(p["sym_errs"] for p in parts),
-        "failures": sum(p["failures"] for p in parts),
-        "du": max(p["du"] for p in parts),
-    }
-    _emit(summarize_counts(spec, W, args.trials, merged))
+    # Contiguous shards of the per-trial streams of one master sequence:
+    # their merged tallies match a sequential run bit for bit.
+    streams = np.random.SeedSequence(args.seed).spawn(max(args.trials, 0))
+    jobs = max(args.jobs, 1)
+    bounds = [len(streams) * j // jobs for j in range(jobs + 1)]
+    shards = [streams[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    tally = partial(simulate_counts, spec, W)
+    if len(shards) > 1:
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            parts = list(pool.map(tally, shards))
+    else:
+        parts = list(map(tally, shards))
+    _emit(summarize_counts(spec, W, parts))
     return 0
 
 

@@ -31,7 +31,7 @@ from .channel import Channel, _typed, derived_distributions, flatten, sample_out
 from .gf import FieldSpec, Kernel, field_make, mat_invert
 from .kernsearch import FixedKernel, SearchKernels, search
 from .params import param_vector
-from .transform import DEFAULT_GUARD, quantize_to_fit, transform
+from .transform import quantize_to_fit, transform
 
 __all__ = [
     "LeafStat",
@@ -86,6 +86,11 @@ class CodeSpec:
     def rate(self) -> float:
         return self.dimension / self.block_length
 
+    @property
+    def union_bound(self) -> float:
+        """Sum over the message leaves of data-leaf Pe plus noise-leaf T."""
+        return sum(self.leaf_stats[p].Pe_w + self.leaf_stats[p].T_v for p in self.info_set)
+
     def leaf_paths(self) -> list[tuple[int, ...]]:
         """All leaf paths in lexicographic order."""
         return _level_paths(self.ell, self.n)
@@ -106,8 +111,6 @@ def construct(
     pi: float,
     kernel_policy: FixedKernel | SearchKernels,
     seed: int,
-    *,
-    guard: int = DEFAULT_GUARD,
 ) -> CodeSpec:
     """Design a blocklength ell^n code for W.
 
@@ -148,18 +151,18 @@ def construct(
         # Pre-shrink rather than letting the search or the child transforms
         # trip the guard: certification synthesizes every position too.
         where = f"channel at node path {list(path)}"
-        Wn, shrunk_w = quantize_to_fit(Wn, ell, ell, 2048, guard=guard, where="data " + where)
-        Vn, shrunk_v = quantize_to_fit(Vn, ell, ell, 2048, guard=guard, where="noise " + where)
+        Wn, shrunk_w = quantize_to_fit(Wn, ell, ell, 2048, where="data " + where)
+        Vn, shrunk_v = quantize_to_fit(Vn, ell, ell, 2048, where="noise " + where)
         exact = exact and not (shrunk_w or shrunk_v)
         if isinstance(kernel_policy, FixedKernel):
             kern = kernel_policy.kernel
         else:
             rng = np.random.default_rng([seed] + list(path))
-            kern = search(Wn, Vn, ell, kernel_policy.budget, rng, guard=guard)
+            kern = search(Wn, Vn, ell, kernel_policy.budget, rng)
         kernels[path] = kern
         for k in range(1, ell + 1):
-            cw = transform(Wn, kern, k, guard=guard)
-            cv = transform(Vn, kern, k, guard=guard)
+            cw = transform(Wn, kern, k)
+            cv = transform(Vn, kern, k)
             visit(path + (k,), cw, cv, exact)
 
     visit((), W, flatten(W), True)
@@ -409,13 +412,19 @@ def simulate_counts(spec: CodeSpec, W: Channel, streams: list) -> dict:
     }
 
 
-def summarize_counts(spec: CodeSpec, W: Channel, trials: int, counts: dict) -> dict:
-    """Turn merged tallies into the rate/bound summary reported by simulate."""
+def summarize_counts(spec: CodeSpec, W: Channel, parts: list[dict]) -> dict:
+    """Merge shard tallies into the rate/bound summary reported by simulate.
+
+    ``parts`` are ``simulate_counts`` results over disjoint stream ranges;
+    counts add up and ``du`` is the per-block count, the same in every
+    shard.  Raises ``ValueError`` when the shards hold no trial.
+    """
+    trials = sum(p["blocks"] for p in parts)
+    if trials < 1:
+        raise ValueError("need at least one trial")
     k, N = spec.dimension, spec.block_length
-    bler = counts["block_errs"] / trials
-    ber = counts["sym_errs"] / (k * trials) if k else 0.0
-    info_stats = [spec.leaf_stats[p] for p in spec.info_set]
-    union = sum(s.Pe_w + s.T_v for s in info_stats)
+    bler = sum(p["block_errs"] for p in parts) / trials
+    ber = sum(p["sym_errs"] for p in parts) / (k * trials) if k else 0.0
     I = param_vector(W).I
     R = spec.rate
     mdp = N * (I - R) ** 2 / abs(math.log(bler)) if bler > 0 else 0.0
@@ -424,11 +433,11 @@ def summarize_counts(spec: CodeSpec, W: Channel, trials: int, counts: dict) -> d
         "bler": bler,
         "ber": ber,
         "rate": R,
-        "union_bound": union,
-        "union_bound_exact": all(s.exact for s in info_stats),
+        "union_bound": spec.union_bound,
+        "union_bound_exact": all(spec.leaf_stats[p].exact for p in spec.info_set),
         "mdp_ratio": mdp,
-        "pin_failures": counts["failures"],
-        "du_per_block": counts["du"],
+        "pin_failures": sum(p["failures"] for p in parts),
+        "du_per_block": max(p["du"] for p in parts),
     }
 
 
@@ -446,7 +455,7 @@ def simulate(spec: CodeSpec, W: Channel, trials: int, seed: int) -> dict:
     if trials < 1:
         raise ValueError("need at least one trial")
     streams = np.random.SeedSequence(seed).spawn(trials)
-    return summarize_counts(spec, W, trials, simulate_counts(spec, W, streams))
+    return summarize_counts(spec, W, [simulate_counts(spec, W, streams)])
 
 
 # ---------------------------------------------------------- serialization

@@ -23,7 +23,7 @@ from .gf import FieldSpec, Kernel
 from .params import param_vector
 from .transform import transform
 
-#: default cap on the number of coset words enumerated in one call
+#: cap on the number of coset words enumerated in one call, read at call time
 ENUM_GUARD = 1 << 24
 
 #: most coset words held in memory at once during one enumeration
@@ -74,9 +74,7 @@ def _span(field: FieldSpec, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     return words
 
 
-def _coset_weights(
-    field: FieldSpec, lead: np.ndarray, free: np.ndarray, guard: int
-) -> WeightEnumerator:
+def _coset_weights(field: FieldSpec, lead: np.ndarray, free: np.ndarray) -> WeightEnumerator:
     """Weight histogram of the coset lead + span(free rows).
 
     The trailing free rows span a block of at most 2^16 words, the leading
@@ -85,8 +83,8 @@ def _coset_weights(
     """
     q, ell = field.q, lead.size
     count = q ** len(free)
-    if count > guard:
-        raise ValueError(f"coset of size {count} exceeds enumeration guard {guard}")
+    if count > ENUM_GUARD:
+        raise ValueError(f"coset of size {count} exceeds enumeration guard {ENUM_GUARD}")
     in_block = 0
     while in_block < len(free) and q ** (in_block + 1) <= _BLOCK_WORDS:
         in_block += 1
@@ -108,18 +106,18 @@ def _check_position(kernel: Kernel, i: int) -> None:
         raise ValueError(f"position {i} outside 1..{kernel.ell}")
 
 
-def coset_enumerator(kernel: Kernel, i: int, guard: int = ENUM_GUARD) -> WeightEnumerator:
+def coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Primal enumerator: words (0^(i-1), 1, free suffix) @ G."""
     _check_position(kernel, i)
     rows = kernel.entries
-    return _coset_weights(kernel.field, rows[i - 1], rows[i:], guard)
+    return _coset_weights(kernel.field, rows[i - 1], rows[i:])
 
 
-def dual_coset_enumerator(kernel: Kernel, i: int, guard: int = ENUM_GUARD) -> WeightEnumerator:
+def dual_coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Dual enumerator: words (free prefix, 1, 0^(ell-i)) @ G^-T."""
     _check_position(kernel, i)
     rows = kernel.inv_transpose
-    return _coset_weights(kernel.field, rows[i - 1], rows[: i - 1], guard)
+    return _coset_weights(kernel.field, rows[i - 1], rows[: i - 1])
 
 
 def verify_ftpcz(W: Channel, kernel: Kernel, i: int) -> dict:

@@ -29,7 +29,7 @@ from .channel import Channel
 from .ftpc import coset_enumerator, dual_coset_enumerator
 from .gf import Kernel, field_make, sample_invertible
 from .params import param_vector
-from .transform import DEFAULT_GUARD, transform_all
+from .transform import transform_all
 
 __all__ = [
     "FixedKernel",
@@ -118,19 +118,19 @@ def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
     }
 
 
-def certify_clt(kernel: Kernel, W: Channel, *, guard: int = DEFAULT_GUARD) -> dict:
+def certify_clt(kernel: Kernel, W: Channel) -> dict:
     """Entropy-spread certificate of one kernel step on one channel.
 
     Needs ell >= 3 (the exponent alpha is only positive there).  The
     entropies are always synthesized exactly; a synthesis that would
-    overrun ``guard`` raises ``ValueError`` rather than fall back to an
-    estimate.
+    overrun ``transform.DEFAULT_GUARD`` raises ``ValueError`` rather than
+    fall back to an estimate.
     """
     ell = kernel.ell
     if ell < 3:
         raise ValueError("entropy-spread certificate needs kernel size >= 3")
     alpha = _alpha(ell)
-    entropies = [param_vector(child).H for child in transform_all(W, kernel, guard=guard)]
+    entropies = [param_vector(child).H for child in transform_all(W, kernel)]
     hvals = np.clip(np.minimum(entropies, 1.0 - np.asarray(entropies)), 0.0, None)
     lhs = float(np.mean(hvals**alpha))
     rhs = 4.0 * ell ** (alpha - 0.5)
@@ -184,7 +184,6 @@ def search(
     budget: int,
     rng: np.random.Generator,
     *,
-    guard: int = DEFAULT_GUARD,
     rejections: list | None = None,
 ) -> Kernel:
     """Find a kernel certified against both the data and randomness channels.
@@ -206,7 +205,7 @@ def search(
         witness = _first_violation(rep_w, "data") or _first_violation(rep_v, "randomness")
         if witness is None and ell >= 3:
             for side, ch in (("data", Wnode), ("randomness", Vnode)):
-                clt = certify_clt(cand, ch, guard=guard)
+                clt = certify_clt(cand, ch)
                 if not clt["pass"]:
                     witness = {
                         "reason": "entropy_spread",

@@ -20,7 +20,7 @@ from .channel import Channel, flatten
 from .gf import Kernel
 from .kernsearch import FixedKernel, SearchKernels, _alpha, _distance_target, search
 from .params import param_vector
-from .transform import DEFAULT_GUARD, quantize_merge, quantize_to_fit, transform, transform_all
+from .transform import quantize_merge, quantize_to_fit, transform, transform_all
 
 __all__ = [
     "StepRecord",
@@ -80,7 +80,6 @@ def sample_path(
     n: int,
     rng: np.random.Generator,
     *,
-    guard: int = DEFAULT_GUARD,
     quantize_resolution: int | None = None,
 ) -> ProcessTrace:
     """Walk n random one-step synthesis steps from W, recording parameters.
@@ -89,12 +88,12 @@ def sample_path(
     part of synthesis); when ``quantize_resolution`` is set and an alphabet
     outgrows ``QUANTIZE_TRIGGER``, the channel is additionally quantized and
     everything downstream is flagged exact=False.  With a resolution set, a
-    channel whose next synthesis would overrun ``guard`` is first coarsened
-    until it fits (``quantize_to_fit``), with the same flag; under a search
-    policy that happens before the search, for all ell positions, since
-    certification synthesizes every one.  With a search policy the
-    pure-noise companion channel is tracked alongside, since certification
-    needs both.
+    channel whose next synthesis would overrun ``transform.DEFAULT_GUARD`` is
+    first coarsened until it fits (``quantize_to_fit``), with the same flag;
+    under a search policy that happens before the search, for all ell
+    positions, since certification synthesizes every one.  With a search
+    policy the pure-noise companion channel is tracked alongside, since
+    certification needs both.
     """
     cur: Channel = W
     cur_v: Channel | None = None
@@ -111,20 +110,18 @@ def sample_path(
             ell = fit = kernel_policy.ell
         if quantize_resolution is not None:
             where = f"channel at depth {depth}"
-            cur, shrunk = quantize_to_fit(
-                cur, ell, fit, quantize_resolution, guard=guard, where=where
-            )
+            cur, shrunk = quantize_to_fit(cur, ell, fit, quantize_resolution, where=where)
             exact = exact and not shrunk
             if cur_v is not None:
                 cur_v, _ = quantize_to_fit(
-                    cur_v, ell, fit, quantize_resolution, guard=guard, where="noise " + where
+                    cur_v, ell, fit, quantize_resolution, where="noise " + where
                 )
         if isinstance(kernel_policy, SearchKernels):
-            kern = search(cur, cur_v, ell, kernel_policy.budget, rng, guard=guard)
+            kern = search(cur, cur_v, ell, kernel_policy.budget, rng)
             k = int(rng.integers(1, ell + 1))
-        cur = transform(cur, kern, k, guard=guard)
+        cur = transform(cur, kern, k)
         if cur_v is not None:
-            cur_v = transform(cur_v, kern, k, guard=guard)
+            cur_v = transform(cur_v, kern, k)
         if quantize_resolution is not None and cur.output_size > QUANTIZE_TRIGGER:
             cur = quantize_merge(cur, quantize_resolution)
             exact = False
@@ -144,7 +141,13 @@ def polarization_stats(
     thresholds: tuple[float, float] = (0.01, 0.99),
     quantize_resolution: int | None = None,
 ) -> dict:
-    """Endpoint-entropy statistics over many sampled process paths."""
+    """Endpoint-entropy statistics over many sampled process paths.
+
+    Raises ``ValueError`` for fewer than one path, whose fractions are
+    undefined.
+    """
+    if paths < 1:
+        raise ValueError(f"need at least one path, got {paths}")
     lo, hi = thresholds
     finals = np.empty(paths)
     all_exact = True

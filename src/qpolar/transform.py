@@ -15,7 +15,7 @@ import numpy as np
 from .channel import Channel, _merge_runs, derived_distributions, merge_outputs
 from .gf import Kernel
 
-#: default cap on the pre-merge output-alphabet size of an exact synthesis
+#: cap on the pre-merge output-alphabet size of an exact synthesis, read at call time
 DEFAULT_GUARD = 10_000_000
 
 __all__ = [
@@ -27,14 +27,7 @@ __all__ = [
 ]
 
 
-def transform(
-    W: Channel,
-    kernel: Kernel,
-    i: int,
-    *,
-    guard: int = DEFAULT_GUARD,
-    merge: bool = True,
-) -> Channel:
+def transform(W: Channel, kernel: Kernel, i: int, *, merge: bool = True) -> Channel:
     """Synthesize position ``i`` (1-based) of one kernel step, exactly.
 
     Output labels enumerate (previous source symbols, raw output block)
@@ -42,16 +35,18 @@ def transform(
     output alphabet of the result is canonical up to relabeling.  Pass
     ``merge=False`` to keep the raw labels (handy for cross-checks against
     the defining quotient).  Raises ``ValueError`` when the pre-merge
-    alphabet q^(i-1) * M^ell would exceed ``guard``.
+    alphabet q^(i-1) * M^ell would exceed ``DEFAULT_GUARD`` (read at call
+    time).
     """
     ell = kernel.ell
     if not 1 <= i <= ell:
         raise ValueError(f"position {i} outside 1..{ell}")
     q, M = W.q, W.output_size
     pre_merge = q ** (i - 1) * M**ell
-    if pre_merge > guard:
+    if pre_merge > DEFAULT_GUARD:
         raise ValueError(
-            f"exact synthesis needs a {pre_merge}-symbol alphabet, over the guard {guard}"
+            f"exact synthesis needs a {pre_merge}-symbol alphabet,"
+            f" over the guard {DEFAULT_GUARD}"
         )
     out = Channel(W.field, *_raw_law(derived_distributions(W).joint, kernel, i))
     return merge_outputs(out, tol=1e-12) if merge else out
@@ -93,11 +88,9 @@ def _raw_law(joint: np.ndarray, kernel: Kernel, i: int) -> tuple[np.ndarray, np.
     return A, mass
 
 
-def transform_all(
-    W: Channel, kernel: Kernel, *, guard: int = DEFAULT_GUARD, merge: bool = True
-) -> list[Channel]:
+def transform_all(W: Channel, kernel: Kernel, *, merge: bool = True) -> list[Channel]:
     """All ell synthesized positions of one kernel step."""
-    return [transform(W, kernel, i, guard=guard, merge=merge) for i in range(1, kernel.ell + 1)]
+    return [transform(W, kernel, i, merge=merge) for i in range(1, kernel.ell + 1)]
 
 
 def quantize_merge(W: Channel, resolution: int) -> Channel:
@@ -125,9 +118,9 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
 
 
 def quantize_to_fit(
-    W: Channel, ell: int, i: int, resolution: int, *, guard: int, where: str
+    W: Channel, ell: int, i: int, resolution: int, *, where: str
 ) -> tuple[Channel, bool]:
-    """Coarsen W until synthesizing position ``i`` of an ell-kernel fits ``guard``.
+    """Coarsen W until synthesizing position ``i`` of an ell-kernel fits ``DEFAULT_GUARD``.
 
     ``transform`` at position i enumerates q^(i-1) * M^ell outputs.  While
     that is over the guard, W is binned with ``quantize_merge``, starting
@@ -138,11 +131,11 @@ def quantize_to_fit(
     it over the guard.
     """
     q, shrunk = W.q, False
-    while q ** (i - 1) * W.output_size**ell > guard:
+    while q ** (i - 1) * W.output_size**ell > DEFAULT_GUARD:
         if resolution < 1:
             raise ValueError(
                 f"{where} needs a {q ** (i - 1) * W.output_size**ell}-symbol synthesis "
-                f"even after quantizing at resolution 1, over the guard {guard}"
+                f"even after quantizing at resolution 1, over the guard {DEFAULT_GUARD}"
             )
         W = quantize_merge(W, resolution)
         shrunk = True

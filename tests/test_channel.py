@@ -25,6 +25,7 @@ from qpolar.channel import (
 from qpolar.codec import codespec_to_dict, construct
 from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel
+from qpolar.params import param_vector
 from qpolar.transform import transform
 
 
@@ -91,6 +92,21 @@ def test_transition_is_read_only():
     W = bec(0.5)
     with pytest.raises(ValueError):
         W.transition[0, 0] = 0.3
+
+
+def test_fortran_ordered_transition_gives_the_c_ordered_bits():
+    # The output law sums each column; on a Fortran-ordered copy numpy would
+    # add along the contiguous axis in another order and change the last bits.
+    f9 = field_make(3, 2)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        W = random_channel(f9, 40, rng, random_input=True)
+        V = make_channel(f9, np.asfortranarray(W.transition), W.input_dist)
+        assert V.transition.flags.c_contiguous
+        assert V.transition.tobytes() == W.transition.tobytes()
+        out_v, out_w = derived_distributions(V).output, derived_distributions(W).output
+        assert out_v.tobytes() == out_w.tobytes()
+        assert param_vector(V).as_dict() == param_vector(W).as_dict()
 
 
 # ----------------------------------------------------------- derived laws
@@ -189,7 +205,7 @@ def test_extend_input_preserves_capacity():
 
 
 def test_flatten_destroys_all_information():
-    W = bsc(0.1, input_dist=[0.3, 0.7])
+    W = bsc(0.1).with_input([0.3, 0.7])
     V = flatten(W)
     assert V.output_size == 1
     # H(X|Y) collapses to H(X)
@@ -199,7 +215,7 @@ def test_flatten_destroys_all_information():
 
 
 def test_symmetrize_shape_and_row_structure():
-    W = zchannel(0.4, input_dist=[0.6, 0.4])
+    W = zchannel(0.4).with_input([0.6, 0.4])
     S = symmetrize(W)
     assert S.output_size == W.q * W.output_size
     np.testing.assert_allclose(S.input_dist, [0.5, 0.5])
@@ -440,7 +456,7 @@ def test_stock_channels_frozen():
 
 
 def test_channel_dict_roundtrip():
-    W = bec(0.35, input_dist=[0.25, 0.75])
+    W = bec(0.35).with_input([0.25, 0.75])
     doc = channel_to_dict(W)
     assert doc["p"] == 2 and doc["m"] == 1 and doc["output_size"] == 3
     V = channel_from_dict(doc)

@@ -170,6 +170,16 @@ def test_simulate_matches_library_and_jobs_invariant(capsys, spec_file):
     assert doc["union_bound"] == lib["union_bound"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_without_trials_exits_one(capsys, spec_file, jobs):
+    code, out, err = run_cli(
+        capsys, "simulate", "--spec", str(spec_file), "--bec", "0.5", "--trials", "0",
+        "--seed", "1", "--jobs", jobs,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: need at least one trial\n"
+
+
 # ---- process
 
 def test_process_stats(capsys):
@@ -186,6 +196,15 @@ def test_process_stats(capsys):
         "--seed", "2",
     )
     assert out1 == out2
+
+
+def test_process_without_paths_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "process", "--bec", "0.5", "--arikan", "--depth", "2", "--paths", "0",
+        "--seed", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: need at least one path, got 0\n"
 
 
 def test_process_trace_csv(capsys):
@@ -318,6 +337,19 @@ def test_params_wrong_typed_channel_field_exits_one(capsys, tmp_path, edit, name
     code, out, err = run_cli(capsys, "params", "--channel", str(cfile))
     assert code == 1 and out == ""
     assert err.startswith(f"error: channel field {name} has the wrong type")
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [({"p": None}, "p"), ({"p": 2.7}, "p"), ({"m": "x"}, "m")],
+    ids=["p-null", "p-fractional", "m-string"],
+)
+def test_kernel_wrong_typed_field_exits_one(capsys, tmp_path, edit, name):
+    kfile = tmp_path / "kernel.json"
+    kfile.write_text(json.dumps(dict({"p": 2, "m": 1, "matrix": [[1, 0], [1, 1]]}, **edit)))
+    code, out, err = run_cli(capsys, "kernel", "--kernel", str(kfile))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: kernel field {name} has the wrong type")
 
 
 def test_verify_reports_the_exception_on_stderr(capsys, monkeypatch):

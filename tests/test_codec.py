@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpolar import transform as transform_module
 from qpolar.channel import (
     bec,
     bsc,
@@ -79,16 +80,18 @@ def test_construct_validates():
         construct(bec(0.5), 2, 0, 0.2, FixedKernel(ARIKAN), seed=0)
 
 
-def test_construct_names_the_node_that_stays_over_the_guard():
+def test_construct_names_the_node_that_stays_over_the_guard(monkeypatch):
     # q^(ell-1) = 2 already exceeds guard 1, so no quantization can fit
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 1)
     with pytest.raises(ValueError, match=r"data channel at node path \[\].*over the guard 1$"):
-        construct(bec(0.5), 2, 2, 0.2, FixedKernel(ARIKAN), seed=0, guard=1)
+        construct(bec(0.5), 2, 2, 0.2, FixedKernel(ARIKAN), seed=0)
 
 
-def test_searched_construct_coarsens_before_the_search():
+def test_searched_construct_coarsens_before_the_search(monkeypatch):
     # Certifying an ell=3 candidate synthesizes every position, a 108-symbol
     # alphabet over guard 100 at the root: the node is coarsened first.
-    spec = construct(bsc(0.11), 3, 2, 0.2, SearchKernels(ell=3, budget=200), seed=7, guard=100)
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 100)
+    spec = construct(bsc(0.11), 3, 2, 0.2, SearchKernels(ell=3, budget=200), seed=7)
     assert len(spec.kernels) == 4 and len(spec.leaf_stats) == 9
     assert not all(s.exact for s in spec.leaf_stats.values())
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpolar import ftpc
 from qpolar.channel import bec, random_channel
 from qpolar.ftpc import (
     WeightEnumerator,
@@ -111,11 +112,12 @@ def test_enumerator_bookkeeping():
         assert prim.min_weight >= 1
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     field = field_make(2)
     kern = sample_invertible(field, 8, np.random.default_rng(1))
+    monkeypatch.setattr(ftpc, "ENUM_GUARD", 8)
     with pytest.raises(ValueError, match="guard"):
-        coset_enumerator(kern, 1, guard=8)
+        coset_enumerator(kern, 1)
     with pytest.raises(ValueError):
         coset_enumerator(kern, 9)
 

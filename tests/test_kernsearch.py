@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qpolar import transform as transform_module
 from qpolar.channel import bec, flatten
 from qpolar.ftpc import coset_enumerator, dual_coset_enumerator
 from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
@@ -75,10 +76,11 @@ def test_certify_clt_requires_ell_three():
         certify_clt(ARIKAN, bec(0.5))
 
 
-def test_certify_clt_raises_over_the_guard():
+def test_certify_clt_raises_over_the_guard(monkeypatch):
     kern = sample_invertible(F2, 3, np.random.default_rng(5))
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 4)
     with pytest.raises(ValueError):
-        certify_clt(kern, bec(0.5), guard=4)
+        certify_clt(kern, bec(0.5))
 
 
 # ----------------------------------------------------------------- search

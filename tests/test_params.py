@@ -177,7 +177,7 @@ def test_gallager_duality_uniform_input():
 
 
 def test_gallager_rejects_nonuniform_and_bad_t():
-    W = bsc(0.2, input_dist=[0.3, 0.7])
+    W = bsc(0.2).with_input([0.3, 0.7])
     with pytest.raises(ValueError, match="uniform"):
         gallager_e0(W, 0.5)
     with pytest.raises(ValueError):
@@ -260,7 +260,7 @@ def test_tilted_validates():
     with pytest.raises(ValueError):
         _tilted(bsc(0.2), 1.2)
     with pytest.raises(ValueError):
-        _tilted(bsc(0.2, input_dist=[1.0, 0.0]), 0.5)
+        _tilted(bsc(0.2).with_input([1.0, 0.0]), 0.5)
 
 
 # ------------------------------------------------------------ second moment

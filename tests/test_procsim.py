@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolar import procsim
+from qpolar import transform as transform_module
 from qpolar.channel import bec, bsc, random_channel
 from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel, SearchKernels
@@ -78,16 +79,15 @@ def test_sample_path_quantization_flips_exact_flag(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_quantized_sample_path_coarsens_to_fit_the_guard(seed):
+def test_quantized_sample_path_coarsens_to_fit_the_guard(seed, monkeypatch):
     # With guard 2000 these BSC paths outgrow the guard long before the
     # quantize trigger of 4096: unquantized they raise, quantized they are
     # coarsened before the synthesis that would overrun it.
-    walk = dict(guard=2000)
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 2000)
     with pytest.raises(ValueError, match="over the guard 2000"):
-        sample_path(bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed), **walk)
+        sample_path(bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed))
     trace = sample_path(
-        bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed),
-        quantize_resolution=16, **walk,
+        bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed), quantize_resolution=16
     )
     assert not trace.final.exact
     assert all(0.0 <= s.H <= 1.0 for s in trace.steps)
@@ -96,18 +96,24 @@ def test_quantized_sample_path_coarsens_to_fit_the_guard(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 2])
-def test_quantized_search_path_coarsens_before_the_search(seed):
+def test_quantized_search_path_coarsens_before_the_search(seed, monkeypatch):
     # Certifying an ell=3 candidate synthesizes all three positions, a
     # 108-symbol alphabet over guard 100 on these paths: the channels must be
     # coarsened before the search, not only before the chosen synthesis.
     policy = SearchKernels(ell=3, budget=200)
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 100)
     with pytest.raises(ValueError, match="over the guard 100"):
-        sample_path(bsc(0.11), policy, 3, np.random.default_rng(seed), guard=100)
+        sample_path(bsc(0.11), policy, 3, np.random.default_rng(seed))
     trace = sample_path(
-        bsc(0.11), policy, 3, np.random.default_rng(seed), guard=100, quantize_resolution=16
+        bsc(0.11), policy, 3, np.random.default_rng(seed), quantize_resolution=16
     )
     assert not trace.final.exact
     assert all(0.0 <= s.H <= 1.0 for s in trace.steps)
+
+
+def test_polarization_stats_needs_a_path():
+    with pytest.raises(ValueError, match="at least one path"):
+        polarization_stats(bec(0.5), FixedKernel(ARIKAN), 2, 0, np.random.default_rng(0))
 
 
 def test_sample_path_search_policy_runs():

@@ -89,7 +89,7 @@ def test_entropy_conservation_random(seed):
 
 def test_synth_input_marginal():
     # U = X G^{-1}; for the classic kernel U1 = X1 + X2, U2 = X2
-    W = zchannel(0.3, input_dist=[0.3, 0.7])
+    W = zchannel(0.3).with_input([0.3, 0.7])
     s1 = transform(W, ARIKAN, 1)
     s2 = transform(W, ARIKAN, 2)
     np.testing.assert_allclose(s1.input_dist, [0.58, 0.42], atol=1e-12)
@@ -235,9 +235,10 @@ def test_largest_construct_node_stays_under_its_memory_bound():
     assert peak < 34e6
 
 
-def test_guard_raises():
+def test_guard_raises(monkeypatch):
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 10)
     with pytest.raises(ValueError, match="guard"):
-        transform(bec(0.5), ARIKAN, 2, guard=10)
+        transform(bec(0.5), ARIKAN, 2)
     with pytest.raises(ValueError):
         transform(bec(0.5), ARIKAN, 3)
 
@@ -385,10 +386,11 @@ def test_quantize_merge_matches_reference_scan_bitwise(pm, seed, resolution, m0,
 def test_quantized_construct_is_unchanged_under_the_reference_merge(monkeypatch):
     W = zchannel(0.3)
     W = W.with_input(capacity_input(W))
+    # guard 200 forces quantization of every node past 10 outputs
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 200)
 
     def build():
-        # guard 200 forces quantization of every node past 10 outputs
-        spec = codec.construct(W, 2, 4, 0.2, FixedKernel(ARIKAN), seed=7, guard=200)
+        spec = codec.construct(W, 2, 4, 0.2, FixedKernel(ARIKAN), seed=7)
         assert not all(s.exact for s in spec.leaf_stats.values())
         return codec.codespec_to_dict(spec)
 
