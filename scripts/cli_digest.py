@@ -4,11 +4,13 @@
 Each command runs in-process through ``qpolar.cli.main``; one line per
 command gives the first 12 hex digits of the digest of its stdout and the
 command itself.  A spec written by ``construct`` is shared through a
-temporary file shown as {spec}, and a fixed invertible GF(4) 8x8 kernel is
-written to one shown as {kernel}.  The exit status is 1 if any command exits
-nonzero.  Two trees that print the same lines give byte-identical output on
-every listed command, so the list serves as a quick check that a change
-leaves the CLI's results alone.  It takes a few seconds.
+temporary file shown as {spec}, a fixed invertible GF(4) 8x8 kernel is
+written to one shown as {kernel}, and a fixed GF(3) three-output channel to
+one shown as {gf3} (its syntheses are the only q > 2 merges on the list).
+The exit status is 1 if any command exits nonzero.  Two trees that print
+the same lines give byte-identical output on every listed command, so the
+list serves as a quick check that a change leaves the CLI's results alone.
+It takes a few seconds.
 
 example:
   PYTHONPATH=src python3 scripts/cli_digest.py
@@ -39,6 +41,12 @@ GF4_KERNEL = {
         [3, 1, 0, 0, 0, 2, 2, 2],
     ],
 }
+GF3_CHANNEL = {
+    "p": 3,
+    "m": 1,
+    "transition": [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]],
+    "input_dist": [0.3, 0.3, 0.4],
+}
 C11_SPEC = "construct --bec 0.5 --arikan --ell 2 --depth 3 --pi 0.2 --seed 42"
 COMMANDS = [
     "transform --zchan 0.3 --arikan",
@@ -57,26 +65,27 @@ COMMANDS = [
     "kernel --search --bsc 0.11 --ell 3 --budget 200 --seed 5",
     "verify --seed 0",
     "kernel --certify 0.3 0.3 --kernel {kernel}",
+    "construct --channel {gf3} --arikan --ell 2 --depth 3 --pi 0.2 --seed 7",
 ]
 
 
-def run(command: str, spec: Path, kernel: Path) -> tuple[int, str]:
+def run(command: str, files: dict) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(command.format(spec=spec, kernel=kernel).split())
+        code = main(command.format(**files).split())
     return code, out.getvalue()
 
 
 def digest_all() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        spec = Path(tmp) / "spec.json"
-        kernel = Path(tmp) / "kernel.json"
-        kernel.write_text(json.dumps(GF4_KERNEL))
+        files = {name: Path(tmp) / f"{name}.json" for name in ("spec", "kernel", "gf3")}
+        files["kernel"].write_text(json.dumps(GF4_KERNEL))
+        files["gf3"].write_text(json.dumps(GF3_CHANNEL))
         for command in COMMANDS:
-            code, text = run(command, spec, kernel)
+            code, text = run(command, files)
             if command == C11_SPEC:
-                spec.write_text(text)
+                files["spec"].write_text(text)
             digest = hashlib.sha256(text.encode()).hexdigest()[:12]
             print(f"{digest}  {command}" + (f"  (exit {code})" if code else ""))
             failed += code != 0

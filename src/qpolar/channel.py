@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,16 @@ class Channel:
     @property
     def output_size(self) -> int:
         return int(self.transition.shape[1])
+
+    @cached_property
+    def derived(self) -> "DerivedDists":
+        """``derived_distributions(self)``, computed on first use and kept.
+
+        The arrays are read-only, so every reader can share them.
+        ``merge_outputs`` and ``quantize_merge`` call ``derived_distributions``
+        and keep nothing: their input is mostly a raw synthesis read once.
+        """
+        return derived_distributions(self)
 
     def with_input(self, input_dist) -> "Channel":
         """Same transition law operated at a different input distribution."""
@@ -228,6 +239,7 @@ def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
         bad[0] = False
         if bad.any():
             _rescan_runs(P, tol, start, bad)
+    del post, P, gap  # free the (q, N) posteriors before _merge_runs gathers
     return _merge_runs(W, order, start)
 
 
@@ -279,22 +291,39 @@ def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
 
     ``start[k]`` marks the sorted position ``k`` that opens a new output.
     Each output column is ``W.transition[:, run].sum(axis=1)`` over its
-    run's columns in sorted order.  That gather keeps the q axis innermost,
-    so numpy adds the columns left to right (not pairwise).  Runs of equal
-    length are gathered the same way into one (q, runs, length) block,
-    whose sum over the last axis adds in the same order, so the result is
-    bitwise the per-run sum; ``np.add.reduceat`` would not be.  Returns
-    ``W`` itself, in its original column order, when nothing merges.
+    run's columns in sorted order, bitwise.  The runs are ranked by length
+    and the transition is gathered once in that order, each run's columns
+    kept in sorted order: the R runs of length s are then one contiguous
+    (q, R, s) block, and the last entry of its cumulative sum along s adds
+    each run's columns left to right.  Each sum is scattered back to its
+    run's output, so the order of runs within a length does not matter.
+    A sum over s would not be bitwise: numpy adds a contiguous axis
+    pairwise, and ``np.add.reduceat`` is no better.  Returns ``W`` itself,
+    in its original column order, when nothing merges.
     """
     heads = np.flatnonzero(start)
     if heads.size == order.size:
         return W
     sizes = np.concatenate((heads[1:], (order.size,))) - heads
-    new_trans = np.empty((W.q, heads.size))
-    for s in np.flatnonzero(np.bincount(sizes)):
-        pick = sizes == s
-        cols = order[heads[pick][:, None] + np.arange(s)]
-        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
+    rank = np.argsort(sizes)
+    ranked = sizes[rank]
+    # sorted positions, run by run in rank order, then the columns there
+    cols = np.repeat(heads[rank] - (np.cumsum(ranked) - ranked), ranked)
+    cols += np.arange(order.size)
+    cols = order[cols]
+    T = np.take(W.transition, cols, axis=1)
+    del cols
+    sums = np.empty((W.q, heads.size))
+    counts = np.bincount(sizes)
+    col = run = 0
+    for s in np.flatnonzero(counts):
+        R = int(counts[s])
+        block = T[:, col : col + R * s].reshape(W.q, R, s)
+        sums[:, run : run + R] = np.cumsum(block, axis=2)[..., -1]
+        col += R * s
+        run += R
+    new_trans = np.empty_like(sums)
+    new_trans[:, rank] = sums
     return Channel(W.field, new_trans, W.input_dist)
 
 
@@ -360,14 +389,22 @@ def _typed(cast, value, name: str, what: str = "spec"):
         raise ValueError(f"{what} field {name} has the wrong type: {value!r}") from exc
 
 
+def _document(doc, what: str) -> dict:
+    """``doc`` itself if it is a JSON object; otherwise a ValueError naming the file kind."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {what} file must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def channel_from_dict(doc: dict, capacity_tol: float = 1e-9) -> Channel:
     """Rebuild a channel from ``channel_to_dict`` output.
 
     Integer ``p``, ``m`` and ``output_size`` are read with
     ``operator.index``, so a wrong-typed one (null, 1.5) raises a
     ``ValueError`` naming the field.  ``input_dist`` may be the keyword
-    ``"capacity"``.
+    ``"capacity"``.  A ``doc`` that is not an object raises ``ValueError``.
     """
+    doc = _document(doc, "channel")
     p = _typed(operator.index, doc["p"], "p", "channel")
     m = _typed(operator.index, doc.get("m", 1), "m", "channel")
     dist = doc.get("input_dist")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .channel import (
     Channel,
+    _document,
     _typed,
     bec,
     bsc,
@@ -139,7 +140,7 @@ def _add_kernel_opts(p: argparse.ArgumentParser) -> None:
 
 def _load_kernel(path: str) -> Kernel:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _document(json.load(fh), "kernel")
     f = field_make(
         _typed(operator.index, doc["p"], "p", "kernel"),
         _typed(operator.index, doc.get("m", 1), "m", "kernel"),

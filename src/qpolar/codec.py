@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, _typed, derived_distributions, flatten, sample_outputs
+from .channel import Channel, _document, _typed, flatten, sample_outputs
 from .gf import FieldSpec, Kernel, field_make, mat_invert
 from .kernsearch import FixedKernel, SearchKernels, search
 from .params import param_vector
@@ -161,9 +161,8 @@ def construct(
             kern = search(Wn, Vn, ell, kernel_policy.budget, rng)
         kernels[path] = kern
         for k in range(1, ell + 1):
-            cw = transform(Wn, kern, k)
-            cv = transform(Vn, kern, k)
-            visit(path + (k,), cw, cv, exact)
+            # unbound, a visited child and the law it keeps go before the next synthesis
+            visit(path + (k,), transform(Wn, kern, k), transform(Vn, kern, k), exact)
 
     visit((), W, flatten(W), True)
     return CodeSpec(
@@ -368,7 +367,7 @@ def decode(
         M = channel.output_size
         if symbols.min() < 0 or symbols.max() >= M:
             raise ValueError(f"output symbols must lie in 0..{M - 1}")
-        post = derived_distributions(channel).posterior  # (q, M)
+        post = channel.derived.posterior  # (q, M)
         pins_ch = post[:, symbols].T
     else:
         raise ValueError("received must be 1-D symbols or an (N, q) posterior array")
@@ -522,8 +521,10 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
     frozen_class) and the
     document holds one ell x ell kernel per internal path of the depth-n
     tree, one leaf_stats entry per leaf, an info_set and frozen_class that
-    split the leaves between them, and a length-q input_dist.
+    split the leaves between them, and a length-q input_dist.  A ``doc``
+    that is not an object raises ``ValueError`` too.
     """
+    doc = _document(doc, "spec")
     f = field_make(
         _typed(operator.index, doc["p"], "p"), _typed(operator.index, doc.get("m", 1), "m")
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, derived_distributions
+from .channel import Channel
 
 __all__ = [
     "ParamVector",
@@ -74,7 +74,7 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def param_vector(W: Channel) -> ParamVector:
     q = W.q
     f = W.field
-    d = derived_distributions(W)
+    d = W.derived
     joint, out, post = d.joint, d.output, d.posterior
     lnq = math.log(q)
 

@@ -1,5 +1,8 @@
 """Channel layer: validation, derived laws, capacity, alphabet surgery."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,20 +307,26 @@ def merge_cases(draw):
     """A channel whose outputs tie, nearly tie or drift, plus a tolerance.
 
     The channel is built from its output masses and posteriors: random
-    posteriors, repeats of them (a column split in parts), zero-mass
-    outputs and drift chains whose neighbours are 0.6 tol apart, so that
-    the first-member rule and the neighbour rule disagree.
+    posteriors (singleton runs), repeats of them (a column split in parts),
+    long runs of 10 to 80 equal posteriors whose lengths no other drawn
+    run has (a sum over such a run is pairwise unless taken left to right),
+    zero-mass outputs and drift chains whose neighbours are 0.6 tol apart,
+    so that the first-member rule and the neighbour rule disagree.  With
+    no repeat, long run, dead output or chain nothing merges at tol 1e-12.
     """
     q = draw(st.sampled_from(sorted(_FIELDS)))
     tol = draw(st.sampled_from([1e-12, 0.2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_random = draw(st.integers(1, 6))
     n_repeat = draw(st.integers(0, 8))
+    long_runs = draw(st.lists(st.integers(10, 80), max_size=2, unique=True))
     n_dead = draw(st.integers(0, 3))
     chains = draw(st.lists(st.integers(2, 8), max_size=3))
     posts = list(rng.dirichlet(np.ones(q), size=n_random))
     for _ in range(n_repeat):
         posts.append(posts[int(rng.integers(len(posts)))])
+    for length in long_runs:
+        posts.extend([rng.dirichlet(np.ones(q))] * length)
     step = 0.6 * tol
     for length in chains:
         length = min(length, int(0.9 / step) + 1)
@@ -339,8 +348,28 @@ def merge_cases(draw):
 def test_merge_outputs_matches_reference_scan_bitwise(case):
     W, tol = case
     got, want = merge_outputs(W, tol=tol), _scan_merge_outputs(W, tol=tol)
+    assert (got is W) == (want is W)
     assert got.output_size == want.output_size
     assert np.array_equal(got.transition, want.transition)
+
+
+def _per_size_merge_runs(W, order, start):
+    """Reference run sums: one fancy gather and one sum per run length.
+
+    ``W.transition[:, cols]`` with ``cols`` of shape (runs, length) keeps
+    the q axis innermost in memory, so the sum over the run adds its
+    columns left to right.
+    """
+    heads = np.flatnonzero(start)
+    if heads.size == order.size:
+        return W
+    sizes = np.concatenate((heads[1:], (order.size,))) - heads
+    new_trans = np.empty((W.q, heads.size))
+    for s in np.flatnonzero(np.bincount(sizes)):
+        pick = sizes == s
+        cols = order[heads[pick][:, None] + np.arange(s)]
+        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
+    return Channel(W.field, new_trans, W.input_dist)
 
 
 def _dense_merge_outputs(W, tol=1e-12):
@@ -348,7 +377,7 @@ def _dense_merge_outputs(W, tol=1e-12):
 
     The same runs, checks and sums as ``merge_outputs``, but the neighbour
     gaps and the run-head check are taken over all q rows at once and each
-    run size is picked out with its own mask; it must agree bitwise.
+    run size is summed with its own mask and gather; it must agree bitwise.
     """
     post = derived_distributions(W).posterior
     order = np.lexsort(post[::-1, :])
@@ -363,16 +392,7 @@ def _dense_merge_outputs(W, tol=1e-12):
         bad[0] = False
         if bad.any():
             channel_mod._rescan_runs(P, tol, start, bad)
-    heads = np.flatnonzero(start)
-    if heads.size == order.size:
-        return W
-    sizes = np.concatenate((heads[1:], (order.size,))) - heads
-    new_trans = np.empty((W.q, heads.size))
-    for s in np.flatnonzero(np.bincount(sizes)):
-        pick = sizes == s
-        cols = order[heads[pick][:, None] + np.arange(s)]
-        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
-    return Channel(W.field, new_trans, W.input_dist)
+    return _per_size_merge_runs(W, order, start)
 
 
 @st.composite
@@ -397,8 +417,58 @@ def synthesized_cases(draw):
 def test_merge_outputs_matches_dense_merge_bitwise(case):
     W, tol = case
     got, want = merge_outputs(W, tol=tol), _dense_merge_outputs(W, tol=tol)
+    assert (got is W) == (want is W)
     assert got.transition.tobytes() == want.transition.tobytes()
     assert got.input_dist.tobytes() == want.input_dist.tobytes()
+
+
+def _per_size_quantize_merge(W, resolution):
+    """Reference: ``quantize_merge``'s bins and runs, summed per run length."""
+    post = derived_distributions(W).posterior
+    bins = np.minimum((post * resolution).astype(np.int64), resolution - 1)
+    order = np.lexsort(bins[::-1, :])
+    B = bins[:, order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (B[:, 1:] != B[:, :-1]).any(axis=0)
+    return _per_size_merge_runs(W, order, start)
+
+
+@given(st.one_of(merge_cases(), synthesized_cases()), st.sampled_from([1, 2, 3, 7, 64, 2048]))
+@settings(max_examples=300, deadline=None)
+def test_quantize_merge_matches_per_size_merge_bitwise(case, resolution):
+    W, _ = case
+    got = transform_mod.quantize_merge(W, resolution)
+    want = _per_size_quantize_merge(W, resolution)
+    assert (got is W) == (want is W)
+    assert got.transition.tobytes() == want.transition.tobytes()
+    assert got.input_dist.tobytes() == want.input_dist.tobytes()
+
+
+def test_run_sums_add_each_run_left_to_right():
+    # runs of 1, 8, 9 and 75 equal posteriors, every length once: each
+    # merged column is the float sum of one run's columns, left to right in
+    # sorted order (rounding leaves a run's posteriors a few ulps apart)
+    rng = np.random.default_rng(5)
+    lengths = [1, 8, 9, 75]
+    posts = np.repeat(rng.dirichlet(np.ones(3), size=len(lengths)), lengths, axis=0)
+    joint = posts.T * (rng.random(posts.shape[0]) + 0.05)
+    joint /= joint.sum()
+    dist = joint.sum(axis=1)
+    W = make_channel(field_make(3), joint / dist[:, None], dist)
+    order = np.lexsort(derived_distributions(W).posterior[::-1, :])
+    want = []
+    for run in np.split(np.arange(W.output_size), np.cumsum(lengths)[:-1]):
+        cols = order[np.isin(order, run)]
+        sums = [functools.reduce(operator.add, W.transition[x, cols].tolist()) for x in range(3)]
+        want.append(tuple(sums))
+    got = merge_outputs(W).transition.T.tolist()
+    assert sorted(map(tuple, got)) == sorted(want)
+
+
+def test_merge_returns_the_channel_itself_when_nothing_merges():
+    W = random_channel(field_make(5), 12, np.random.default_rng(3), random_input=True)
+    assert merge_outputs(W) is W
+    assert transform_mod.quantize_merge(W, 2**40) is W
 
 
 @pytest.mark.parametrize("tol", [1e-3, 0.05])

@@ -352,6 +352,20 @@ def test_kernel_wrong_typed_field_exits_one(capsys, tmp_path, edit, name):
     assert err.startswith(f"error: kernel field {name} has the wrong type")
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [(["kernel", "--kernel"], "kernel"), (["params", "--channel"], "channel"),
+     (["encode", "--message", "1", "--seed", "1", "--spec"], "spec")],
+    ids=["kernel", "params", "encode"],
+)
+def test_json_list_file_exits_one(capsys, tmp_path, argv, kind):
+    path = tmp_path / "list.json"
+    path.write_text("[2, 1]")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: a {kind} file must hold a JSON object, got list\n"
+
+
 def test_verify_reports_the_exception_on_stderr(capsys, monkeypatch):
     def broken(seed):
         raise ZeroDivisionError("pivot vanished")

@@ -235,6 +235,25 @@ def test_largest_construct_node_stays_under_its_memory_bound():
     assert peak < 34e6
 
 
+def test_the_law_is_kept_on_merged_channels_and_not_on_raw_syntheses(monkeypatch):
+    import qpolar.channel as channel_module
+
+    seen = []
+    real = channel_module.derived_distributions
+    monkeypatch.setattr(
+        channel_module, "derived_distributions", lambda W: seen.append(W) or real(W)
+    )
+    W = zchannel(0.3)
+    child = transform(W, ARIKAN, 2)
+    param_vector(child)
+    transform(child, ARIKAN, 1)  # reads the law param_vector kept
+    # Z, its raw position-2 synthesis (2 * 2^2 outputs), the merged child, its raw position 1
+    assert [V.output_size for V in seen] == [2, 8, child.output_size, child.output_size**2]
+    assert seen[0] is W and seen[2] is child
+    assert child.derived is child.derived
+    assert ["derived" in vars(V) for V in seen] == [True, False, True, False]
+
+
 def test_guard_raises(monkeypatch):
     monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 10)
     with pytest.raises(ValueError, match="guard"):
