@@ -5,8 +5,10 @@ Each command runs in-process through ``qpolar.cli.main``; one line per
 command gives the first 12 hex digits of the digest of its stdout and the
 command itself.  A spec written by ``construct`` is shared through a
 temporary file shown as {spec}, a fixed invertible GF(4) 8x8 kernel is
-written to one shown as {kernel}, and a fixed GF(3) three-output channel to
-one shown as {gf3} (its syntheses are the only q > 2 merges on the list).
+written to one shown as {kernel}, a fixed GF(3) three-output channel to
+one shown as {gf3} (its syntheses are the only q > 2 merges on the list),
+and a fixed GF(9) three-output channel to one shown as {gf9} (its S and Smax
+read the character table of an extension field of odd characteristic).
 The exit status is 1 if any command exits nonzero.  Two trees that print
 the same lines give byte-identical output on every listed command, so the
 list serves as a quick check that a change leaves the CLI's results alone.
@@ -47,6 +49,22 @@ GF3_CHANNEL = {
     "transition": [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.25, 0.15, 0.6]],
     "input_dist": [0.3, 0.3, 0.4],
 }
+GF9_CHANNEL = {
+    "p": 3,
+    "m": 2,
+    "transition": [
+        [0.6, 0.3, 0.1],
+        [0.1, 0.6, 0.3],
+        [0.3, 0.1, 0.6],
+        [0.5, 0.25, 0.25],
+        [0.25, 0.5, 0.25],
+        [0.25, 0.25, 0.5],
+        [0.4, 0.4, 0.2],
+        [0.2, 0.4, 0.4],
+        [0.4, 0.2, 0.4],
+    ],
+    "input_dist": [0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
+}
 C11_SPEC = "construct --bec 0.5 --arikan --ell 2 --depth 3 --pi 0.2 --seed 42"
 COMMANDS = [
     "transform --zchan 0.3 --arikan",
@@ -66,6 +84,7 @@ COMMANDS = [
     "verify --seed 0",
     "kernel --certify 0.3 0.3 --kernel {kernel}",
     "construct --channel {gf3} --arikan --ell 2 --depth 3 --pi 0.2 --seed 7",
+    "transform --channel {gf9} --arikan",
 ]
 
 
@@ -79,9 +98,11 @@ def run(command: str, files: dict) -> tuple[int, str]:
 def digest_all() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        files = {name: Path(tmp) / f"{name}.json" for name in ("spec", "kernel", "gf3")}
+        names = ("spec", "kernel", "gf3", "gf9")
+        files = {name: Path(tmp) / f"{name}.json" for name in names}
         files["kernel"].write_text(json.dumps(GF4_KERNEL))
         files["gf3"].write_text(json.dumps(GF3_CHANNEL))
+        files["gf9"].write_text(json.dumps(GF9_CHANNEL))
         for command in COMMANDS:
             code, text = run(command, files)
             if command == C11_SPEC:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -67,12 +68,17 @@ def _fmt_float(x: float) -> str:
 
 
 def render_json(obj, _ind: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-digit floats."""
+    """Deterministic JSON: insertion-ordered keys, 17-digit floats.
+
+    Raises ``ValueError`` on a NaN or infinite float, which JSON cannot hold.
+    """
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot render the non-finite float {obj} as JSON")
         return _fmt_float(obj)
     if obj is None:
         return "null"

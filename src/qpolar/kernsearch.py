@@ -235,7 +235,10 @@ def empirical_failure_rate(
     or the phase-II overlap polynomial bound at z.  The theoretical ceiling
     3 q^(-sqrt(ell)/13) is reported; ``binding`` is False when that ceiling
     reaches 1 (vacuous).  Every failure carries a re-verifiable witness.
+    Raises ``ValueError`` for fewer than one trial, whose rate is undefined.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     p = None
     for cand in range(2, q + 1):
         if q % cand == 0:

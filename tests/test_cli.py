@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -33,6 +34,9 @@ def test_render_json_is_deterministic_and_roundtrips():
     assert render_json(np.bool_(True)) == "true"
     with pytest.raises(TypeError):
         render_json(object())
+    for bad in (float("nan"), np.float64("inf"), {"theta": [-math.inf]}):
+        with pytest.raises(ValueError, match="non-finite"):
+            render_json(bad)
 
 
 # ---- basic subcommands
@@ -101,6 +105,15 @@ def spec_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(out)
     return path
+
+
+def test_construct_with_nan_pi_exits_one(capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "--bec", "0.5", "--arikan", "--ell", "2", "--depth", "2",
+        "--pi", "nan", "--seed", "1", "--summary",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: pi must be finite, got nan\n"
 
 
 def test_construct_summary(capsys):
@@ -178,6 +191,16 @@ def test_simulate_without_trials_exits_one(capsys, spec_file, jobs):
     )
     assert code == 1 and out == ""
     assert err == "error: need at least one trial\n"
+
+
+def test_simulate_where_every_block_fails_exits_zero(capsys, spec_file):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--spec", str(spec_file), "--bec", "0.99", "--trials", "1",
+        "--seed", "0",
+    )
+    assert code == 0
+    assert '"mdp_ratio": 0' in out
+    assert json.loads(out)["bler"] == 1
 
 
 # ---- process

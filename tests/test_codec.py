@@ -78,6 +78,9 @@ def test_construct_validates():
         construct(bec(0.5), 3, 2, 0.2, FixedKernel(ARIKAN), seed=0)
     with pytest.raises(ValueError):
         construct(bec(0.5), 2, 0, 0.2, FixedKernel(ARIKAN), seed=0)
+    for pi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="pi must be finite"):
+            construct(bec(0.5), 2, 2, pi, FixedKernel(ARIKAN), seed=0)
 
 
 def test_construct_names_the_node_that_stays_over_the_guard(monkeypatch):
@@ -546,6 +549,13 @@ def test_simulate_bec_fixture(bec_spec):
     assert out["mdp_ratio"] >= 0
     again = simulate(bec_spec, bec(0.5), trials=400, seed=99)
     assert out == again
+
+
+def test_simulate_reports_zero_mdp_when_every_block_fails(bec_spec):
+    # |ln BLER| is 0 at BLER = 1, so the figure is undefined there as at BLER = 0
+    out = simulate(bec_spec, bec(0.99), trials=1, seed=0)
+    assert out["bler"] == 1.0
+    assert out["mdp_ratio"] == 0.0
 
 
 def test_simulate_validates(bec_spec):

@@ -129,12 +129,90 @@ def test_character_f2_is_plus_minus_one():
     assert f2.char(1) == pytest.approx(-1.0)
 
 
+def _field_tables_reference(p, m, modulus):
+    """The six field tables as they were built before log/exp fed them all.
+
+    Scalar products reduce by the modulus one coefficient at a time, the log
+    table tries g = 2, 3, ... until one has order q - 1, negation works on
+    base-p digits, and the trace adds the m Frobenius powers a^(p^j), each
+    as p^j scalar products.
+    """
+    q = p**m
+    pows = p ** np.arange(m, dtype=np.int64)
+    digits = (np.arange(q, dtype=np.int64)[:, None] // pows[None, :]) % p
+
+    def add(a, b):
+        return int((digits[a] + digits[b]) % p @ pows)
+
+    def mul(a, b):
+        if m == 1:
+            return (a * b) % p
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(digits[a]):
+            for j, bj in enumerate(digits[b]):
+                prod[i + j] += int(ai) * int(bj)
+        for k in range(2 * m - 2, m - 1, -1):
+            c = prod[k] % p
+            for i, fi in enumerate(modulus):
+                prod[k - m + i] -= c * fi
+        return sum((prod[i] % p) * p**i for i in range(m))
+
+    def power(a, e):
+        out = 1
+        for _ in range(e):
+            out = mul(out, a)
+        return out
+
+    neg = ((-digits) % p) @ pows
+    if q == 2:
+        log, exp = np.array([-1, 0], dtype=np.int64), np.array([1], dtype=np.int64)
+    for g in range(2, q):
+        log, exp, x = np.full(q, -1, dtype=np.int64), np.empty(q - 1, dtype=np.int64), 1
+        for k in range(q - 1):
+            if log[x] >= 0:
+                break
+            exp[k], log[x] = x, k
+            x = mul(x, g)
+        else:
+            if x == 1:
+                break
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = exp[(q - 1 - log[1:]) % (q - 1)]
+    trace = np.zeros(q, dtype=np.int64)
+    for a in range(1, q):
+        acc, term = 0, a
+        for _ in range(m):
+            acc, term = add(acc, term), power(term, p)
+        trace[a] = acc
+    char = np.exp(2.0j * np.pi * trace / p)
+    return {"neg": neg, "log": log, "exp": exp, "inv": inv, "trace": trace, "char": char}
+
+
+PRIME_POWERS_TO_256 = [
+    (p, m)
+    for p in range(2, 257)
+    if all(p % d for d in range(2, p))
+    for m in range(1, 9)
+    if p**m <= 256
+]
+
+
+@pytest.mark.parametrize("p,m", PRIME_POWERS_TO_256)
+def test_field_tables_match_the_scalar_reference(p, m):
+    f = field_make(p, m)
+    want = _field_tables_reference(p, m, f.modulus)
+    for name, table in want.items():
+        got = getattr(f, f"_{name}_t")
+        assert got.dtype == table.dtype, name
+        assert got.tobytes() == table.tobytes(), name
+
+
 # ---------------------------------------------------------------- kernels
 
 def test_arikan_kernel_is_self_inverse_over_f2():
     k = arikan_kernel(field_make(2))
     np.testing.assert_array_equal(k.entries, [[1, 0], [1, 1]])
-    np.testing.assert_array_equal(k.inverse, [[1, 0], [1, 1]])
+    np.testing.assert_array_equal(k.inv_transpose.T, [[1, 0], [1, 1]])
     np.testing.assert_array_equal(k.inv_transpose, [[1, 1], [0, 1]])
 
 
@@ -166,7 +244,8 @@ def test_mat_invert_rejects_non_integer_entries(entries):
 def test_mat_invert_accepts_integer_valued_floats():
     k = mat_invert(field_make(2), [[1.0, 0.0], [1.0, 1.0]])
     assert k.entries.dtype == np.int64
-    assert k.inverse.tobytes() == arikan_kernel(field_make(2)).inverse.tobytes()
+    want = arikan_kernel(field_make(2)).inv_transpose.T
+    assert k.inv_transpose.T.tobytes() == want.tobytes()
 
 
 def _mat_invert_reference(spec, entries):
@@ -216,7 +295,7 @@ def test_mat_invert_matches_the_reference(pm, ell, seed, low_rank):
         return
     k = mat_invert(f, cand)
     assert k.entries.tobytes() == want[0].tobytes()
-    assert k.inverse.tobytes() == want[1].tobytes()
+    assert k.inv_transpose.T.tobytes() == want[1].tobytes()
     assert k.inv_transpose.tobytes() == np.ascontiguousarray(want[1].T).tobytes()
 
 
@@ -227,9 +306,8 @@ def test_inverse_really_inverts(p, m, ell):
     eye = np.eye(ell, dtype=np.int64)
     for _ in range(20):
         k = sample_invertible(f, ell, rng)
-        np.testing.assert_array_equal(field_matmul(f, k.entries, k.inverse), eye)
-        np.testing.assert_array_equal(field_matmul(f, k.inverse, k.entries), eye)
-        np.testing.assert_array_equal(k.inv_transpose, k.inverse.T)
+        np.testing.assert_array_equal(field_matmul(f, k.entries, k.inv_transpose.T), eye)
+        np.testing.assert_array_equal(field_matmul(f, k.inv_transpose.T, k.entries), eye)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -244,7 +322,7 @@ def test_random_square_matrices_invert_or_raise(seed):
         # singular: some nontrivial combination of rows must vanish
         return
     np.testing.assert_array_equal(
-        field_matmul(f, k.entries, k.inverse), np.eye(3, dtype=np.int64)
+        field_matmul(f, k.entries, k.inv_transpose.T), np.eye(3, dtype=np.int64)
     )
 
 

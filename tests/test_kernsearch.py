@@ -149,6 +149,11 @@ def test_empirical_failure_rate_validates_alphabet():
         empirical_failure_rate(4, 6, 0.1, 5, np.random.default_rng(0))
 
 
+def test_empirical_failure_rate_needs_a_trial():
+    with pytest.raises(ValueError, match="at least one trial"):
+        empirical_failure_rate(4, 2, 0.3, 0, np.random.default_rng(0))
+
+
 def test_policy_configs():
     pol = FixedKernel(kernel=ARIKAN)
     assert pol.kernel.ell == 2

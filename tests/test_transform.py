@@ -289,7 +289,7 @@ def _estimate_entropy_mc(W, kernel, i, samples, rng):
         xs = np.searchsorted(in_cdf, rng.random((B, ell)), side="right")
         xs = np.minimum(xs, q - 1)
         ys = sample_outputs(W, xs, rng.random((B, ell)))
-        us = field_matmul(field, xs, kernel.inverse)
+        us = field_matmul(field, xs, kernel.inv_transpose.T)
         full = np.empty((B, C, ell), dtype=np.int64)
         full[:, :, : i - 1] = us[:, None, : i - 1]
         full[:, :, i - 1 :] = cands[None, :, :]
