@@ -79,6 +79,24 @@ class Channel:
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "input_dist", dist)
 
+    @classmethod
+    def _owned(cls, field: FieldSpec, transition: np.ndarray, input_dist: np.ndarray) -> "Channel":
+        """A channel the library built itself, taking ownership of its arrays.
+
+        ``transition`` must be a C-ordered float64 (q, M) array with
+        non-negative, row-normalised entries and ``input_dist`` a float64
+        probability vector: the public constructor would keep both bits
+        unchanged.  Nothing is checked or copied; both arrays are made
+        read-only.
+        """
+        transition.setflags(write=False)
+        input_dist.setflags(write=False)
+        W = object.__new__(cls)
+        object.__setattr__(W, "field", field)
+        object.__setattr__(W, "transition", transition)
+        object.__setattr__(W, "input_dist", input_dist)
+        return W
+
     @property
     def q(self) -> int:
         return self.field.q
@@ -179,7 +197,7 @@ def capacity_input(W: Channel, tol: float = 1e-9) -> np.ndarray:
 
 def flatten(W: Channel) -> Channel:
     """Collapse the output alphabet to a single symbol (pure-noise channel)."""
-    return Channel(W.field, np.ones((W.q, 1)), W.input_dist)
+    return Channel._owned(W.field, np.ones((W.q, 1)), W.input_dist)
 
 
 def symmetrize(W: Channel) -> Channel:
@@ -291,40 +309,24 @@ def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
 
     ``start[k]`` marks the sorted position ``k`` that opens a new output.
     Each output column is ``W.transition[:, run].sum(axis=1)`` over its
-    run's columns in sorted order, bitwise.  The runs are ranked by length
-    and the transition is gathered once in that order, each run's columns
-    kept in sorted order: the R runs of length s are then one contiguous
-    (q, R, s) block, and the last entry of its cumulative sum along s adds
-    each run's columns left to right.  Each sum is scattered back to its
-    run's output, so the order of runs within a length does not matter.
-    A sum over s would not be bitwise: numpy adds a contiguous axis
-    pairwise, and ``np.add.reduceat`` is no better.  Returns ``W`` itself,
-    in its original column order, when nothing merges.
+    run's columns in sorted order, bitwise: the transition is gathered once
+    in sorted order and each row is summed by one ``np.bincount`` over the
+    run indices, which adds every bin's weights in index order starting
+    from zero, so each run is added left to right
+    (``test_run_sums_add_each_run_left_to_right`` pins this).  A sum over a
+    contiguous axis would not be bitwise: numpy adds it pairwise, and
+    ``np.add.reduceat`` is no better.  Returns ``W`` itself, in its
+    original column order, when nothing merges.
     """
-    heads = np.flatnonzero(start)
-    if heads.size == order.size:
+    runs = np.cumsum(start) - 1
+    G = int(runs[-1]) + 1
+    if G == order.size:
         return W
-    sizes = np.concatenate((heads[1:], (order.size,))) - heads
-    rank = np.argsort(sizes)
-    ranked = sizes[rank]
-    # sorted positions, run by run in rank order, then the columns there
-    cols = np.repeat(heads[rank] - (np.cumsum(ranked) - ranked), ranked)
-    cols += np.arange(order.size)
-    cols = order[cols]
-    T = np.take(W.transition, cols, axis=1)
-    del cols
-    sums = np.empty((W.q, heads.size))
-    counts = np.bincount(sizes)
-    col = run = 0
-    for s in np.flatnonzero(counts):
-        R = int(counts[s])
-        block = T[:, col : col + R * s].reshape(W.q, R, s)
-        sums[:, run : run + R] = np.cumsum(block, axis=2)[..., -1]
-        col += R * s
-        run += R
-    new_trans = np.empty_like(sums)
-    new_trans[:, rank] = sums
-    return Channel(W.field, new_trans, W.input_dist)
+    T = np.take(W.transition, order, axis=1)
+    sums = np.empty((W.q, G))
+    for x, row in enumerate(T):
+        sums[x] = np.bincount(runs, weights=row, minlength=G)
+    return Channel._owned(W.field, sums, W.input_dist)
 
 
 # ------------------------------------------------------- stock channels

@@ -512,8 +512,18 @@ def _as_path(value) -> tuple[int, ...]:
     return tuple(operator.index(x) for x in value)
 
 
+def _as_key(key: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in key.split(","))
+
+
 def _as_reals(value) -> np.ndarray:
     return np.array([float(x) for x in value])
+
+
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a JSON boolean")
+    return value
 
 
 def codespec_from_dict(doc: dict) -> CodeSpec:
@@ -521,9 +531,10 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
 
     Raises ``ValueError`` naming the problem unless every field has its
     type (integer p, m, ell, n and seed; numeric pi, theta, leaf values and
-    input_dist entries; lists for kernels, leaf_stats, info_set and
-    input_dist, with each path a list of integers; an object for
-    frozen_class) and the
+    input_dist entries; a JSON boolean for each leaf's exact flag; lists for
+    kernels, leaf_stats, info_set and input_dist, with each path a list of
+    integers; an object for frozen_class, keyed by comma-joined integer
+    paths, whose values are "B" or "C") and the
     document holds one ell x ell kernel per internal path of the depth-n
     tree, one leaf_stats entry per leaf, an info_set and frozen_class that
     split the leaves between them, and a length-q input_dist.  A ``doc``
@@ -567,8 +578,11 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
     _check_paths("kernels", kernel_paths, internal)
     _check_paths("leaf_stats entries", leaf_paths, leaves)
     info = [_typed(_as_path, p, f"info_set[{k}]") for k, p in enumerate(doc["info_set"])]
-    frozen = [tuple(int(x) for x in key.split(",")) for key in doc["frozen_class"]]
+    frozen = [_typed(_as_key, key, f"frozen_class[{key}]") for key in doc["frozen_class"]]
     _check_paths("info_set and frozen_class leaves", info + frozen, leaves)
+    for key, label in doc["frozen_class"].items():
+        if label not in ("B", "C"):
+            raise ValueError(f'spec field frozen_class[{key}] must be "B" or "C", got {label!r}')
     input_dist = _typed(_as_reals, doc["input_dist"], "input_dist")
     if input_dist.shape != (f.q,):
         raise ValueError(f"input_dist must have {f.q} entries, got shape {input_dist.shape}")
@@ -585,7 +599,7 @@ def codespec_from_dict(doc: dict) -> CodeSpec:
                 key: _typed(float, entry[key], f"leaf_stats[{k}].{key}")
                 for key in ("H_w", "H_v", "Pe_w", "T_v")
             },
-            exact=bool(entry["exact"]),
+            exact=_typed(_as_bool, entry["exact"], f"leaf_stats[{k}].exact"),
         )
         for k, (path, entry) in enumerate(zip(leaf_paths, doc["leaf_stats"]))
     }

@@ -12,7 +12,7 @@ every machine.
 Multiplication uses discrete log/exp tables over a primitive element, and
 the negation, inverse, trace and character tables are lookups into them, so
 no q-by-q table is ever materialised.  Building a field is the scalar
-bootstrap of log/exp: about 0.2 s for GF(2^12) and 6 s for GF(2^16) on a
+bootstrap of log/exp: about 0.2 s for GF(2^12) and 3.4 s for GF(2^16) on a
 2-vCPU Xeon VM, once per process.
 """
 
@@ -53,6 +53,20 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ------------------------------------------- polynomial helpers over F_p
@@ -161,24 +175,38 @@ class FieldSpec:
         prod += [0] * (self.m - len(prod))
         return int(np.dot(prod[: self.m], self._pows))
 
+    def _scalar_pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply over ``_scalar_mul``."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self._scalar_mul(out, a)
+            a = self._scalar_mul(a, a)
+            e >>= 1
+        return out
+
     def _build_log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """Log/exp tables over the first primitive element g = 2, 3, ...
+
+        A candidate g is primitive iff g^((q-1)/r) != 1 for every prime r
+        dividing q - 1, so only the chosen g is walked through its powers.
+        """
         q = self.q
         if self.m == 1 and q == 2:
             return np.array([-1, 0], dtype=np.int64), np.array([1], dtype=np.int64)
-        for g in range(2, q):
-            seen = np.full(q, -1, dtype=np.int64)
-            exp_t = np.empty(q - 1, dtype=np.int64)
-            x, k = 1, 0
-            while k < q - 1:
-                exp_t[k] = x
-                if seen[x] >= 0:
-                    break
-                seen[x] = k
-                x = self._scalar_mul(x, g)
-                k += 1
-            if k == q - 1 and x == 1:
-                return seen, exp_t
-        raise RuntimeError("no primitive element found")  # pragma: no cover
+        order = q - 1
+        cofactors = [order // r for r in _prime_factors(order)]
+        g = next(
+            g for g in range(2, q) if all(self._scalar_pow(g, c) != 1 for c in cofactors)
+        )
+        log_t = np.full(q, -1, dtype=np.int64)
+        exp_t = np.empty(order, dtype=np.int64)
+        x = 1
+        for k in range(order):
+            exp_t[k] = x
+            log_t[x] = k
+            x = self._scalar_mul(x, g)
+        return log_t, exp_t
 
     # -- vectorised element ops --------------------------------------------
     # Every op accepts ints or integer ndarrays and broadcasts like numpy.

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
+from .gf import FieldSpec
 
 __all__ = [
     "ParamVector",
@@ -71,9 +72,29 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(mask, x * np.log(np.where(mask, y, 1.0)), 0.0)
 
 
+_FIELD_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _field_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Shift rows ``x + d`` (d = 1..q-1) and characters ``chi[w, z] = chi(w z)``.
+
+    Both depend on the field alone, so each field builds them once; the
+    arrays are read-only.
+    """
+    key = (f.p, f.m)
+    if key not in _FIELD_TABLES:
+        xs = np.arange(f.q)
+        shifts = np.array([f.add(xs, dsym) for dsym in range(1, f.q)])
+        chi = f.char(f.mul(xs[:, None], xs[None, :]))
+        shifts.setflags(write=False)
+        chi.setflags(write=False)
+        _FIELD_TABLES[key] = shifts, chi
+    return _FIELD_TABLES[key]
+
+
 def param_vector(W: Channel) -> ParamVector:
     q = W.q
-    f = W.field
+    shifts, chi = _field_tables(W.field)
     d = W.derived
     joint, out, post = d.joint, d.output, d.posterior
     lnq = math.log(q)
@@ -86,17 +107,15 @@ def param_vector(W: Channel) -> ParamVector:
     Pe = float((out * (1.0 - post.max(axis=0))).sum())
 
     R = np.sqrt(joint)
-    xs = np.arange(q)
     overlaps = np.empty(q - 1)
-    for k, dsym in enumerate(range(1, q)):
-        overlaps[k] = float((R * R[f.add(xs, dsym), :]).sum())
+    for k, shift in enumerate(shifts):
+        overlaps[k] = float((R * R[shift, :]).sum())
     Z = float(overlaps.sum() / (q - 1))
     Zmad = float(overlaps.max())
 
     T = float(np.abs(joint - out[None, :] / q).sum())
 
-    chi = f.char(f.mul(xs[:, None], xs[None, :]))  # chi[w, z]
-    corr = np.abs(chi @ post)                      # (q, M)
+    corr = np.abs(chi @ post)  # (q, M)
     weights = corr @ out
     S = float(weights[1:].mean())
     Smax = float(weights[1:].max())

@@ -48,7 +48,7 @@ def transform(W: Channel, kernel: Kernel, i: int, *, merge: bool = True) -> Chan
             f"exact synthesis needs a {pre_merge}-symbol alphabet,"
             f" over the guard {DEFAULT_GUARD}"
         )
-    out = Channel(W.field, *_raw_law(W.derived.joint, kernel, i))
+    out = Channel._owned(W.field, *_raw_law(W.derived.joint, kernel, i))
     return merge_outputs(out, tol=1e-12) if merge else out
 
 

@@ -465,6 +465,43 @@ def test_run_sums_add_each_run_left_to_right():
     assert sorted(map(tuple, got)) == sorted(want)
 
 
+@st.composite
+def internal_channels(draw):
+    """Every channel the library builds itself from one random synthesis.
+
+    The raw and merged syntheses, lossless and coarse merges of the raw one,
+    a posterior-grid merge and the flattened channel, over GF(2, 3, 4, 5, 7,
+    9) with a random kernel at ell 2 or 3.
+    """
+    field = field_make(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = random_channel(field, draw(st.integers(1, 4)), rng, random_input=draw(st.booleans()))
+    ell = draw(st.integers(2, 3))
+    kern = sample_invertible(field, ell, rng)
+    i = draw(st.integers(1, ell))
+    raw = transform(W, kern, i, merge=False)
+    merged = [merge_outputs(raw, tol=tol) for tol in (1e-12, 1e-3, 0.05)]
+    resolution = draw(st.sampled_from([1, 3, 64, 2048]))
+    return [
+        raw,
+        transform(W, kern, i),
+        *merged,
+        transform_mod.quantize_merge(raw, resolution),
+        flatten(raw),
+    ]
+
+
+@given(internal_channels())
+@settings(max_examples=100, deadline=None)
+def test_internal_channels_pass_the_public_checks_bitwise(channels):
+    for W in channels:
+        checked = Channel(W.field, W.transition, W.input_dist)
+        for got, want in ((W.transition, checked.transition), (W.input_dist, checked.input_dist)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+
 def test_merge_returns_the_channel_itself_when_nothing_merges():
     W = random_channel(field_make(5), 12, np.random.default_rng(3), random_input=True)
     assert merge_outputs(W) is W

@@ -304,9 +304,10 @@ def _wrong_typed_leaf_value(doc):
         (_wrong_typed_leaf_value, "leaf_stats[0].H_w"),
         (lambda doc: doc.update(input_dist=[None, 0.5]), "input_dist"),
         (lambda doc: doc.update(input_dist="10"), "input_dist"),
+        (lambda doc: doc["leaf_stats"][1].update(exact="no"), "leaf_stats[1].exact"),
     ],
     ids=["n-null", "kernel-path-nested", "H_w-null", "input-dist-entry-null",
-         "input-dist-string"],
+         "input-dist-string", "exact-string"],
 )
 def test_wrong_typed_spec_field_exits_one(capsys, spec_file, edit, name):
     doc = json.loads(spec_file.read_text())
@@ -317,6 +318,18 @@ def test_wrong_typed_spec_field_exits_one(capsys, spec_file, edit, name):
     )
     assert code == 1 and out == ""
     assert err.startswith(f"error: spec field {name} has the wrong type")
+
+
+def test_unknown_frozen_class_exits_one(capsys, spec_file):
+    doc = json.loads(spec_file.read_text())
+    key = sorted(doc["frozen_class"])[0]
+    doc["frozen_class"][key] = "X"
+    spec_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "encode", "--spec", str(spec_file), "--message", "1,0,1", "--seed", "5"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f'error: spec field frozen_class[{key}] must be "B" or "C"')
 
 
 def test_two_channels_exit_one(capsys, spec_file):

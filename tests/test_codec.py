@@ -132,6 +132,11 @@ def _wrong_typed_leaf_entry(doc):
     doc["leaf_stats"][0] = None
 
 
+def _wrong_typed_frozen_key(doc):
+    key = sorted(doc["frozen_class"])[0]
+    doc["frozen_class"]["x," + key[2:]] = doc["frozen_class"].pop(key)
+
+
 @pytest.mark.parametrize(
     "edit, name",
     [
@@ -142,14 +147,27 @@ def _wrong_typed_leaf_entry(doc):
         (_wrong_typed_leaf_entry, r"leaf_stats\[0\]"),
         (lambda doc: doc.update(input_dist=[None, 0.5]), "input_dist"),
         (lambda doc: doc.update(input_dist="10"), "input_dist"),
+        (lambda doc: doc["leaf_stats"][2].update(exact="no"), r"leaf_stats\[2\]\.exact"),
+        (lambda doc: doc["leaf_stats"][5].update(exact=1), r"leaf_stats\[5\]\.exact"),
+        (_wrong_typed_frozen_key, r"frozen_class\[x,1,1\]"),
     ],
     ids=["n-null", "kernel-path-nested", "H_w-null", "kernels-null", "leaf-entry-null",
-         "input-dist-entry-null", "input-dist-string"],
+         "input-dist-entry-null", "input-dist-string", "exact-string", "exact-int",
+         "frozen-key-letter"],
 )
 def test_codespec_from_dict_names_a_wrong_typed_field(edit, name):
     doc = _bec_spec_doc()
     edit(doc)
     with pytest.raises(ValueError, match=f"spec field {name} has the wrong type"):
+        codespec_from_dict(doc)
+
+
+@pytest.mark.parametrize("label", ["A", "b", None, 1])
+def test_codespec_from_dict_rejects_an_unknown_frozen_class(label):
+    doc = _bec_spec_doc()
+    key = sorted(doc["frozen_class"])[-1]
+    doc["frozen_class"][key] = label
+    with pytest.raises(ValueError, match=rf'spec field frozen_class\[{key}\] must be "B" or "C"'):
         codespec_from_dict(doc)
 
 
