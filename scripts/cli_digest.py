@@ -7,8 +7,11 @@ command itself.  A spec written by ``construct`` is shared through a
 temporary file shown as {spec}, a fixed invertible GF(4) 8x8 kernel is
 written to one shown as {kernel}, a fixed GF(3) three-output channel to
 one shown as {gf3} (its syntheses are the only q > 2 merges on the list),
-and a fixed GF(9) three-output channel to one shown as {gf9} (its S and Smax
-read the character table of an extension field of odd characteristic).
+a fixed GF(9) three-output channel to one shown as {gf9} (its S and Smax
+read the character table of an extension field of odd characteristic), and
+two kernels made by ``lu_kernel`` to {gf2_20} (GF(2), 20x20: its coset at
+position 1 has 2^19 words, several enumeration blocks) and {gf3_9} (GF(3),
+9x9: coset words over an odd prime).
 The exit status is 1 if any command exits nonzero.  Two trees that print
 the same lines give byte-identical output on every listed command, so the
 list serves as a quick check that a change leaves the CLI's results alone.
@@ -65,6 +68,31 @@ GF9_CHANNEL = {
     ],
     "input_dist": [0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
 }
+
+
+def lu_kernel(p: int, ell: int, seed: int) -> dict:
+    """A fixed invertible ell x ell kernel over the prime field GF(p).
+
+    The product L U of a unit lower and a unit upper triangular matrix, whose
+    entries below and above the diagonal come from a 64-bit linear
+    congruential stream, so the kernel depends on neither numpy nor qpolar.
+    """
+    state = seed
+
+    def draw() -> int:
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        return (state >> 33) % p
+
+    lower = [[1 if j == i else draw() if j < i else 0 for j in range(ell)] for i in range(ell)]
+    upper = [[1 if j == i else draw() if j > i else 0 for j in range(ell)] for i in range(ell)]
+    matrix = [
+        [sum(lower[i][k] * upper[k][j] for k in range(ell)) % p for j in range(ell)]
+        for i in range(ell)
+    ]
+    return {"p": p, "m": 1, "matrix": matrix}
+
+
 C11_SPEC = "construct --bec 0.5 --arikan --ell 2 --depth 3 --pi 0.2 --seed 42"
 COMMANDS = [
     "transform --zchan 0.3 --arikan",
@@ -85,6 +113,8 @@ COMMANDS = [
     "kernel --certify 0.3 0.3 --kernel {kernel}",
     "construct --channel {gf3} --arikan --ell 2 --depth 3 --pi 0.2 --seed 7",
     "transform --channel {gf9} --arikan",
+    "kernel --certify 0.3 0.3 --kernel {gf2_20}",
+    "kernel --certify 0.3 0.3 --kernel {gf3_9}",
 ]
 
 
@@ -98,11 +128,13 @@ def run(command: str, files: dict) -> tuple[int, str]:
 def digest_all() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        names = ("spec", "kernel", "gf3", "gf9")
+        names = ("spec", "kernel", "gf3", "gf9", "gf2_20", "gf3_9")
         files = {name: Path(tmp) / f"{name}.json" for name in names}
         files["kernel"].write_text(json.dumps(GF4_KERNEL))
         files["gf3"].write_text(json.dumps(GF3_CHANNEL))
         files["gf9"].write_text(json.dumps(GF9_CHANNEL))
+        files["gf2_20"].write_text(json.dumps(lu_kernel(2, 20, 2020)))
+        files["gf3_9"].write_text(json.dumps(lu_kernel(3, 9, 309)))
         for command in COMMANDS:
             code, text = run(command, files)
             if command == C11_SPEC:

@@ -8,6 +8,15 @@ worst-case character correlation the same way.  Both admit a closed
 reciprocity: the dual of G at i equals the primal of the row-and-column
 reversed inverse-transpose at position ell+1-i.
 
+A coset word is enumerated packed: ceil(ell / (64 // (m b))) uint64 lanes,
+each holding whole symbols of m digit fields of b bits.  Over GF(2^m) a
+symbol is its own m bits (b = 1) and the field add is XOR; over odd p each
+digit carries a guard bit (b = bit_length(p - 1) + 1) and the add is one
+SWAR pass over the whole word: s = a + c, minus p in every digit whose
+guard bit s + (2^(b-1) - p) sets.  The weight OR-folds each symbol onto its
+lowest bit and counts the bits.  A word takes 8 bytes up to ell = 64 // (m b)
+(32 symbols over GF(4), 21 over GF(3)), against 8 ell bytes as int64 symbols.
+
 The verify_* helpers recompute the synthesized channel from scratch — they
 never trust caller-provided parameter values — and report lhs/rhs/pass.
 """
@@ -61,43 +70,119 @@ class WeightEnumerator:
         return int(self.counts.sum())
 
 
-def _span(field: FieldSpec, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Every word start + c_1 r_1 + ... + c_k r_k, one row per word.
+def _repeat_one(width: int, count: int) -> int:
+    """The integer with bit 0 of each of ``count`` consecutive width-bit fields set."""
+    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
 
-    Nested from the last row to the first: each level adds the q scalar
-    multiples of one row to every word built so far.
+
+class _Packing:
+    """Words of ell symbols over GF(q), packed into uint64 lanes.
+
+    Each symbol takes m digit fields of b bits: its m bits as they stand for
+    p = 2 (b = 1, addition is XOR); for odd p, b = bit_length(p - 1) + 1 and
+    the top bit of each digit is a guard bit that a digit sum sets exactly
+    when it reaches p.  A lane holds 64 // (m b) whole symbols, so a word is
+    ceil(ell / (64 // (m b))) uint64 and no symbol straddles two lanes.
+    """
+
+    def __init__(self, field: FieldSpec, ell: int) -> None:
+        p, m = field.p, field.m
+        self.p, self.m = p, m
+        self.digit = 1 if p == 2 else (p - 1).bit_length() + 1
+        self.width = m * self.digit
+        self.per_lane = 64 // self.width
+        self.lanes = -(-ell // self.per_lane)
+        self.slot_shifts = np.arange(self.per_lane, dtype=np.uint64) * np.uint64(self.width)
+        self.low_bits = np.uint64(_repeat_one(self.width, self.per_lane))
+        if p != 2:
+            ones = _repeat_one(self.digit, self.per_lane * m)
+            self.guards = np.uint64(ones << (self.digit - 1))
+            self.excess = np.uint64(ones * ((1 << (self.digit - 1)) - p))
+        # OR-shifts that fold a symbol's width bits onto its lowest bit, no wider
+        self.folds = []
+        window = 1
+        while 2 * window <= self.width:
+            self.folds.append(np.uint64(window))
+            window *= 2
+        if window < self.width:
+            self.folds.append(np.uint64(self.width - window))
+
+    def pack(self, symbols: np.ndarray) -> np.ndarray:
+        """(..., ell) symbols in [0, q) -> (..., lanes) uint64 words."""
+        ell = symbols.shape[-1]
+        if self.p != 2 and self.m > 1:
+            pows = self.p ** np.arange(self.m, dtype=np.int64)
+            digits = (symbols[..., None] // pows % self.p).astype(np.uint64)
+            shifts = np.arange(self.m, dtype=np.uint64) * np.uint64(self.digit)
+            symbols = (digits << shifts).sum(axis=-1, dtype=np.uint64)
+        slots = np.zeros(symbols.shape[:-1] + (self.lanes * self.per_lane,), dtype=np.uint64)
+        slots[..., :ell] = symbols
+        slots = slots.reshape(symbols.shape[:-1] + (self.lanes, self.per_lane))
+        return (slots << self.slot_shifts).sum(axis=-1, dtype=np.uint64)
+
+    def add(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Symbol-wise field sum of two packed words (broadcasting)."""
+        if self.p == 2:
+            return a ^ c
+        s = a + c
+        t = s + self.excess
+        t &= self.guards
+        t >>= np.uint64(self.digit - 1)
+        t *= np.uint64(self.p)
+        s -= t
+        return s
+
+    def weights(self, words: np.ndarray) -> np.ndarray:
+        """Hamming weight of each packed word: its count of nonzero symbols."""
+        for shift in self.folds:
+            words = words | (words >> shift)
+        counts = np.bitwise_count(words & self.low_bits)
+        if self.lanes == 1:
+            return counts[..., 0]
+        return counts.sum(axis=-1, dtype=np.intp)
+
+
+def _span(packing: _Packing, multiples: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Every packed word start + c_1 r_1 + ... + c_k r_k, one row per word.
+
+    ``multiples[j]`` holds the q packed multiples of row r_j.  Nested from the
+    last row to the first: each level adds the q multiples of one row to every
+    word built so far.
     """
     words = start
-    for row in rows[::-1]:
-        multiples = field.mul(field.elements[:, None], row[None, :])
-        words = field.add(multiples[:, None, :], words[None, :, :]).reshape(-1, row.size)
+    for row in multiples[::-1]:
+        words = packing.add(row[:, None, :], words[None, :, :]).reshape(-1, packing.lanes)
     return words
 
 
 def _coset_weights(field: FieldSpec, lead: np.ndarray, free: np.ndarray) -> WeightEnumerator:
     """Weight histogram of the coset lead + span(free rows).
 
-    The trailing free rows span a block of at most 2^16 words, the leading
-    ones a set of offsets containing ``lead``; each batch of offsets is added
-    to the block in one step, so no step holds more than 2^16 words.
+    The q multiples of the lead and of every free row come from one field
+    multiply and are packed once.  The trailing free rows span a block of at
+    most 2^16 words, the leading ones a set of offsets containing ``lead``;
+    each batch of offsets is added to the block in one step, so no step holds
+    more than 2^16 words.
     """
     q, ell = field.q, lead.size
     count = q ** len(free)
     if count > ENUM_GUARD:
         raise ValueError(f"coset of size {count} exceeds enumeration guard {ENUM_GUARD}")
+    packing = _Packing(field, ell)
+    rows = np.concatenate([lead[None, :], free])
+    multiples = packing.pack(field.mul(field.elements[None, :, None], rows[:, None, :]))
     in_block = 0
     while in_block < len(free) and q ** (in_block + 1) <= _BLOCK_WORDS:
         in_block += 1
     split = len(free) - in_block
-    block = _span(field, free[split:], np.zeros((1, ell), dtype=np.int64))
-    offsets = _span(field, free[:split], lead[None, :])
+    block = _span(packing, multiples[1 + split :], np.zeros((1, packing.lanes), dtype=np.uint64))
+    # the lead is row 0 of ``rows`` at multiplier 1
+    offsets = _span(packing, multiples[1 : 1 + split], multiples[0, 1:2])
     step = _BLOCK_WORDS // len(block)
     counts = np.zeros(ell + 1, dtype=np.int64)
     for first in range(0, len(offsets), step):
-        weights = np.count_nonzero(
-            field.add(offsets[first : first + step, None, :], block[None, :, :]), axis=2
-        )
-        counts += np.bincount(weights.ravel(), minlength=ell + 1)
+        words = packing.add(offsets[first : first + step, None, :], block[None, :, :])
+        counts += np.bincount(packing.weights(words).ravel(), minlength=ell + 1)
     return WeightEnumerator(ell=ell, counts=counts)
 
 

@@ -172,6 +172,49 @@ def test_enumeration_memory_stays_blocked():
     assert peak < 40e6
 
 
+# Packed words: an odd-p symbol takes b = bit_length(p - 1) + 1 bits per digit,
+# so GF(127) fills 8 bits, GF(131) 9, and GF(16), GF(27), GF(25) carry several
+# digits; p - 1 + p - 1 is the largest digit sum the guard bit has to catch.
+@pytest.mark.parametrize("pm", [(127, 1), (131, 1), (251, 1), (2, 4), (3, 3), (5, 2)])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_packed_digit_edges_match_the_reference(pm, ell):
+    field = field_make(*pm)
+    for seed in range(3):
+        kern = sample_invertible(field, ell, np.random.default_rng(seed))
+        for i in range(1, ell + 1):
+            _assert_matches_reference(kern, i)
+
+
+@pytest.mark.parametrize("pm,ell", [((2, 1), 70), ((3, 1), 30), ((2, 2), 40), ((131, 1), 8)])
+def test_multi_lane_words_match_the_reference(pm, ell):
+    # each word spans two uint64 lanes; only the small cosets are enumerated
+    field = field_make(*pm)
+    kern = sample_invertible(field, ell, np.random.default_rng(ell))
+    for i in range(ell - 2, ell + 1):
+        np.testing.assert_array_equal(
+            coset_enumerator(kern, i).counts,
+            _coset_weights_reference(kern.entries, kern, i, free_tail=True).counts,
+        )
+    for i in range(1, 4):
+        np.testing.assert_array_equal(
+            dual_coset_enumerator(kern, i).counts,
+            _coset_weights_reference(kern.inv_transpose, kern, i, free_tail=False).counts,
+        )
+
+
+def test_packed_enumeration_memory():
+    # packed, 2^19 words of 20 GF(2) symbols take 4 MB; blocked, far less
+    kern = sample_invertible(field_make(2), 20, np.random.default_rng(20))
+    tracemalloc.start()
+    try:
+        enum = coset_enumerator(kern, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enum.total == 2**19
+    assert peak < 8e6
+
+
 # ----------------------------------------------------------------- bounds
 
 def test_overlap_bound_bec_endpoints():
