@@ -11,7 +11,8 @@ a fixed GF(9) three-output channel to one shown as {gf9} (its S and Smax
 read the character table of an extension field of odd characteristic), and
 two kernels made by ``lu_kernel`` to {gf2_20} (GF(2), 20x20: its coset at
 position 1 has 2^19 words, several enumeration blocks) and {gf3_9} (GF(3),
-9x9: coset words over an odd prime).
+9x9: coset words over an odd prime).  {post} holds a fixed (8, 2)
+posterior array for the length-8 spec.
 The exit status is 1 if any command exits nonzero.  Two trees that print
 the same lines give byte-identical output on every listed command, so the
 list serves as a quick check that a change leaves the CLI's results alone.
@@ -68,6 +69,17 @@ GF9_CHANNEL = {
     ],
     "input_dist": [0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
 }
+# channel-input posteriors for the N=8 binary spec, one row per channel use
+POSTERIORS = [
+    [0.9, 0.1],
+    [0.3, 0.7],
+    [0.5, 0.5],
+    [0.05, 0.95],
+    [0.6, 0.4],
+    [1.0, 0.0],
+    [0.2, 0.8],
+    [0.75, 0.25],
+]
 
 
 def lu_kernel(p: int, ell: int, seed: int) -> dict:
@@ -115,6 +127,12 @@ COMMANDS = [
     "transform --channel {gf9} --arikan",
     "kernel --certify 0.3 0.3 --kernel {gf2_20}",
     "kernel --certify 0.3 0.3 --kernel {gf3_9}",
+    "params --zchan 0.3 --holder",
+    "transform --bec 0.5 --arikan --index 1",
+    "kernel --arikan",
+    "decode --spec {spec} --posteriors {post} --seed 5",
+    "process --bec 0.5 --arikan --depth 4 --seed 9 --trace",
+    "process --bsc 0.11 --ell 3 --search-budget 200 --depth 2 --paths 3 --seed 1 --full",
 ]
 
 
@@ -128,13 +146,14 @@ def run(command: str, files: dict) -> tuple[int, str]:
 def digest_all() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        names = ("spec", "kernel", "gf3", "gf9", "gf2_20", "gf3_9")
+        names = ("spec", "kernel", "gf3", "gf9", "gf2_20", "gf3_9", "post")
         files = {name: Path(tmp) / f"{name}.json" for name in names}
         files["kernel"].write_text(json.dumps(GF4_KERNEL))
         files["gf3"].write_text(json.dumps(GF3_CHANNEL))
         files["gf9"].write_text(json.dumps(GF9_CHANNEL))
         files["gf2_20"].write_text(json.dumps(lu_kernel(2, 20, 2020)))
         files["gf3_9"].write_text(json.dumps(lu_kernel(3, 9, 309)))
+        files["post"].write_text(json.dumps(POSTERIORS))
         for command in COMMANDS:
             code, text = run(command, files)
             if command == C11_SPEC:

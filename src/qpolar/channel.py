@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -402,18 +402,23 @@ def channel_from_dict(doc: dict, capacity_tol: float = 1e-9) -> Channel:
     """Rebuild a channel from ``channel_to_dict`` output.
 
     Integer ``p``, ``m`` and ``output_size`` are read with
-    ``operator.index``, so a wrong-typed one (null, 1.5) raises a
+    ``operator.index`` and ``transition`` and ``input_dist`` as float
+    arrays, so a wrong-typed one (null, 1.5, an object) raises a
     ``ValueError`` naming the field.  ``input_dist`` may be the keyword
     ``"capacity"``.  A ``doc`` that is not an object raises ``ValueError``.
     """
     doc = _document(doc, "channel")
     p = _typed(operator.index, doc["p"], "p", "channel")
     m = _typed(operator.index, doc.get("m", 1), "m", "channel")
+    floats = partial(np.array, dtype=np.float64)
+    transition = _typed(floats, doc["transition"], "transition", "channel")
     dist = doc.get("input_dist")
     capacity = isinstance(dist, str)
     if capacity and dist != "capacity":
         raise ValueError(f"unknown input_dist keyword {dist!r}")
-    W = make_channel(field_make(p, m), doc["transition"], None if capacity else dist)
+    if dist is not None and not capacity:
+        dist = _typed(floats, dist, "input_dist", "channel")
+    W = make_channel(field_make(p, m), transition, None if capacity else dist)
     if "output_size" in doc:
         size = _typed(operator.index, doc["output_size"], "output_size", "channel")
         if size != W.output_size:

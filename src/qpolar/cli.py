@@ -10,6 +10,7 @@ suite failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import operator
@@ -49,13 +50,7 @@ from .ftpc import (
 from .gf import Kernel, arikan_kernel, field_make, mat_invert, sample_invertible
 from .kernsearch import FixedKernel, SearchKernels, certify_ldp, search
 from .params import holder_report, param_vector, quadratic_check
-from .procsim import (
-    check_local,
-    gadget_bound,
-    polarization_stats,
-    sample_path,
-    trace_rows,
-)
+from .procsim import StepRecord, check_local, gadget_bound, polarization_stats, sample_path
 from .transform import transform, transform_all
 
 __all__ = ["main", "render_json"]
@@ -104,6 +99,13 @@ def render_json(obj, _ind: int = 0) -> str:
 
 def _emit(obj) -> None:
     sys.stdout.write(render_json(obj) + "\n")
+
+
+def _csv_cell(value) -> str:
+    """A trace CSV cell: a flag as 0/1, a float at 17 digits, an integer as is."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return _fmt_float(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------- arg plumbing
@@ -172,6 +174,14 @@ def _kernel_doc(kern: Kernel) -> dict:
     }
 
 
+def _child_doc(index: int, child: Channel) -> dict:
+    return {
+        "index": index,
+        "output_size": child.output_size,
+        "params": param_vector(child).as_dict(),
+    }
+
+
 def _parse_symbols(text: str) -> np.ndarray:
     try:
         return np.array([int(t) for t in text.split(",") if t.strip() != ""], dtype=np.int64)
@@ -202,27 +212,13 @@ def _cmd_transform(args) -> int:
         raise _CliError("kernel field does not match the channel")
     merge = not args.no_merge
     if args.index is not None:
-        child = transform(W, kern, args.index, merge=merge)
-        _emit(
-            {
-                "index": args.index,
-                "output_size": child.output_size,
-                "params": param_vector(child).as_dict(),
-            }
-        )
+        _emit(_child_doc(args.index, transform(W, kern, args.index, merge=merge)))
         return 0
     kids = transform_all(W, kern, merge=merge)
     _emit(
         {
             "parent": param_vector(W).as_dict(),
-            "children": [
-                {
-                    "index": i + 1,
-                    "output_size": child.output_size,
-                    "params": param_vector(child).as_dict(),
-                }
-                for i, child in enumerate(kids)
-            ],
+            "children": [_child_doc(i, child) for i, child in enumerate(kids, 1)],
         }
     )
     return 0
@@ -292,7 +288,11 @@ def _cmd_decode(args) -> int:
     spec = _load_spec(args.spec)
     if args.posteriors is not None:
         with open(args.posteriors) as fh:
-            received = np.array(json.load(fh), dtype=float)
+            doc = json.load(fh)
+        try:
+            received = np.array(doc, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("a posteriors file must hold an (N, q) array of numbers") from exc
         res = decode(spec, received, args.seed)
     else:
         if args.received is None:
@@ -341,22 +341,10 @@ def _cmd_process(args) -> int:
         trace = sample_path(
             W, policy, args.depth, rng, quantize_resolution=args.quantize
         )
-        cols = ["depth", "position", "H", "Zmad", "Smax", "output_size", "exact"]
+        cols = [f.name for f in dataclasses.fields(StepRecord)]
         lines = [",".join(cols)]
-        for row in trace_rows(trace):
-            lines.append(
-                ",".join(
-                    [
-                        str(row["depth"]),
-                        str(row["position"]),
-                        _fmt_float(row["H"]),
-                        _fmt_float(row["Zmad"]),
-                        _fmt_float(row["Smax"]),
-                        str(row["output_size"]),
-                        str(int(row["exact"])),
-                    ]
-                )
-            )
+        for step in trace.steps:
+            lines.append(",".join(_csv_cell(getattr(step, c)) for c in cols))
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     stats = polarization_stats(
@@ -571,9 +559,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (_CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

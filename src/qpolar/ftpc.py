@@ -205,16 +205,20 @@ def dual_coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     return _coset_weights(kernel.field, rows[i - 1], rows[: i - 1])
 
 
+def _verify(W: Channel, kernel: Kernel, i: int, param: str, enumerator) -> dict:
+    parent = getattr(param_vector(W), param)
+    child = getattr(param_vector(transform(W, kernel, i)), param)
+    rhs = enumerator(kernel, i).evaluate(parent)
+    return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + 1e-9)}
+
+
 def verify_ftpcz(W: Channel, kernel: Kernel, i: int) -> dict:
     """Check the worst-overlap bound at one synthesized position.
 
     Recomputes the synthesized channel exactly, then tests
     Zmad(child_i) <= primal_enumerator_i(Zmad(parent)) + 1e-9.
     """
-    parent = param_vector(W).Zmad
-    child = param_vector(transform(W, kernel, i)).Zmad
-    rhs = coset_enumerator(kernel, i).evaluate(parent)
-    return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + 1e-9)}
+    return _verify(W, kernel, i, "Zmad", coset_enumerator)
 
 
 def verify_ftpcs(W: Channel, kernel: Kernel, i: int) -> dict:
@@ -223,7 +227,4 @@ def verify_ftpcs(W: Channel, kernel: Kernel, i: int) -> dict:
     Recomputes the synthesized channel exactly, then tests
     Smax(child_i) <= dual_enumerator_i(Smax(parent)) + 1e-9.
     """
-    parent = param_vector(W).Smax
-    child = param_vector(transform(W, kernel, i)).Smax
-    rhs = dual_coset_enumerator(kernel, i).evaluate(parent)
-    return {"index": i, "lhs": child, "rhs": rhs, "pass": bool(child <= rhs + 1e-9)}
+    return _verify(W, kernel, i, "Smax", dual_coset_enumerator)

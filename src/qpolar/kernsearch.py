@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .ftpc import coset_enumerator, dual_coset_enumerator
-from .gf import Kernel, field_make, sample_invertible
+from .ftpc import WeightEnumerator, coset_enumerator, dual_coset_enumerator
+from .gf import Kernel, _prime_factors, field_make, sample_invertible
 from .params import param_vector
 from .transform import transform_all
 
@@ -70,8 +70,31 @@ def _alpha(ell: int) -> float:
     return math.log(math.log(ell)) / math.log(ell)
 
 
-def _phase2_rhs(ell: int, q: int, x: float, d: int) -> float:
-    return ell * (1 + (q - 1) * x) ** (ell - d) * ((q - 1) * x) ** d
+def _spread(entropies, alpha: float) -> float:
+    """The entropy-spread statistic mean(clip(min(H, 1-H), 0)^alpha)."""
+    h = np.asarray(entropies)
+    return float(np.mean(np.clip(np.minimum(h, 1.0 - h), 0.0, None) ** alpha))
+
+
+def _check_finite(**point: float) -> None:
+    for name, x in point.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
+def _phases(enum: WeightEnumerator, i: int, q: int, x: float) -> tuple[bool, float, float, bool]:
+    """Both certificate phases of one coset enumerator, against position i's target d_i.
+
+    Phase I: the minimum weight reaches d_i, binding once i^2 > 3 ell.
+    Phase II: the enumerator at x stays within 1e-12 of
+    ell (1+(q-1)x)^(ell-d_i) ((q-1)x)^d_i.  Returns (phase I ok, lhs, rhs,
+    phase II ok).
+    """
+    ell = enum.ell
+    d = _distance_target(i, ell)
+    lhs = enum.evaluate(x)
+    rhs = ell * (1 + (q - 1) * x) ** (ell - d) * ((q - 1) * x) ** d
+    return i * i <= 3 * ell or enum.min_weight >= d, lhs, rhs, lhs <= rhs + 1e-12
 
 
 def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
@@ -79,34 +102,32 @@ def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
 
     Returns {"ell", "q", "z", "s", "records", "pass"}; each per-position
     record carries the distance target, both minimum weights, and the four
-    numbers of the two polynomial comparisons.
+    numbers of the two polynomial comparisons.  Raises ``ValueError`` when
+    z or s is not finite.
     """
+    _check_finite(z=z, s=s)
     ell, q = kernel.ell, kernel.field.q
     records = []
     for i in range(1, ell + 1):
-        d = _distance_target(i, ell)
-        phase1_required = i * i > 3 * ell
         prim = coset_enumerator(kernel, i)
         dual = dual_coset_enumerator(kernel, ell + 1 - i)
-        mw, dmw = prim.min_weight, dual.min_weight
-        phase1_ok = (mw >= d and dmw >= d) if phase1_required else True
-        z_lhs, z_rhs = prim.evaluate(z), _phase2_rhs(ell, q, z, d)
-        s_lhs, s_rhs = dual.evaluate(s), _phase2_rhs(ell, q, s, d)
+        prim_ok, z_lhs, z_rhs, z_ok = _phases(prim, i, q, z)
+        dual_ok, s_lhs, s_rhs, s_ok = _phases(dual, i, q, s)
         rec = {
             "i": i,
-            "d": d,
-            "min_weight": mw,
-            "dual_min_weight": dmw,
-            "phase1_required": phase1_required,
-            "phase1_ok": bool(phase1_ok),
+            "d": _distance_target(i, ell),
+            "min_weight": prim.min_weight,
+            "dual_min_weight": dual.min_weight,
+            "phase1_required": i * i > 3 * ell,
+            "phase1_ok": prim_ok and dual_ok,
             "ldp_z_lhs": z_lhs,
             "ldp_z_rhs": z_rhs,
-            "ldp_z_ok": bool(z_lhs <= z_rhs + 1e-12),
+            "ldp_z_ok": z_ok,
             "ldp_s_lhs": s_lhs,
             "ldp_s_rhs": s_rhs,
-            "ldp_s_ok": bool(s_lhs <= s_rhs + 1e-12),
+            "ldp_s_ok": s_ok,
         }
-        rec["pass"] = rec["phase1_ok"] and rec["ldp_z_ok"] and rec["ldp_s_ok"]
+        rec["pass"] = prim_ok and dual_ok and z_ok and s_ok
         records.append(rec)
     return {
         "ell": ell,
@@ -131,8 +152,7 @@ def certify_clt(kernel: Kernel, W: Channel) -> dict:
         raise ValueError("entropy-spread certificate needs kernel size >= 3")
     alpha = _alpha(ell)
     entropies = [param_vector(child).H for child in transform_all(W, kernel)]
-    hvals = np.clip(np.minimum(entropies, 1.0 - np.asarray(entropies)), 0.0, None)
-    lhs = float(np.mean(hvals**alpha))
+    lhs = _spread(entropies, alpha)
     rhs = 4.0 * ell ** (alpha - 0.5)
     trivial = rhs >= 0.5**alpha
     return {
@@ -239,47 +259,34 @@ def empirical_failure_rate(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    if p is None:
-        raise ValueError(f"cannot factor alphabet size {q}")
-    m = round(math.log(q, p))
-    if p**m != q:
+    _check_finite(z=z)
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    field = field_make(p, m)
+    p = primes[0]
+    field = field_make(p, round(math.log(q, p)))
     failures = 0
     witnesses: list[dict] = []
     for _ in range(trials):
         kern = sample_invertible(field, ell, rng)
-        witness = None
         for i in range(1, ell + 1):
-            d = _distance_target(i, ell)
             prim = coset_enumerator(kern, i)
-            if i * i > 3 * ell and prim.min_weight < d:
+            phase1_ok, lhs, rhs, phase2_ok = _phases(prim, i, q, z)
+            if not phase1_ok:
                 witness = {
                     "reason": "min_weight",
                     "i": i,
-                    "d": d,
+                    "d": _distance_target(i, ell),
                     "min_weight": prim.min_weight,
-                    "matrix": kern.entries.tolist(),
                 }
-                break
-            lhs, rhs = prim.evaluate(z), _phase2_rhs(ell, q, z, d)
-            if lhs > rhs + 1e-12:
-                witness = {
-                    "reason": "overlap_poly",
-                    "i": i,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "matrix": kern.entries.tolist(),
-                }
-                break
-        if witness is not None:
+            elif not phase2_ok:
+                witness = {"reason": "overlap_poly", "i": i, "lhs": lhs, "rhs": rhs}
+            else:
+                continue
+            witness["matrix"] = kern.entries.tolist()
             failures += 1
             witnesses.append(witness)
+            break
     bound = 3.0 * q ** (-math.sqrt(ell) / 13.0)
     return {
         "rate": failures / trials,

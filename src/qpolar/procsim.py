@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Channel, flatten
 from .gf import Kernel
-from .kernsearch import FixedKernel, SearchKernels, _alpha, _distance_target, search
+from .kernsearch import FixedKernel, SearchKernels, _alpha, _distance_target, _spread, search
 from .params import param_vector
 from .transform import quantize_merge, quantize_to_fit, transform, transform_all
 
@@ -29,7 +29,6 @@ __all__ = [
     "polarization_stats",
     "check_local",
     "gadget_bound",
-    "trace_rows",
     "QUANTIZE_TRIGGER",
 ]
 
@@ -93,8 +92,13 @@ def sample_path(
     under a search policy that happens before the search, for all ell
     positions, since certification synthesizes every one.  With a search
     policy the pure-noise companion channel is tracked alongside, since
-    certification needs both.
+    certification needs both.  Raises ``ValueError`` for a negative n or a
+    resolution below 1.
     """
+    if n < 0:
+        raise ValueError(f"depth must be at least 0, got {n}")
+    if quantize_resolution is not None and quantize_resolution < 1:
+        raise ValueError(f"quantize resolution must be at least 1, got {quantize_resolution}")
     cur: Channel = W
     cur_v: Channel | None = None
     if isinstance(kernel_policy, SearchKernels):
@@ -144,11 +148,15 @@ def polarization_stats(
     """Endpoint-entropy statistics over many sampled process paths.
 
     Raises ``ValueError`` for fewer than one path, whose fractions are
-    undefined.
+    undefined, for thresholds outside 0 <= low < high <= 1, and, through
+    ``sample_path`` before any path is walked, for a negative n or a
+    resolution below 1.
     """
     if paths < 1:
         raise ValueError(f"need at least one path, got {paths}")
     lo, hi = thresholds
+    if not 0 <= lo < hi <= 1:
+        raise ValueError(f"thresholds must satisfy 0 <= low < high <= 1, got {lo} and {hi}")
     finals = np.empty(paths)
     all_exact = True
     for t in range(paths):
@@ -200,7 +208,7 @@ def check_local(W: Channel, kernel: Kernel) -> dict:
     if ell >= 3:
         alpha = _alpha(ell)
         h_parent = max(min(parent.H, 1 - parent.H), 0.0) ** alpha
-        lhs = float(np.mean(np.clip(np.minimum(hs, 1 - hs), 0.0, None) ** alpha))
+        lhs = _spread(hs, alpha)
         rhs = 4.0 * ell ** (-0.5 + 3 * alpha) * h_parent
         required = ell >= max(math.e**4, q**5, 3**q)
         report["spread"] = {
@@ -257,19 +265,3 @@ def gadget_bound(ell: int) -> dict:
         "required": bool(required),
         "pass": bool(lhs < rhs),
     }
-
-
-def trace_rows(trace: ProcessTrace) -> list[dict]:
-    """Flatten a trace into CSV-ready dict rows."""
-    return [
-        {
-            "depth": s.depth,
-            "position": s.position,
-            "H": s.H,
-            "Zmad": s.Zmad,
-            "Smax": s.Smax,
-            "output_size": s.output_size,
-            "exact": s.exact,
-        }
-        for s in trace.steps
-    ]

@@ -588,8 +588,11 @@ def test_channel_from_dict_capacity_keyword():
 @pytest.mark.parametrize(
     "edit, name",
     [({"p": None}, "p"), ({"output_size": None}, "output_size"), ({"m": 1.5}, "m"),
-     ({"output_size": "3"}, "output_size")],
-    ids=["p-null", "output-size-null", "m-fractional", "output-size-string"],
+     ({"output_size": "3"}, "output_size"), ({"transition": {"a": 1}}, "transition"),
+     ({"transition": [[0.5, [0.5]], [0.5, 0.5]]}, "transition"),
+     ({"input_dist": {"x": 1}}, "input_dist"), ({"input_dist": [0.5, None, "x"]}, "input_dist")],
+    ids=["p-null", "output-size-null", "m-fractional", "output-size-string",
+         "transition-object", "transition-ragged", "input-dist-object", "input-dist-string"],
 )
 def test_channel_from_dict_names_a_wrong_typed_field(edit, name):
     doc = dict(channel_to_dict(bec(0.5)), **edit)

@@ -116,6 +116,17 @@ def test_construct_with_nan_pi_exits_one(capsys):
     assert err == "error: pi must be finite, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "point, message", [(["nan", "0.3"], "z must be finite, got nan"),
+                       (["0.3", "inf"], "s must be finite, got inf")],
+    ids=["z-nan", "s-inf"],
+)
+def test_kernel_certify_non_finite_point_exits_one(capsys, point, message):
+    code, out, err = run_cli(capsys, "kernel", "--certify", *point, "--arikan")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_summary(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "--bec", "0.5", "--arikan", "--ell", "2", "--depth", "3",
@@ -203,6 +214,19 @@ def test_simulate_where_every_block_fails_exits_zero(capsys, spec_file):
     assert json.loads(out)["bler"] == 1
 
 
+@pytest.mark.parametrize(
+    "content", ['{"a": 1}', '[{"a": 1}, [0.5, 0.5]]'], ids=["object", "row-object"]
+)
+def test_decode_posteriors_not_numbers_exits_one(capsys, spec_file, tmp_path, content):
+    pfile = tmp_path / "post.json"
+    pfile.write_text(content)
+    code, out, err = run_cli(
+        capsys, "decode", "--spec", str(spec_file), "--posteriors", str(pfile), "--seed", "3"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: a posteriors file must hold an (N, q) array of numbers\n"
+
+
 # ---- process
 
 def test_process_stats(capsys):
@@ -230,6 +254,23 @@ def test_process_without_paths_exits_one(capsys):
     assert err == "error: need at least one path, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--depth", "-1"], "depth must be at least 0, got -1"),
+     (["--depth", "2", "--quantize", "-5"], "quantize resolution must be at least 1, got -5"),
+     (["--depth", "2", "--low", "0.9", "--high", "0.1"],
+      "thresholds must satisfy 0 <= low < high <= 1, got 0.9 and 0.1"),
+     (["--depth", "-1", "--trace"], "depth must be at least 0, got -1")],
+    ids=["depth-negative", "quantize-negative", "thresholds-swapped", "trace-depth-negative"],
+)
+def test_process_bad_input_exits_one(capsys, extra, message):
+    code, out, err = run_cli(
+        capsys, "process", "--bec", "0.5", "--arikan", "--paths", "3", "--seed", "1", *extra
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_process_trace_csv(capsys):
     code, out, _ = run_cli(
         capsys, "process", "--bec", "0.5", "--arikan", "--depth", "4", "--seed", "9",
@@ -241,6 +282,7 @@ def test_process_trace_csv(capsys):
     assert len(lines) == 6  # header + root + 4 steps
     first = lines[1].split(",")
     assert first[0] == "0" and first[2] == "0.5" and first[-1] == "1"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
 
 # ---- verify battery
@@ -364,8 +406,9 @@ def test_params_non_finite_channel_file_exits_one(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "edit, name",
-    [({"p": None}, "p"), ({"output_size": None}, "output_size"), ({"m": 1.5}, "m")],
-    ids=["p-null", "output-size-null", "m-fractional"],
+    [({"p": None}, "p"), ({"output_size": None}, "output_size"), ({"m": 1.5}, "m"),
+     ({"input_dist": {"x": 1}}, "input_dist")],
+    ids=["p-null", "output-size-null", "m-fractional", "input-dist-object"],
 )
 def test_params_wrong_typed_channel_field_exits_one(capsys, tmp_path, edit, name):
     cfile = tmp_path / "chan.json"

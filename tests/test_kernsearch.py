@@ -154,6 +154,38 @@ def test_empirical_failure_rate_needs_a_trial():
         empirical_failure_rate(4, 2, 0.3, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("z, s", [(math.nan, 0.3), (0.3, math.inf), (-math.inf, 0.3)])
+def test_certify_ldp_refuses_a_non_finite_point(z, s):
+    name = "z" if not math.isfinite(z) else "s"
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        certify_ldp(ARIKAN, z, s)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_empirical_failure_rate_refuses_a_non_finite_z(z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        empirical_failure_rate(4, 2, z, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("ell, q, z", [(8, 2, 0.3), (5, 3, 0.6), (4, 4, 0.1)])
+def test_empirical_failure_rate_fails_what_certify_ldp_fails_on_the_primal_side(ell, q, z):
+    rep = empirical_failure_rate(ell, q, z, 15, np.random.default_rng(21))
+    # replay the same kernel draws through the full certificate
+    field = field_make(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    rng = np.random.default_rng(21)
+    failed = []
+    for _ in range(15):
+        kern = sample_invertible(field, ell, rng)
+        records = certify_ldp(kern, z, z)["records"]
+        if any(
+            (r["phase1_required"] and r["min_weight"] < r["d"]) or not r["ldp_z_ok"]
+            for r in records
+        ):
+            failed.append(kern.entries.tolist())
+    assert [w["matrix"] for w in rep["witnesses"]] == failed
+    assert rep["rate"] == len(failed) / 15
+
+
 def test_policy_configs():
     pol = FixedKernel(kernel=ARIKAN)
     assert pol.kernel.ell == 2

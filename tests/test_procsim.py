@@ -15,7 +15,6 @@ from qpolar.procsim import (
     gadget_bound,
     polarization_stats,
     sample_path,
-    trace_rows,
 )
 from qpolar.transform import transform
 
@@ -116,20 +115,49 @@ def test_polarization_stats_needs_a_path():
         polarization_stats(bec(0.5), FixedKernel(ARIKAN), 2, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "n, resolution, match",
+    [(-1, None, "depth must be at least 0"), (2, 0, "resolution must be at least 1"),
+     (2, -5, "resolution must be at least 1")],
+    ids=["depth-negative", "resolution-zero", "resolution-negative"],
+)
+def test_process_refuses_a_bad_depth_or_resolution(n, resolution, match):
+    policy = FixedKernel(ARIKAN)
+    with pytest.raises(ValueError, match=match):
+        sample_path(bec(0.5), policy, n, np.random.default_rng(0), quantize_resolution=resolution)
+    with pytest.raises(ValueError, match=match):
+        polarization_stats(
+            bec(0.5), policy, n, 3, np.random.default_rng(0), quantize_resolution=resolution
+        )
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [(0.9, 0.1), (0.5, 0.5), (-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5)],
+    ids=["swapped", "equal", "low-negative", "high-above-one", "low-nan"],
+)
+def test_polarization_stats_refuses_bad_thresholds(thresholds):
+    with pytest.raises(ValueError, match="thresholds must satisfy"):
+        polarization_stats(
+            bec(0.5), FixedKernel(ARIKAN), 2, 3, np.random.default_rng(0), thresholds=thresholds
+        )
+
+
+def test_depth_zero_is_the_root_alone():
+    trace = sample_path(bec(0.5), FixedKernel(ARIKAN), 0, np.random.default_rng(0))
+    assert trace.path == () and trace.final.H == 0.5
+    stats = polarization_stats(
+        bec(0.5), FixedKernel(ARIKAN), 0, 2, np.random.default_rng(0), thresholds=(0.0, 1.0)
+    )
+    assert stats["depth"] == 0 and stats["frac_middle"] == 1.0
+
+
 def test_sample_path_search_policy_runs():
     rng = np.random.default_rng(11)
     trace = sample_path(bec(0.5), SearchKernels(ell=2, budget=50), 3, rng)
     assert len(trace.steps) == 4
     assert all(s.exact for s in trace.steps)
     assert all(1 <= p <= 2 for p in trace.path)
-
-
-def test_trace_rows_shape():
-    trace = sample_path(bec(0.5), FixedKernel(ARIKAN), 3, np.random.default_rng(1))
-    rows = trace_rows(trace)
-    assert len(rows) == 4
-    assert set(rows[0]) == {"depth", "position", "H", "Zmad", "Smax", "output_size", "exact"}
-    assert rows[0]["depth"] == 0 and rows[-1]["depth"] == 3
 
 
 # ---- endpoint statistics
