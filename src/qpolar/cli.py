@@ -41,12 +41,7 @@ from .codec import (
     simulate_counts,
     summarize_counts,
 )
-from .ftpc import (
-    coset_enumerator,
-    dual_coset_enumerator,
-    verify_ftpcs,
-    verify_ftpcz,
-)
+from .ftpc import coset_enumerators, dual_coset_enumerators, verify_ftpcs, verify_ftpcz
 from .gf import Kernel, arikan_kernel, field_make, mat_invert, sample_invertible
 from .kernsearch import FixedKernel, SearchKernels, certify_ldp, search
 from .params import holder_report, param_vector, quadratic_check
@@ -240,15 +235,12 @@ def _cmd_kernel(args) -> int:
         _emit(certify_ldp(kern, z, s))
         return 0
     kern = _resolve_kernel(args)
-    rows = []
-    for i in range(1, kern.ell + 1):
-        rows.append(
-            {
-                "position": i,
-                "min_weight": coset_enumerator(kern, i).min_weight,
-                "dual_min_weight": dual_coset_enumerator(kern, i).min_weight,
-            }
+    rows = [
+        {"position": i, "min_weight": prim.min_weight, "dual_min_weight": dual.min_weight}
+        for i, (prim, dual) in enumerate(
+            zip(coset_enumerators(kern), dual_coset_enumerators(kern)), start=1
         )
+    ]
     _emit({"ell": kern.ell, "q": kern.field.q, "positions": rows})
     return 0
 

@@ -8,14 +8,25 @@ worst-case character correlation the same way.  Both admit a closed
 reciprocity: the dual of G at i equals the primal of the row-and-column
 reversed inverse-transpose at position ell+1-i.
 
+Every position of one side comes from one nested sweep of the rows, from
+the last up: level j is the span S_j = span(g_j..g_ell), made by adding the
+q multiples of g_j to every word of S_(j+1), and the coset at j is its
+multiplier-1 slice g_j + S_(j+1).  The dual side is the same sweep over the
+rows of the inverse-transpose in reverse order.  Once a level fills a block
+of 2^16 words it is frozen, and the positions above it nest a span of
+offsets instead, each batch of which is added to the block in one step, so
+no step holds more than 2^16 words.  A single position runs the same sweep
+over rows i..ell (rows i..1 on the dual side) and weighs only its own coset.
+
 A coset word is enumerated packed: ceil(ell / (64 // (m b))) uint64 lanes,
 each holding whole symbols of m digit fields of b bits.  Over GF(2^m) a
 symbol is its own m bits (b = 1) and the field add is XOR; over odd p each
 digit carries a guard bit (b = bit_length(p - 1) + 1) and the add is one
 SWAR pass over the whole word: s = a + c, minus p in every digit whose
 guard bit s + (2^(b-1) - p) sets.  The weight OR-folds each symbol onto its
-lowest bit and counts the bits.  A word takes 8 bytes up to ell = 64 // (m b)
-(32 symbols over GF(4), 21 over GF(3)), against 8 ell bytes as int64 symbols.
+lowest bit and counts the bits; a one-bit GF(2) symbol is counted as it is.
+A word takes 8 bytes up to ell = 64 // (m b) (32 symbols over GF(4), 21
+over GF(3)), against 8 ell bytes as int64 symbols.
 
 The verify_* helpers recompute the synthesized channel from scratch — they
 never trust caller-provided parameter values — and report lhs/rhs/pass.
@@ -41,7 +52,9 @@ _BLOCK_WORDS = 1 << 16
 __all__ = [
     "WeightEnumerator",
     "coset_enumerator",
+    "coset_enumerators",
     "dual_coset_enumerator",
+    "dual_coset_enumerators",
     "verify_ftpcz",
     "verify_ftpcs",
     "ENUM_GUARD",
@@ -134,56 +147,70 @@ class _Packing:
 
     def weights(self, words: np.ndarray) -> np.ndarray:
         """Hamming weight of each packed word: its count of nonzero symbols."""
-        for shift in self.folds:
-            words = words | (words >> shift)
-        counts = np.bitwise_count(words & self.low_bits)
+        if self.width > 1:
+            for shift in self.folds:
+                words = words | (words >> shift)
+            words = words & self.low_bits
+        counts = np.bitwise_count(words)
         if self.lanes == 1:
             return counts[..., 0]
         return counts.sum(axis=-1, dtype=np.intp)
 
 
-def _span(packing: _Packing, multiples: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Every packed word start + c_1 r_1 + ... + c_k r_k, one row per word.
+def _weigh(
+    packing: _Packing, offsets: np.ndarray, block: np.ndarray | None, ell: int
+) -> WeightEnumerator:
+    """Weight histogram of the words offset + b, b in the block (the offsets alone if None).
 
-    ``multiples[j]`` holds the q packed multiples of row r_j.  Nested from the
-    last row to the first: each level adds the q multiples of one row to every
-    word built so far.
+    Each batch of offsets is added to the whole block in one step, so no step
+    holds more than 2^16 words.
     """
-    words = start
-    for row in multiples[::-1]:
-        words = packing.add(row[:, None, :], words[None, :, :]).reshape(-1, packing.lanes)
-    return words
-
-
-def _coset_weights(field: FieldSpec, lead: np.ndarray, free: np.ndarray) -> WeightEnumerator:
-    """Weight histogram of the coset lead + span(free rows).
-
-    The q multiples of the lead and of every free row come from one field
-    multiply and are packed once.  The trailing free rows span a block of at
-    most 2^16 words, the leading ones a set of offsets containing ``lead``;
-    each batch of offsets is added to the block in one step, so no step holds
-    more than 2^16 words.
-    """
-    q, ell = field.q, lead.size
-    count = q ** len(free)
-    if count > ENUM_GUARD:
-        raise ValueError(f"coset of size {count} exceeds enumeration guard {ENUM_GUARD}")
-    packing = _Packing(field, ell)
-    rows = np.concatenate([lead[None, :], free])
-    multiples = packing.pack(field.mul(field.elements[None, :, None], rows[:, None, :]))
-    in_block = 0
-    while in_block < len(free) and q ** (in_block + 1) <= _BLOCK_WORDS:
-        in_block += 1
-    split = len(free) - in_block
-    block = _span(packing, multiples[1 + split :], np.zeros((1, packing.lanes), dtype=np.uint64))
-    # the lead is row 0 of ``rows`` at multiplier 1
-    offsets = _span(packing, multiples[1 : 1 + split], multiples[0, 1:2])
+    if block is None:
+        counts = np.bincount(packing.weights(offsets), minlength=ell + 1)
+        return WeightEnumerator(ell=ell, counts=counts)
     step = _BLOCK_WORDS // len(block)
     counts = np.zeros(ell + 1, dtype=np.int64)
     for first in range(0, len(offsets), step):
-        words = packing.add(offsets[first : first + step, None, :], block[None, :, :])
-        counts += np.bincount(packing.weights(words).ravel(), minlength=ell + 1)
+        # no name holds the batch, so it is freed before bincount widens the weights
+        weights = packing.weights(
+            packing.add(offsets[first : first + step, None, :], block[None, :, :])
+        )
+        counts += np.bincount(weights.ravel(), minlength=ell + 1)
     return WeightEnumerator(ell=ell, counts=counts)
+
+
+def _sweep(field: FieldSpec, rows: np.ndarray, every: bool) -> list[WeightEnumerator]:
+    """Weight histograms of the cosets rows[t] + span(rows[t+1:]), t = 0 .. n-1.
+
+    One nested sweep from the last row up: level t adds the q multiples of
+    rows[t] to the span below it, and the coset at t is the multiplier-1 slice
+    of that level.  Once the span fills a 2^16-word block it is frozen, and
+    the levels above nest a fresh span of offsets that are added to the block
+    batch by batch.  The first row's level is never built in full, only its
+    coset.  With ``every`` False only that coset is weighed, and the span
+    starts from rows[0] so that its last level already is the coset.  Raises
+    ``ValueError`` when the first coset exceeds ``ENUM_GUARD``.
+    """
+    q, (n, ell) = field.q, rows.shape
+    count = q ** (n - 1)
+    if count > ENUM_GUARD:
+        raise ValueError(f"coset of size {count} exceeds enumeration guard {ENUM_GUARD}")
+    packing = _Packing(field, ell)
+    multiples = packing.pack(field.mul(field.elements[None, :, None], rows[:, None, :]))
+    zero = np.zeros((1, packing.lanes), dtype=np.uint64)
+    lead = multiples[0, 1:2]
+    span = zero if every else lead
+    block = None
+    enums = []
+    for t in range(n - 1, 0, -1):
+        level = packing.add(multiples[t][:, None, :], span[None, :, :])
+        if every:
+            enums.append(_weigh(packing, level[1], block, ell))
+        span = level.reshape(-1, packing.lanes)
+        if block is None and t > 1 and len(span) * q > _BLOCK_WORDS:
+            block, span = span, zero
+    enums.append(_weigh(packing, packing.add(lead, span) if every else span, block, ell))
+    return enums[::-1]
 
 
 def _check_position(kernel: Kernel, i: int) -> None:
@@ -191,18 +218,26 @@ def _check_position(kernel: Kernel, i: int) -> None:
         raise ValueError(f"position {i} outside 1..{kernel.ell}")
 
 
+def coset_enumerators(kernel: Kernel) -> list[WeightEnumerator]:
+    """Primal enumerators of every position, in order 1..ell, from one sweep."""
+    return _sweep(kernel.field, kernel.entries, every=True)
+
+
+def dual_coset_enumerators(kernel: Kernel) -> list[WeightEnumerator]:
+    """Dual enumerators of every position, in order 1..ell, from one sweep."""
+    return _sweep(kernel.field, kernel.inv_transpose[::-1], every=True)[::-1]
+
+
 def coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Primal enumerator: words (0^(i-1), 1, free suffix) @ G."""
     _check_position(kernel, i)
-    rows = kernel.entries
-    return _coset_weights(kernel.field, rows[i - 1], rows[i:])
+    return _sweep(kernel.field, kernel.entries[i - 1 :], every=False)[0]
 
 
 def dual_coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Dual enumerator: words (free prefix, 1, 0^(ell-i)) @ G^-T."""
     _check_position(kernel, i)
-    rows = kernel.inv_transpose
-    return _coset_weights(kernel.field, rows[i - 1], rows[: i - 1])
+    return _sweep(kernel.field, kernel.inv_transpose[i - 1 :: -1], every=False)[0]
 
 
 def _verify(W: Channel, kernel: Kernel, i: int, param: str, enumerator) -> dict:

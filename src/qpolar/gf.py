@@ -11,9 +11,13 @@ every machine.
 
 Multiplication uses discrete log/exp tables over a primitive element, and
 the negation, inverse, trace and character tables are lookups into them, so
-no q-by-q table is ever materialised.  Building a field is the scalar
-bootstrap of log/exp: about 0.2 s for GF(2^12) and 3.4 s for GF(2^16) on a
-2-vCPU Xeon VM, once per process.
+no q-by-q table is ever materialised.  For m > 1 a product is the single
+lookup exp_z[log_z[a] + log_z[b]].  log_z is the log table with log 0 set to
+2q - 1.  exp_z holds two periods of the exp table, so a sum of two logs needs
+no reduction mod q - 1, followed by a zero tail (4q - 1 entries in all), so
+a product with a zero factor lands in the tail and needs no mask.  Building a
+field is the scalar bootstrap of log/exp: about 0.2 s for GF(2^12) and
+3.4 s for GF(2^16) on a 2-vCPU Xeon VM, once per process.
 """
 
 from __future__ import annotations
@@ -146,6 +150,13 @@ class FieldSpec:
         log_t, exp_t = self._build_log_exp()
         object.__setattr__(self, "_log_t", log_t)
         object.__setattr__(self, "_exp_t", exp_t)
+        if m > 1:  # the zero-sentinel tables of mul (see the module docstring)
+            log_z = log_t.copy()
+            log_z[0] = 2 * q - 1
+            exp_z = np.zeros(4 * q - 1, dtype=np.int64)
+            exp_z[: 2 * (q - 1)] = np.tile(exp_t, 2)
+            object.__setattr__(self, "_log_z", log_z)
+            object.__setattr__(self, "_exp_z", exp_z)
         # every other table is a lookup into log/exp: -a = a (p - 1),
         # a^-1 = g^(-log a), and Tr(a) = sum_j a^(p^j) over the m Frobenius powers
         object.__setattr__(self, "_neg_t", self.mul(self.elements, p - 1))
@@ -228,11 +239,7 @@ class FieldSpec:
     def mul(self, a, b):
         if self.m == 1:
             return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
-        a = np.asarray(a)
-        b = np.asarray(b)
-        nz = (a != 0) & (b != 0)
-        logs = (self._log_t[a * nz] + self._log_t[b * nz]) % (self.q - 1)
-        return np.where(nz, self._exp_t[logs], 0)
+        return self._exp_z[self._log_z[a] + self._log_z[b]]
 
     def inv(self, a):
         if np.any(np.asarray(a) == 0):
@@ -361,7 +368,7 @@ def mat_invert(spec: FieldSpec, entries) -> Kernel:
         piv = col + int(piv_rows[0])
         if piv != col:
             work[[col, piv]] = work[[piv, col]]
-        work[col] = spec.mul(spec.inv(int(work[col, col])), work[col])
+        work[col] = spec.mul(spec._inv_t[work[col, col]], work[col])
         factors = work[:, col].copy()
         factors[col] = 0
         work = spec.sub(work, spec.mul(factors[:, None], work[col][None, :]))

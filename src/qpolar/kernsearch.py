@@ -14,8 +14,9 @@ below 4 ell^(alpha - 1/2).  At desk scales that right-hand side exceeds the
 trivial cap (1/2)^alpha, which the report flags honestly.
 
 `search` rejection-samples uniform invertible kernels until one certifies
-against both supplied channels; every rejected candidate can carry a
-re-verifiable witness (the first violated inequality, with its numbers).
+against both supplied channels, from one primal and one dual enumerator
+sweep per candidate; every rejected candidate can carry a re-verifiable
+witness (the first violated inequality, with its numbers).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .ftpc import WeightEnumerator, coset_enumerator, dual_coset_enumerator
+from .ftpc import WeightEnumerator, coset_enumerators, dual_coset_enumerators
 from .gf import Kernel, _prime_factors, field_make, sample_invertible
 from .params import param_vector
 from .transform import transform_all
@@ -76,10 +77,17 @@ def _spread(entropies, alpha: float) -> float:
     return float(np.mean(np.clip(np.minimum(h, 1.0 - h), 0.0, None) ** alpha))
 
 
-def _check_finite(**point: float) -> None:
+def _check_point(**point: float) -> None:
+    """Refuse an operating point that is not finite or lies outside [0, 1].
+
+    The upper end has 1e-9 of slack: Zmad of a flattened binary channel can
+    round to 1.0000000000000002.
+    """
     for name, x in point.items():
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
+        if not 0.0 <= x <= 1.0 + 1e-9:
+            raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
 def _phases(enum: WeightEnumerator, i: int, q: int, x: float) -> tuple[bool, float, float, bool]:
@@ -97,20 +105,13 @@ def _phases(enum: WeightEnumerator, i: int, q: int, x: float) -> tuple[bool, flo
     return i * i <= 3 * ell or enum.min_weight >= d, lhs, rhs, lhs <= rhs + 1e-12
 
 
-def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
-    """Two-phase certificate of a kernel at operating point (z, s).
-
-    Returns {"ell", "q", "z", "s", "records", "pass"}; each per-position
-    record carries the distance target, both minimum weights, and the four
-    numbers of the two polynomial comparisons.  Raises ``ValueError`` when
-    z or s is not finite.
-    """
-    _check_finite(z=z, s=s)
+def _ldp_report(
+    kernel: Kernel, prims: list[WeightEnumerator], duals: list[WeightEnumerator], z: float, s: float
+) -> dict:
+    """The certificate of ``certify_ldp`` from the kernel's enumerators of both sides."""
     ell, q = kernel.ell, kernel.field.q
     records = []
-    for i in range(1, ell + 1):
-        prim = coset_enumerator(kernel, i)
-        dual = dual_coset_enumerator(kernel, ell + 1 - i)
+    for i, (prim, dual) in enumerate(zip(prims, duals[::-1]), start=1):
         prim_ok, z_lhs, z_rhs, z_ok = _phases(prim, i, q, z)
         dual_ok, s_lhs, s_rhs, s_ok = _phases(dual, i, q, s)
         rec = {
@@ -137,6 +138,18 @@ def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
         "records": records,
         "pass": all(r["pass"] for r in records),
     }
+
+
+def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
+    """Two-phase certificate of a kernel at operating point (z, s).
+
+    Returns {"ell", "q", "z", "s", "records", "pass"}; each per-position
+    record carries the distance target, both minimum weights, and the four
+    numbers of the two polynomial comparisons.  Raises ``ValueError`` when
+    z or s is not finite or lies outside [0, 1].
+    """
+    _check_point(z=z, s=s)
+    return _ldp_report(kernel, coset_enumerators(kernel), dual_coset_enumerators(kernel), z, s)
 
 
 def certify_clt(kernel: Kernel, W: Channel) -> dict:
@@ -220,8 +233,9 @@ def search(
     pv = param_vector(Vnode)
     for _ in range(budget):
         cand = sample_invertible(field, ell, rng)
-        rep_w = certify_ldp(cand, pw.Zmad, pw.Smax)
-        rep_v = certify_ldp(cand, pv.Zmad, pv.Smax)
+        prims, duals = coset_enumerators(cand), dual_coset_enumerators(cand)
+        rep_w = _ldp_report(cand, prims, duals, pw.Zmad, pw.Smax)
+        rep_v = _ldp_report(cand, prims, duals, pv.Zmad, pv.Smax)
         witness = _first_violation(rep_w, "data") or _first_violation(rep_v, "randomness")
         if witness is None and ell >= 3:
             for side, ch in (("data", Wnode), ("randomness", Vnode)):
@@ -255,11 +269,12 @@ def empirical_failure_rate(
     or the phase-II overlap polynomial bound at z.  The theoretical ceiling
     3 q^(-sqrt(ell)/13) is reported; ``binding`` is False when that ceiling
     reaches 1 (vacuous).  Every failure carries a re-verifiable witness.
-    Raises ``ValueError`` for fewer than one trial, whose rate is undefined.
+    Raises ``ValueError`` for fewer than one trial, whose rate is undefined,
+    and for a z that is not finite or lies outside [0, 1].
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    _check_finite(z=z)
+    _check_point(z=z)
     primes = _prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
@@ -269,8 +284,7 @@ def empirical_failure_rate(
     witnesses: list[dict] = []
     for _ in range(trials):
         kern = sample_invertible(field, ell, rng)
-        for i in range(1, ell + 1):
-            prim = coset_enumerator(kern, i)
+        for i, prim in enumerate(coset_enumerators(kern), start=1):
             phase1_ok, lhs, rhs, phase2_ok = _phases(prim, i, q, z)
             if not phase1_ok:
                 witness = {

@@ -127,6 +127,18 @@ def test_kernel_certify_non_finite_point_exits_one(capsys, point, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "point, message", [(["1e300", "0.3"], "z must lie in [0, 1], got 1e+300"),
+                       (["-0.5", "0.3"], "z must lie in [0, 1], got -0.5"),
+                       (["0.3", "1.5"], "s must lie in [0, 1], got 1.5")],
+    ids=["z-huge", "z-negative", "s-above-one"],
+)
+def test_kernel_certify_point_outside_the_unit_interval_exits_one(capsys, point, message):
+    code, out, err = run_cli(capsys, "kernel", "--certify", *point, "--arikan")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_construct_summary(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "--bec", "0.5", "--arikan", "--ell", "2", "--depth", "3",

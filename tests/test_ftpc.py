@@ -13,11 +13,14 @@ from qpolar.channel import bec, random_channel
 from qpolar.ftpc import (
     WeightEnumerator,
     coset_enumerator,
+    coset_enumerators,
     dual_coset_enumerator,
+    dual_coset_enumerators,
     verify_ftpcs,
     verify_ftpcz,
 )
 from qpolar.gf import arikan_kernel, field_make, field_matmul, mat_invert, sample_invertible
+from qpolar.kernsearch import certify_ldp
 
 ARIKAN = arikan_kernel(field_make(2))
 
@@ -57,6 +60,20 @@ def _assert_matches_reference(kern, i):
         dual_coset_enumerator(kern, i).counts,
         _coset_weights_reference(kern.inv_transpose, kern, i, free_tail=False).counts,
     )
+
+
+def _assert_sweeps_match_reference(kern):
+    prims, duals = coset_enumerators(kern), dual_coset_enumerators(kern)
+    assert len(prims) == len(duals) == kern.ell
+    for i in range(1, kern.ell + 1):
+        np.testing.assert_array_equal(
+            prims[i - 1].counts,
+            _coset_weights_reference(kern.entries, kern, i, free_tail=True).counts,
+        )
+        np.testing.assert_array_equal(
+            duals[i - 1].counts,
+            _coset_weights_reference(kern.inv_transpose, kern, i, free_tail=False).counts,
+        )
 
 
 def _reversed_dual_kernel(kernel):
@@ -122,6 +139,23 @@ def test_enumeration_guard(monkeypatch):
         coset_enumerator(kern, 9)
 
 
+@pytest.mark.parametrize("pm, ell", [((2, 1), 8), ((3, 1), 5), ((2, 2), 4)])
+def test_sweeps_share_the_guard_of_the_largest_coset(monkeypatch, pm, ell):
+    # the sweeps hold the cosets at primal 1 and dual ell, q^(ell-1) words each
+    kern = sample_invertible(field_make(*pm), ell, np.random.default_rng(1))
+    size = kern.field.q ** (ell - 1)
+    monkeypatch.setattr(ftpc, "ENUM_GUARD", size - 1)
+    message = f"coset of size {size} exceeds enumeration guard {size - 1}"
+    for call in (lambda: coset_enumerator(kern, 1), lambda: dual_coset_enumerator(kern, ell),
+                 lambda: coset_enumerators(kern), lambda: dual_coset_enumerators(kern)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    coset_enumerator(kern, 2)  # q^(ell-2) words stay within the guard
+    monkeypatch.setattr(ftpc, "ENUM_GUARD", size)
+    assert coset_enumerators(kern)[0].total == dual_coset_enumerators(kern)[-1].total == size
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_dual_primal_reciprocity(seed):
@@ -148,6 +182,29 @@ def test_enumerators_match_the_reference(pm, ell, seed):
     kern = sample_invertible(field_make(*pm), ell, np.random.default_rng(seed))
     for i in range(1, ell + 1):
         _assert_matches_reference(kern, i)
+
+
+# largest ell per field at which the reference enumerates every position
+# quickly: its biggest coset, q^(ell-1) words, stays near 2^16 to 2^18
+SWEEP_FIELDS = {(2, 1): 10, (3, 1): 10, (2, 2): 10, (5, 1): 8, (3, 2): 6}
+
+
+@given(st.sampled_from(sorted(SWEEP_FIELDS)), st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sweeps_match_the_reference_at_every_position(pm, ell, seed):
+    # GF(2, 3, 4, 5, 9): both sweeps against the full-coset reference
+    ell = min(ell, SWEEP_FIELDS[pm])
+    kern = sample_invertible(field_make(*pm), ell, np.random.default_rng(seed))
+    _assert_sweeps_match_reference(kern)
+
+
+@pytest.mark.parametrize("ell", [18, 20])
+def test_multi_block_sweeps_match_the_reference(ell):
+    # GF(2) fills a 2^16-word block with 16 rows, so the cosets of the first
+    # ell - 17 primal positions and the last ell - 17 dual ones are added to
+    # the block in batches of offsets
+    kern = sample_invertible(field_make(2), ell, np.random.default_rng(ell))
+    _assert_sweeps_match_reference(kern)
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -200,6 +257,12 @@ def test_multi_lane_words_match_the_reference(pm, ell):
             dual_coset_enumerator(kern, i).counts,
             _coset_weights_reference(kern.inv_transpose, kern, i, free_tail=False).counts,
         )
+    # the sweep engine over the same rows, every position weighed
+    tail = ftpc._sweep(field, kern.entries[ell - 3 :], every=True)
+    head = ftpc._sweep(field, kern.inv_transpose[2::-1], every=True)[::-1]
+    for k in range(3):
+        np.testing.assert_array_equal(tail[k].counts, coset_enumerator(kern, ell - 2 + k).counts)
+        np.testing.assert_array_equal(head[k].counts, dual_coset_enumerator(kern, k + 1).counts)
 
 
 def test_packed_enumeration_memory():
@@ -213,6 +276,20 @@ def test_packed_enumeration_memory():
         tracemalloc.stop()
     assert enum.total == 2**19
     assert peak < 8e6
+
+
+def test_certify_ldp_memory_both_sides():
+    # both sweeps of a GF(2) 20x20 kernel hold one 2^16-word block (512 kB)
+    # and one batch of as many words at a time
+    kern = sample_invertible(field_make(2), 20, np.random.default_rng(20))
+    certify_ldp(kern, 0.3, 0.3)
+    tracemalloc.start()
+    try:
+        certify_ldp(kern, 0.3, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 # ----------------------------------------------------------------- bounds

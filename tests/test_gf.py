@@ -207,6 +207,47 @@ def test_field_tables_match_the_scalar_reference(p, m):
         assert got.tobytes() == table.tobytes(), name
 
 
+def _masked_mul_reference(f, a, b):
+    """The GF(p^m) product as it was before the zero-sentinel tables."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    nz = (a != 0) & (b != 0)
+    logs = (f._log_t[a * nz] + f._log_t[b * nz]) % (f.q - 1)
+    return np.where(nz, f._exp_t[logs], 0)
+
+
+def _assert_mul_matches_the_masked_reference(f, a, b):
+    got, want = f.mul(a, b), _masked_mul_reference(f, a, b)
+    assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,m", PRIME_POWERS_TO_256)
+def test_mul_matches_the_masked_reference_on_every_pair(p, m):
+    f = field_make(p, m)
+    _assert_mul_matches_the_masked_reference(f, f.elements[:, None], f.elements[None, :])
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_mul_matches_the_masked_reference_on_sampled_pairs(m):
+    f = field_make(2, m)
+    rng = np.random.default_rng(m)
+    a = rng.integers(0, f.q, size=4096)
+    b = rng.integers(0, f.q, size=4096)
+    a[:64] = 0  # zero against anything, zero times zero among them
+    b[32:96] = 0
+    _assert_mul_matches_the_masked_reference(f, a, b)
+    _assert_mul_matches_the_masked_reference(f, a, b[::-1])
+
+
+def test_mul_keeps_dtype_and_shape_for_scalars_and_broadcasts():
+    f = field_make(3, 2)
+    row = np.arange(9)
+    for a, b in [(0, 5), (4, 7), (row, 0), (2, row), (row[:, None], row[None, :3]),
+                 (np.zeros((2, 0), dtype=np.int64), 3), ([1, 2], [[3], [0]])]:
+        _assert_mul_matches_the_masked_reference(f, a, b)
+
+
 # ---------------------------------------------------------------- kernels
 
 def test_arikan_kernel_is_self_inverse_over_f2():

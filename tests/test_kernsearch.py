@@ -17,6 +17,7 @@ from qpolar.kernsearch import (
     empirical_failure_rate,
     search,
 )
+from qpolar.params import param_vector
 
 F2 = field_make(2)
 ARIKAN = arikan_kernel(F2)
@@ -191,3 +192,74 @@ def test_policy_configs():
     assert pol.kernel.ell == 2
     sp = SearchKernels(ell=3, budget=50)
     assert sp.ell == 3 and sp.budget == 50
+
+
+# The full reports at (ell, q, z, trials) = (8, 4, 0.3, 20), as the
+# per-position enumerator computed them: any change to the order in which
+# positions are tried, or to a reported number, changes one of them.
+_GOLDEN_WITNESSES = {
+    1010: [
+        ("min_weight", 8, 3, 2, [[0, 1, 3, 3, 2, 1, 2, 1], [3, 1, 3, 0, 1, 2, 3, 3],
+                                 [2, 0, 1, 0, 3, 1, 3, 3], [2, 0, 3, 1, 2, 2, 2, 3],
+                                 [0, 3, 1, 3, 3, 2, 2, 2], [2, 0, 1, 2, 1, 3, 1, 3],
+                                 [3, 2, 2, 2, 1, 0, 1, 2], [1, 0, 0, 1, 0, 0, 0, 0]]),
+    ],
+    1011: [],
+    1012: [
+        ("min_weight", 8, 3, 1, [[1, 1, 2, 3, 1, 3, 2, 0], [3, 1, 3, 0, 0, 3, 0, 0],
+                                 [2, 3, 0, 2, 3, 3, 0, 0], [2, 1, 1, 3, 3, 0, 1, 0],
+                                 [0, 3, 0, 3, 2, 2, 2, 3], [2, 1, 0, 1, 0, 1, 0, 3],
+                                 [3, 1, 3, 3, 0, 2, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]]),
+        ("min_weight", 5, 2, 1, [[1, 3, 2, 2, 3, 0, 2, 2], [2, 3, 2, 1, 1, 1, 2, 0],
+                                 [2, 0, 3, 2, 1, 2, 0, 2], [2, 1, 0, 2, 2, 0, 1, 1],
+                                 [3, 1, 2, 1, 3, 2, 2, 3], [1, 0, 3, 0, 0, 0, 0, 3],
+                                 [0, 3, 2, 0, 3, 3, 0, 1], [2, 0, 3, 1, 1, 2, 1, 3]]),
+    ],
+    1013: [
+        ("min_weight", 5, 2, 1, [[1, 2, 0, 1, 2, 2, 0, 2], [0, 0, 1, 0, 0, 2, 1, 1],
+                                 [1, 1, 0, 3, 1, 2, 1, 0], [2, 2, 2, 2, 1, 0, 2, 1],
+                                 [0, 2, 0, 0, 3, 2, 1, 3], [2, 3, 3, 0, 3, 1, 2, 2],
+                                 [1, 1, 2, 3, 1, 3, 0, 2], [2, 2, 3, 3, 3, 3, 3, 2]]),
+    ],
+    1014: [],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_WITNESSES))
+def test_empirical_failure_rate_golden_reports(seed):
+    rep = empirical_failure_rate(8, 4, 0.3, 20, np.random.default_rng(seed))
+    want = [
+        {"reason": reason, "i": i, "d": d, "min_weight": w, "matrix": matrix}
+        for reason, i, d, w, matrix in _GOLDEN_WITNESSES[seed]
+    ]
+    assert rep == {
+        "rate": len(want) / 20,
+        "bound": 2.21886188135586,
+        "binding": False,
+        "trials": 20,
+        "witnesses": want,
+    }
+
+
+@pytest.mark.parametrize(
+    "z, s", [(-0.5, 0.3), (1e300, 0.3), (0.3, 1.5), (0.3, -1e-12), (1.0 + 2e-9, 0.3)]
+)
+def test_certify_ldp_refuses_a_point_outside_the_unit_interval(z, s):
+    name = "z" if not 0 <= z <= 1 else "s"
+    with pytest.raises(ValueError, match=f"{name} must lie in \\[0, 1\\]"):
+        certify_ldp(ARIKAN, z, s)
+
+
+@pytest.mark.parametrize("z", [-0.5, 1e300])
+def test_empirical_failure_rate_refuses_a_z_outside_the_unit_interval(z):
+    with pytest.raises(ValueError, match="z must lie in \\[0, 1\\]"):
+        empirical_failure_rate(4, 2, z, 5, np.random.default_rng(0))
+
+
+def test_certify_ldp_keeps_the_rounding_slack_above_one():
+    # Zmad of a flattened binary channel rounds to 1.0000000000000002, and
+    # search certifies the noise companion there
+    one = param_vector(flatten(bec(0.5))).Zmad
+    rep = certify_ldp(ARIKAN, one, 1.0)
+    assert rep["z"] == one and rep["s"] == 1.0
+    assert certify_ldp(ARIKAN, 0.0, 0.0)["pass"]
