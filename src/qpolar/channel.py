@@ -109,9 +109,10 @@ class Channel:
     def derived(self) -> "DerivedDists":
         """``derived_distributions(self)``, computed on first use and kept.
 
-        The arrays are read-only, so every reader can share them.
-        ``merge_outputs`` and ``quantize_merge`` call ``derived_distributions``
-        and keep nothing: their input is mostly a raw synthesis read once.
+        The arrays are read-only, so every reader can share them.  Merges
+        keep nothing, since their input is mostly a raw synthesis read once:
+        ``merge_outputs`` builds only a posterior, in its own buffer, and
+        ``quantize_merge`` calls ``derived_distributions`` directly.
         """
         return derived_distributions(self)
 
@@ -140,18 +141,34 @@ class DerivedDists:
 
 
 def derived_distributions(W: Channel) -> DerivedDists:
+    """The joint, output and posterior laws of W, as read-only arrays.
+
+    Holds two (q, M) arrays and one M vector: the joint, and the posterior
+    built by ``_posterior`` in its own buffer.
+    """
     joint = W.input_dist[:, None] * W.transition
-    output = joint.sum(axis=0)
-    q = W.q
-    with np.errstate(invalid="ignore", divide="ignore"):
-        posterior = joint / output[None, :]
-    dead = output <= 0.0
-    if np.any(dead):
-        posterior = posterior.copy()
-        posterior[:, dead] = 1.0 / q
+    posterior, output = _posterior(W)
     for arr in (joint, output, posterior):
         arr.setflags(write=False)
     return DerivedDists(joint=joint, output=output, posterior=posterior)
+
+
+def _posterior(W: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior P(x|y) in one fresh writable (q, M) buffer, and P(y).
+
+    The buffer is formed as the joint P(x) W(y|x), divided in place by its
+    column sums P(y), and its zero-mass columns are set uniform.  The one
+    posterior rule of the module: ``derived_distributions`` and
+    ``merge_outputs`` both call it.
+    """
+    post = W.input_dist[:, None] * W.transition
+    output = post.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        post /= output
+    dead = output <= 0.0
+    if dead.any():
+        post[:, dead] = 1.0 / W.q
+    return post, output
 
 
 def sample_outputs(W: Channel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -241,37 +258,48 @@ def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
     Summation order: each merged column adds its group's transition columns
     left to right in sorted order, bitwise equal to
     ``W.transition[:, group].sum(axis=1)``.
+
+    Memory: besides W and the result, one (q, N) float buffer (the
+    posterior, sorted in place one row at a time), two N float buffers,
+    two N index arrays (the sort order and the run heads) and a few N
+    booleans; every other temporary is one row long.
     """
-    post = derived_distributions(W).posterior
+    post = _posterior(W)[0]
     order = np.lexsort(post[::-1, :])
-    P = np.take(post, order, axis=1)  # C order: each posterior row is contiguous
-    gap = _sup_distance(P, slice(1, None), slice(None, -1))
-    start = np.ones(order.size, dtype=bool)
+    N = order.size
+    gap, diff = np.empty(N - 1), np.empty(N)
+    # sort in place, one contiguous row at a time; every index is in range,
+    # and mode="clip" gathers straight into ``out`` where the default mode
+    # would gather into a hidden copy first
+    for row in post:
+        row[:] = np.take(row, order, out=diff, mode="clip")
+    diff = diff[1:]
+    # the neighbour gaps: sup over x of |post[x, k] - post[x, k - 1]|
+    np.abs(np.subtract(post[0, 1:], post[0, :-1], out=gap), out=gap)
+    for row in post[1:]:
+        np.maximum(gap, np.abs(np.subtract(row[1:], row[:-1], out=diff), out=diff), out=gap)
+    start = np.ones(N, dtype=bool)
     start[1:] = ~(gap <= tol)
-    if ((gap > 0.0) & (gap <= tol)).any():
+    near_ties = ((gap > 0.0) & (gap <= tol)).any()
+    del gap
+    if near_ties:
         # compare each column with its run's head, and each head with the
-        # previous head; a mismatch with the run rule flags the column
-        heads = np.flatnonzero(start)
-        ref = heads[np.cumsum(start) - 1 - start]
-        bad = (_sup_distance(P, slice(None), ref) <= tol) == start
-        bad[0] = False
+        # previous head: both are the head of column k - 1's run, the
+        # running maximum of the head positions up to k - 1
+        head = np.arange(N)
+        head *= start
+        np.maximum.accumulate(head, out=head)
+        near = np.ones(N - 1, dtype=bool)
+        for row in post:
+            np.subtract(row[1:], np.take(row, head[:-1], out=diff, mode="clip"), out=diff)
+            near &= np.abs(diff, out=diff) <= tol
+        bad = np.zeros(N, dtype=bool)
+        bad[1:] = near == start[1:]  # a mismatch with the run rule flags the column
+        del head, near
         if bad.any():
-            _rescan_runs(P, tol, start, bad)
-    del post, P, gap  # free the (q, N) posteriors before _merge_runs gathers
+            _rescan_runs(post, tol, start, bad)
+    del post, diff  # free the posterior buffers before _merge_runs gathers
     return _merge_runs(W, order, start)
-
-
-def _sup_distance(P: np.ndarray, left, right) -> np.ndarray:
-    """Column-wise sup norm of ``P[:, left] - P[:, right]``, one row at a time.
-
-    Folding the rows with ``np.maximum`` keeps every temporary one row long;
-    the maximum is exact, so the result equals the (q, N) computation.
-    """
-    dist = np.abs(P[0, left] - P[0, right])
-    for row in P[1:]:
-        diff = row[left] - row[right]
-        np.maximum(dist, np.abs(diff, out=diff), out=dist)
-    return dist
 
 
 def _rescan_runs(P: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray) -> None:
@@ -309,23 +337,24 @@ def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
 
     ``start[k]`` marks the sorted position ``k`` that opens a new output.
     Each output column is ``W.transition[:, run].sum(axis=1)`` over its
-    run's columns in sorted order, bitwise: the transition is gathered once
-    in sorted order and each row is summed by one ``np.bincount`` over the
-    run indices, which adds every bin's weights in index order starting
-    from zero, so each run is added left to right
+    run's columns in sorted order, bitwise: each transition row is gathered
+    in sorted order and summed by one ``np.bincount`` over the run indices,
+    which adds every bin's weights in index order starting from zero, so
+    each run is added left to right
     (``test_run_sums_add_each_run_left_to_right`` pins this).  A sum over a
     contiguous axis would not be bitwise: numpy adds it pairwise, and
     ``np.add.reduceat`` is no better.  Returns ``W`` itself, in its
-    original column order, when nothing merges.
+    original column order, when nothing merges.  Memory: the run indices
+    and one gathered row, N long each, besides W and the result.
     """
-    runs = np.cumsum(start) - 1
+    runs = np.cumsum(start)
+    runs -= 1
     G = int(runs[-1]) + 1
     if G == order.size:
         return W
-    T = np.take(W.transition, order, axis=1)
     sums = np.empty((W.q, G))
-    for x, row in enumerate(T):
-        sums[x] = np.bincount(runs, weights=row, minlength=G)
+    for x, row in enumerate(W.transition):
+        sums[x] = np.bincount(runs, weights=row.take(order), minlength=G)
     return Channel._owned(W.field, sums, W.input_dist)
 
 

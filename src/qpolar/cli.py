@@ -203,8 +203,6 @@ def _cmd_params(args) -> int:
 def _cmd_transform(args) -> int:
     W = _resolve_channel(args)
     kern = _resolve_kernel(args, default_field=W.field if args.arikan else None)
-    if kern.field.q != W.q:
-        raise _CliError("kernel field does not match the channel")
     merge = not args.no_merge
     if args.index is not None:
         _emit(_child_doc(args.index, transform(W, kern, args.index, merge=merge)))

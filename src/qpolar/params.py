@@ -66,12 +66,6 @@ class ParamVector:
         }
 
 
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x*log(y) with the 0*log(0) = 0 convention."""
-    mask = x > 0
-    return np.where(mask, x * np.log(np.where(mask, y, 1.0)), 0.0)
-
-
 _FIELD_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -93,27 +87,58 @@ def _field_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def param_vector(W: Channel) -> ParamVector:
+    """The nine functionals of W at its input law (see the module table).
+
+    Memory: besides the law ``W.derived`` (kept on W), one (q, M) float
+    scratch buffer, ``sqrt(joint)`` while Z is taken, one M float buffer
+    and the (q, M) boolean mask ``joint > 0``; S's character product is the
+    exception, a complex (q, M) product of the posterior.  Each
+    functional is the same ufuncs in the same order as the plain
+    expression it stands for, written into the buffers: x log y with the
+    0 log 0 = 0 convention is ``where(joint > 0, x * log(where(joint > 0,
+    y, 1)), 0)``, so the bits do not depend on the buffering.
+    """
     q = W.q
     shifts, chi = _field_tables(W.field)
     d = W.derived
     joint, out, post = d.joint, d.output, d.posterior
     lnq = math.log(q)
+    live = joint > 0
+    buf = np.empty_like(joint)
 
-    H = float(-_xlogy(joint, post).sum()) / lnq
+    def xlogy(x: np.ndarray) -> float:
+        # buf holds y on the live entries and 1 elsewhere; log(1) = 0 stays 0
+        np.log(buf, out=buf)
+        np.multiply(x, buf, out=buf, where=live)
+        return float(buf.sum())
 
-    prod = W.input_dist[:, None] * out[None, :]
-    I = float(_xlogy(joint, np.where(joint > 0, joint / np.where(joint > 0, prod, 1.0), 1.0)).sum()) / lnq
+    buf.fill(1.0)
+    np.copyto(buf, post, where=live)
+    H = -xlogy(joint) / lnq
 
-    Pe = float((out * (1.0 - post.max(axis=0))).sum())
+    buf.fill(1.0)
+    np.multiply(W.input_dist[:, None], out, out=buf, where=live)
+    np.divide(joint, buf, out=buf, where=live)
+    I = xlogy(joint) / lnq
+
+    col = post.max(axis=0)
+    np.subtract(1.0, col, out=col)
+    Pe = float(np.multiply(out, col, out=col).sum())
 
     R = np.sqrt(joint)
     overlaps = np.empty(q - 1)
     for k, shift in enumerate(shifts):
-        overlaps[k] = float((R * R[shift, :]).sum())
+        # shift is in range: mode="clip" gathers straight into buf (the
+        # default mode gathers into a hidden copy first)
+        np.take(R, shift, axis=0, out=buf, mode="clip")
+        overlaps[k] = float(np.multiply(R, buf, out=buf).sum())
+    del R
     Z = float(overlaps.sum() / (q - 1))
     Zmad = float(overlaps.max())
 
-    T = float(np.abs(joint - out[None, :] / q).sum())
+    np.subtract(joint, np.divide(out, q, out=col), out=buf)
+    T = float(np.abs(buf, out=buf).sum())
+    del live, buf, col  # S's complex product sets the peak
 
     corr = np.abs(chi @ post)  # (q, M)
     weights = corr @ out

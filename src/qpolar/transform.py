@@ -34,10 +34,12 @@ def transform(W: Channel, kernel: Kernel, i: int, *, merge: bool = True) -> Chan
     pairs; a lossless posterior merge is applied before returning, so the
     output alphabet of the result is canonical up to relabeling.  Pass
     ``merge=False`` to keep the raw labels (handy for cross-checks against
-    the defining quotient).  Raises ``ValueError`` when the pre-merge
-    alphabet q^(i-1) * M^ell would exceed ``DEFAULT_GUARD`` (read at call
-    time).
+    the defining quotient).  Raises ``ValueError`` when the kernel is over
+    another field than W, or when the pre-merge alphabet q^(i-1) * M^ell
+    would exceed ``DEFAULT_GUARD`` (read at call time).
     """
+    if kernel.field.q != W.q:  # q = p^m names the field
+        raise ValueError(f"the kernel is over GF({kernel.field.q}) but the channel over GF({W.q})")
     ell = kernel.ell
     if not 1 <= i <= ell:
         raise ValueError(f"position {i} outside 1..{ell}")

@@ -522,6 +522,30 @@ def test_coarse_merge_of_a_synthesis_rescans_and_matches_the_dense_merge(tol, mo
     assert got.transition.tobytes() == _dense_merge_outputs(W, tol=tol).transition.tobytes()
 
 
+def test_merge_rescans_only_where_the_run_rule_breaks(monkeypatch):
+    # two pairs of posteriors 1e-14 apart: near ties, but every column is
+    # within tol of its run's head and the heads are far apart
+    rescans = []
+    monkeypatch.setattr(channel_mod, "_rescan_runs", lambda *a: rescans.append(a))
+    post0 = np.array([0.3, 0.3 + 1e-14, 0.6, 0.6 + 1e-14])
+    joint = np.vstack([post0, 1.0 - post0]) / 4
+    dist = joint.sum(axis=1)
+    W = make_channel(field_make(2), joint / dist[:, None], dist)
+    assert merge_outputs(W).output_size == 2
+    assert rescans == []
+
+
+def test_merge_keeps_apart_posteriors_that_share_only_their_first_row():
+    # exact dyadic posteriors (0.5, 0.125, 0.375) twice and (0.5, 0.375, 0.125):
+    # the first row has no gap at all, the others tell the outputs apart
+    trans = [[0.25, 0.5, 0.25], [0.125, 0.75, 0.125], [0.375, 0.25, 0.375]]
+    W = make_channel(field_make(3), trans, [0.5, 0.25, 0.25])
+    assert np.array_equal(derived_distributions(W).posterior[0], [0.5, 0.5, 0.5])
+    V = merge_outputs(W)
+    assert V.output_size == 2
+    assert np.array_equal(V.transition, _scan_merge_outputs(W).transition)
+
+
 @pytest.mark.parametrize("tol", [1e-12, 0.2])
 def test_merge_outputs_drift_chain_follows_first_member(tol):
     # neighbours 0.6 tol apart: the scan cuts the chain every second step

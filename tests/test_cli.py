@@ -443,6 +443,25 @@ def test_kernel_wrong_typed_field_exits_one(capsys, tmp_path, edit, name):
     assert err.startswith(f"error: kernel field {name} has the wrong type")
 
 
+@pytest.mark.parametrize("command", ["construct", "process", "transform"])
+@pytest.mark.parametrize("kernel_p, channel_p", [(3, 2), (2, 3)], ids=["gf3-kernel", "gf3-channel"])
+def test_kernel_over_another_field_exits_one(capsys, tmp_path, command, kernel_p, channel_p):
+    kfile, cfile = tmp_path / "kernel.json", tmp_path / "chan.json"
+    kfile.write_text(json.dumps({"p": kernel_p, "m": 1, "matrix": [[1, 0], [1, 1]]}))
+    trans = np.full((channel_p, 2), 0.5).tolist()
+    cfile.write_text(json.dumps({"p": channel_p, "m": 1, "transition": trans}))
+    extra = {
+        "construct": ["--ell", "2", "--depth", "2", "--pi", "0.2", "--seed", "1"],
+        "process": ["--depth", "2", "--paths", "3", "--seed", "1"],
+        "transform": [],
+    }[command]
+    code, out, err = run_cli(
+        capsys, command, "--channel", str(cfile), "--kernel", str(kfile), *extra
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: the kernel is over GF({kernel_p}) but the channel over GF({channel_p})\n"
+
+
 @pytest.mark.parametrize(
     "argv, kind",
     [(["kernel", "--kernel"], "kernel"), (["params", "--channel"], "channel"),

@@ -18,14 +18,17 @@ from qpolar.channel import (
     symmetrize,
     zchannel,
 )
-from qpolar.gf import field_make
+from qpolar.gf import field_make, sample_invertible
 from qpolar.params import (
+    ParamVector,
+    _field_tables,
     gallager_e0,
     holder_report,
     param_vector,
     quadratic_check,
     second_moment,
 )
+from qpolar.transform import transform
 
 LN2SQ = math.log(2) ** 2
 
@@ -127,6 +130,82 @@ def test_binary_collapse_is_exact():
         pv = param_vector(W)
         assert pv.Z == pv.Zmad
         assert pv.S == pv.Smax
+
+
+def _xlogy(x, y):
+    """x*log(y) with the 0*log(0) = 0 convention."""
+    mask = x > 0
+    return np.where(mask, x * np.log(np.where(mask, y, 1.0)), 0.0)
+
+
+def _param_vector_reference(W):
+    """Reference: ``param_vector`` as plain whole-array expressions, one temporary each."""
+    q = W.q
+    shifts, chi = _field_tables(W.field)
+    d = W.derived
+    joint, out, post = d.joint, d.output, d.posterior
+    lnq = math.log(q)
+
+    H = float(-_xlogy(joint, post).sum()) / lnq
+
+    prod = W.input_dist[:, None] * out[None, :]
+    I = float(_xlogy(joint, np.where(joint > 0, joint / np.where(joint > 0, prod, 1.0), 1.0)).sum()) / lnq
+
+    Pe = float((out * (1.0 - post.max(axis=0))).sum())
+
+    R = np.sqrt(joint)
+    overlaps = np.empty(q - 1)
+    for k, shift in enumerate(shifts):
+        overlaps[k] = float((R * R[shift, :]).sum())
+    Z = float(overlaps.sum() / (q - 1))
+    Zmad = float(overlaps.max())
+
+    T = float(np.abs(joint - out[None, :] / q).sum())
+
+    corr = np.abs(chi @ post)  # (q, M)
+    weights = corr @ out
+    S = float(weights[1:].mean())
+    Smax = float(weights[1:].max())
+
+    return ParamVector(q=q, H=H, I=I, Pe=Pe, Z=Z, Zmad=Zmad, T=T, S=S, Smax=Smax)
+
+
+_PV_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
+
+
+@st.composite
+def param_cases(draw):
+    """A channel over GF(2, 3, 4, 5, 7, 9) with 1 to 300 outputs, or a merged synthesis.
+
+    Transition entries are zeroed at random and some outputs are dead (zero
+    in every row); the input law is uniform, random, or random with
+    zero-mass symbols, which kill more outputs.  A synthesis is taken at a
+    random position of a random 2x2 kernel from a channel of 1 to 8 outputs.
+    """
+    field = field_make(*draw(st.sampled_from(_PV_FIELDS)))
+    q = field.q
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    synthesize = draw(st.booleans())
+    M = draw(st.integers(1, 8 if synthesize else 300))
+    T = rng.dirichlet(np.ones(M), size=q) * (rng.random((q, M)) < 0.7)
+    T[:, rng.random(M) < 0.2] = 0.0
+    T[np.arange(q), rng.integers(0, M, q)] += 0.5  # every row keeps some mass
+    T /= T.sum(axis=1, keepdims=True)
+    law = draw(st.sampled_from(["uniform", "random", "zeros"]))
+    dist = np.full(q, 1.0 / q) if law == "uniform" else rng.dirichlet(np.ones(q))
+    if law == "zeros":
+        dist[rng.random(q) < 0.5] = 0.0
+        dist[int(rng.integers(q))] += 1.0 - dist.sum()
+    W = make_channel(field, T, dist / dist.sum())
+    if synthesize:
+        W = transform(W, sample_invertible(field, 2, rng), draw(st.integers(1, 2)))
+    return W
+
+
+@given(param_cases())
+@settings(max_examples=300, deadline=None)
+def test_param_vector_matches_the_reference_bitwise(W):
+    assert param_vector(W) == _param_vector_reference(W)
 
 
 # --------------------------------------------------------- inequality web

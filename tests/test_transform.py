@@ -219,39 +219,72 @@ def test_transform_matches_word_loop_bitwise(case, merge):
 
 # ------------------------------------------------------------ bookkeeping
 
-def test_largest_construct_node_stays_under_its_memory_bound():
-    # the biggest synthesis of construct on Z(0.3) at n=5: 288,800 raw outputs
+def _largest_construct_parent():
+    """The parent of the biggest synthesis of construct on Z(0.3) at n=5."""
     W = zchannel(0.3)
     W = W.with_input(capacity_input(W))
     for k in (1, 2, 1, 2):
         W = transform(W, ARIKAN, k)
+    return W
+
+
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        child = transform(W, ARIKAN, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_largest_construct_node_stays_under_its_memory_bound():
+    # 288,800 raw outputs merged to 22,801: the raw law, then one posterior
+    # buffer, the sort order, two N buffers and the run heads of the merge
+    W = _largest_construct_parent()
+    child, peak = _traced_peak(lambda: transform(W, ARIKAN, 2))
     assert (W.output_size, child.output_size) == (380, 22801)
-    assert peak < 34e6
+    assert peak < 22e6
+
+
+def test_param_vector_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
+    # the law it keeps (joint, posterior, output), then one scratch buffer,
+    # sqrt(joint) and one N buffer; S's complex product sets the peak
+    raw = transform(_largest_construct_parent(), ARIKAN, 2, merge=False)
+    _, peak = _traced_peak(lambda: param_vector(raw))
+    assert raw.output_size == 288_800
+    assert peak < 32e6
 
 
 def test_the_law_is_kept_on_merged_channels_and_not_on_raw_syntheses(monkeypatch):
     import qpolar.channel as channel_module
 
-    seen = []
-    real = channel_module.derived_distributions
+    built, raws = [], []
+    real_law, real_merge = channel_module.derived_distributions, transform_module.merge_outputs
     monkeypatch.setattr(
-        channel_module, "derived_distributions", lambda W: seen.append(W) or real(W)
+        channel_module, "derived_distributions", lambda W: built.append(W) or real_law(W)
+    )
+    monkeypatch.setattr(
+        transform_module, "merge_outputs", lambda W, tol: raws.append(W) or real_merge(W, tol=tol)
     )
     W = zchannel(0.3)
     child = transform(W, ARIKAN, 2)
     param_vector(child)
     transform(child, ARIKAN, 1)  # reads the law param_vector kept
-    # Z, its raw position-2 synthesis (2 * 2^2 outputs), the merged child, its raw position 1
-    assert [V.output_size for V in seen] == [2, 8, child.output_size, child.output_size**2]
-    assert seen[0] is W and seen[2] is child
+    # Z's raw position-2 synthesis (2 * 2^2 outputs) and the child's raw position 1
+    assert [V.output_size for V in raws] == [8, child.output_size**2]
+    assert not any(V is R for V in built for R in raws)
+    assert not any("derived" in vars(R) for R in raws)
+    assert "derived" in vars(W) and "derived" in vars(child)
     assert child.derived is child.derived
-    assert ["derived" in vars(V) for V in seen] == [True, False, True, False]
+
+
+def test_a_kernel_over_another_field_is_refused():
+    F3 = field_make(3)
+    W = random_channel(F3, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"kernel is over GF\(2\) but the channel over GF\(3\)"):
+        transform(W, ARIKAN, 2)
+    with pytest.raises(ValueError, match=r"kernel is over GF\(3\) but the channel over GF\(2\)"):
+        transform(bec(0.5), arikan_kernel(F3), 1, merge=False)
 
 
 def test_guard_raises(monkeypatch):
