@@ -6,7 +6,8 @@ command gives the first 12 hex digits of the digest of its stdout and the
 command itself.  A spec written by ``construct`` is shared through a
 temporary file shown as {spec}, a fixed invertible GF(4) 8x8 kernel is
 written to one shown as {kernel}, a fixed GF(3) three-output channel to
-one shown as {gf3} (its syntheses are the only q > 2 merges on the list),
+one shown as {gf3} (its syntheses give the list's q = 3 merges, lossless
+and quantized),
 a fixed GF(9) three-output channel to one shown as {gf9} (its S and Smax
 read the character table of an extension field of odd characteristic), and
 two kernels made by ``lu_kernel`` to {gf2_20} (GF(2), 20x20: its coset at
@@ -133,6 +134,7 @@ COMMANDS = [
     "decode --spec {spec} --posteriors {post} --seed 5",
     "process --bec 0.5 --arikan --depth 4 --seed 9 --trace",
     "process --bsc 0.11 --ell 3 --search-budget 200 --depth 2 --paths 3 --seed 1 --full",
+    "process --channel {gf3} --arikan --depth 4 --paths 4 --seed 0 --quantize 16 --full",
 ]
 
 

@@ -109,10 +109,10 @@ class Channel:
     def derived(self) -> "DerivedDists":
         """``derived_distributions(self)``, computed on first use and kept.
 
-        The arrays are read-only, so every reader can share them.  Merges
-        keep nothing, since their input is mostly a raw synthesis read once:
-        ``merge_outputs`` builds only a posterior, in its own buffer, and
-        ``quantize_merge`` calls ``derived_distributions`` directly.
+        The arrays are read-only, so every reader can share them.  The one
+        library caller of ``derived_distributions``.  Merges keep nothing,
+        since their input is mostly a raw synthesis read once: both build
+        only a posterior, in their own buffer (``_posterior``).
         """
         return derived_distributions(self)
 
@@ -228,7 +228,7 @@ def symmetrize(W: Channel) -> Channel:
     conditional entropies coincide with those of the original channel.
     """
     q, M = W.q, W.output_size
-    joint = derived_distributions(W).joint
+    joint = W.input_dist[:, None] * W.transition
     u = np.arange(q)
     diff = W.field.sub(u[:, None], u[None, :])  # (u, v) -> u - v
     trans = joint[diff, :].reshape(q, q * M)    # output index = v*M + y
@@ -246,37 +246,52 @@ def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
     degradation for coarser tolerances.  Zero-mass outputs share a uniform
     posterior and collapse together.
 
-    The scan is evaluated as runs of the sorted order, split wherever two
-    neighbours differ by more than ``tol``.  When no two neighbours differ
-    by a nonzero amount within ``tol``, every run holds equal posteriors and
-    the runs are the scan's groups.  Otherwise they are the scan's groups
-    when every column lies within ``tol`` of its run's first column and
-    every run's first column lies beyond ``tol`` of the previous run's; only
-    runs that break one of these (drift chains, coarse ``tol``) are
-    rescanned column by column.
+    This is ``_merge_sorted``'s scan over the posterior: its evaluation,
+    summation order and memory are stated there.
+    """
+    return _merge_sorted(W, _posterior(W)[0], tol)
+
+
+def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
+    """The first-member scan over the (q, N) key columns, and the group sums.
+
+    The one place that groups output columns: ``merge_outputs`` keys them
+    by posterior, ``transform.quantize_merge`` by grid bin.  ``key`` is a
+    writable float buffer the caller gives up; it is sorted in place.
+
+    Columns are sorted lexicographically by key vector and scanned in that
+    order; a column joins the current group when its key lies within
+    ``tol`` (sup norm) of the group's first member, and opens a new group
+    otherwise.  The scan is evaluated as runs of the sorted order, split
+    wherever two neighbours differ by more than ``tol``.  When no two
+    neighbours differ by a nonzero amount within ``tol``, every run holds
+    equal keys and the runs are the scan's groups.  Otherwise they are the
+    scan's groups when every column lies within ``tol`` of its run's first
+    column and every run's first column lies beyond ``tol`` of the previous
+    run's; only runs that break one of these (drift chains, coarse ``tol``)
+    are rescanned column by column.
 
     Summation order: each merged column adds its group's transition columns
     left to right in sorted order, bitwise equal to
-    ``W.transition[:, group].sum(axis=1)``.
+    ``W.transition[:, group].sum(axis=1)``.  Returns ``W`` itself, in its
+    original column order, when nothing merges.
 
-    Memory: besides W and the result, one (q, N) float buffer (the
-    posterior, sorted in place one row at a time), two N float buffers,
-    two N index arrays (the sort order and the run heads) and a few N
-    booleans; every other temporary is one row long.
+    Memory: besides W, the result and ``key``, two N float buffers, two N
+    index arrays (the sort order and the run heads) and a few N booleans;
+    every other temporary is one row long.
     """
-    post = _posterior(W)[0]
-    order = np.lexsort(post[::-1, :])
+    order = np.lexsort(key[::-1, :])
     N = order.size
     gap, diff = np.empty(N - 1), np.empty(N)
     # sort in place, one contiguous row at a time; every index is in range,
     # and mode="clip" gathers straight into ``out`` where the default mode
     # would gather into a hidden copy first
-    for row in post:
+    for row in key:
         row[:] = np.take(row, order, out=diff, mode="clip")
     diff = diff[1:]
-    # the neighbour gaps: sup over x of |post[x, k] - post[x, k - 1]|
-    np.abs(np.subtract(post[0, 1:], post[0, :-1], out=gap), out=gap)
-    for row in post[1:]:
+    # the neighbour gaps: sup over x of |key[x, k] - key[x, k - 1]|
+    np.abs(np.subtract(key[0, 1:], key[0, :-1], out=gap), out=gap)
+    for row in key[1:]:
         np.maximum(gap, np.abs(np.subtract(row[1:], row[:-1], out=diff), out=diff), out=gap)
     start = np.ones(N, dtype=bool)
     start[1:] = ~(gap <= tol)
@@ -290,25 +305,39 @@ def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
         head *= start
         np.maximum.accumulate(head, out=head)
         near = np.ones(N - 1, dtype=bool)
-        for row in post:
+        for row in key:
             np.subtract(row[1:], np.take(row, head[:-1], out=diff, mode="clip"), out=diff)
             near &= np.abs(diff, out=diff) <= tol
         bad = np.zeros(N, dtype=bool)
         bad[1:] = near == start[1:]  # a mismatch with the run rule flags the column
         del head, near
         if bad.any():
-            _rescan_runs(post, tol, start, bad)
-    del post, diff  # free the posterior buffers before _merge_runs gathers
-    return _merge_runs(W, order, start)
+            _rescan_runs(key, tol, start, bad)
+    del key, diff  # free the sort buffers before the sums gather
+    # Each transition row is gathered in sorted order and summed by one
+    # np.bincount over the run indices, which adds every bin's weights in
+    # index order starting from zero, so each run is added left to right
+    # (test_run_sums_add_each_run_left_to_right pins this).  A sum over a
+    # contiguous axis would not be bitwise: numpy adds it pairwise, and
+    # np.add.reduceat is no better.
+    runs = np.cumsum(start)
+    runs -= 1
+    G = int(runs[-1]) + 1
+    if G == N:
+        return W
+    sums = np.empty((W.q, G))
+    for x, row in enumerate(W.transition):
+        sums[x] = np.bincount(runs, weights=row.take(order), minlength=G)
+    return Channel._owned(W.field, sums, W.input_dist)
 
 
 def _rescan_runs(P: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray) -> None:
-    """Redo the first-member scan of ``merge_outputs`` where runs disagree.
+    """Redo the first-member scan of ``_merge_sorted`` where runs disagree.
 
-    ``P`` holds the sorted posteriors, ``start`` the neighbour-split run
-    heads (updated in place) and ``bad`` the columns that break the run
-    rule.  Each run holding a bad column is rescanned, and so is the run
-    after a rescan that ends on a representative other than its run's head.
+    ``P`` holds the sorted keys, ``start`` the neighbour-split run heads
+    (updated in place) and ``bad`` the columns that break the run rule.
+    Each run holding a bad column is rescanned, and so is the run after a
+    rescan that ends on a representative other than its run's head.
     """
     heads = np.flatnonzero(start)
     bounds = np.append(heads, P.shape[1])
@@ -330,32 +359,6 @@ def _rescan_runs(P: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray) 
         if rep != heads[r]:
             flagged[r + 1] = True  # the next head meets another representative
         r += 1 + int(np.argmax(flagged[r + 1 :]))
-
-
-def _merge_runs(W: Channel, order: np.ndarray, start: np.ndarray) -> Channel:
-    """Sum the transition columns of each run of ``order``.
-
-    ``start[k]`` marks the sorted position ``k`` that opens a new output.
-    Each output column is ``W.transition[:, run].sum(axis=1)`` over its
-    run's columns in sorted order, bitwise: each transition row is gathered
-    in sorted order and summed by one ``np.bincount`` over the run indices,
-    which adds every bin's weights in index order starting from zero, so
-    each run is added left to right
-    (``test_run_sums_add_each_run_left_to_right`` pins this).  A sum over a
-    contiguous axis would not be bitwise: numpy adds it pairwise, and
-    ``np.add.reduceat`` is no better.  Returns ``W`` itself, in its
-    original column order, when nothing merges.  Memory: the run indices
-    and one gathered row, N long each, besides W and the result.
-    """
-    runs = np.cumsum(start)
-    runs -= 1
-    G = int(runs[-1]) + 1
-    if G == order.size:
-        return W
-    sums = np.empty((W.q, G))
-    for x, row in enumerate(W.transition):
-        sums[x] = np.bincount(runs, weights=row.take(order), minlength=G)
-    return Channel._owned(W.field, sums, W.input_dist)
 
 
 # ------------------------------------------------------- stock channels

@@ -354,13 +354,22 @@ def _cmd_process(args) -> int:
 
 # ----------------------------------------------------------- verify mode
 
+def _draw_case(rng: np.random.Generator, outputs: int) -> tuple[Channel, Kernel]:
+    """A random channel with 2..outputs-1 outputs and a random kernel over its field.
+
+    (q, ell) is one of (2, 2), (2, 3) and (3, 2); the draws come in that
+    order: the pair, the output count, the channel, the kernel.
+    """
+    q, ell = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
+    f = field_make(q)
+    W = random_channel(f, int(rng.integers(2, outputs)), rng)
+    return W, sample_invertible(f, ell, rng)
+
+
 def _suite_conservation(seed: int) -> bool:
     rng = np.random.default_rng([seed, 1])
     for _ in range(30):
-        q, ell = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
-        f = field_make(q)
-        W = random_channel(f, int(rng.integers(2, 6)), rng)
-        kern = sample_invertible(f, ell, rng)
+        W, kern = _draw_case(rng, 6)
         kids = transform_all(W, kern)
         mean_h = float(np.mean([param_vector(child).H for child in kids]))
         if abs(mean_h - param_vector(W).H) > 1e-9:
@@ -375,11 +384,8 @@ def _suite_ftpc(seed: int) -> bool:
     if not (tight["pass"] and abs(tight["lhs"] - tight["rhs"]) <= 1e-9):
         return False
     for _ in range(12):
-        q, ell = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
-        f = field_make(q)
-        W = random_channel(f, int(rng.integers(2, 5)), rng)
-        kern = sample_invertible(f, ell, rng)
-        i = int(rng.integers(1, ell + 1))
+        W, kern = _draw_case(rng, 5)
+        i = int(rng.integers(1, kern.ell + 1))
         if not verify_ftpcz(W, kern, i)["pass"]:
             return False
         if not verify_ftpcs(W, kern, i)["pass"]:
@@ -426,10 +432,7 @@ def _suite_symmetrization(seed: int) -> bool:
 def _suite_local(seed: int) -> bool:
     rng = np.random.default_rng([seed, 6])
     for _ in range(12):
-        q, ell = [(2, 2), (2, 3), (3, 2)][int(rng.integers(3))]
-        f = field_make(q)
-        W = random_channel(f, int(rng.integers(2, 6)), rng)
-        if not check_local(W, sample_invertible(f, ell, rng))["ok"]:
+        if not check_local(*_draw_case(rng, 6))["ok"]:
             return False
     return True
 

@@ -126,10 +126,13 @@ def construct(
     same way at run time.  When an intermediate alphabet would overrun the
     enumeration guard, the node is quantized first (from resolution 2048,
     before its kernel is chosen) and the whole subtree is marked inexact.
-    Raises ``ValueError`` when ``pi`` is not finite.
+    Raises ``ValueError`` when ``pi`` is not finite, and when the kernel
+    policy's size (its kernel's ``ell`` or ``SearchKernels.ell``) is not ``ell``.
     """
-    if isinstance(kernel_policy, FixedKernel) and kernel_policy.kernel.ell != ell:
-        raise ValueError("fixed kernel size disagrees with ell")
+    fixed = isinstance(kernel_policy, FixedKernel)
+    size = kernel_policy.kernel.ell if fixed else kernel_policy.ell
+    if size != ell:
+        raise ValueError(f"the kernel policy's size {size} disagrees with ell {ell}")
     if n < 1 or ell < 2:
         raise ValueError("need n >= 1 and ell >= 2")
     if not math.isfinite(pi):
@@ -158,7 +161,7 @@ def construct(
         Wn, shrunk_w = quantize_to_fit(Wn, ell, ell, 2048, where="data " + where)
         Vn, shrunk_v = quantize_to_fit(Vn, ell, ell, 2048, where="noise " + where)
         exact = exact and not (shrunk_w or shrunk_v)
-        if isinstance(kernel_policy, FixedKernel):
+        if fixed:
             kern = kernel_policy.kernel
         else:
             rng = np.random.default_rng([seed] + list(path))

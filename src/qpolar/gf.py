@@ -44,23 +44,8 @@ __all__ = [
 
 # ---------------------------------------------------------------- primality
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    """Distinct prime factors of n >= 1, ascending, by trial division (n is prime iff [n])."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -267,12 +252,18 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
     ----------
     p : prime characteristic.
     m : extension degree; m == 1 gives the prime field.
+
+    Raises ``ValueError`` for a p that is not prime, an m below 1 or a field
+    past ``MAX_Q``; a p past ``MAX_Q`` or an m past its bit length, at once.
     """
     key = (int(p), int(m))
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
     p, m = key
-    if not _is_prime(p):
+    # refused before the primality test and p**m, which take ages on a huge p or m
+    if p > MAX_Q or m > MAX_Q.bit_length():
+        raise ValueError(f"field size {p}^{m} exceeds supported limit {MAX_Q}")
+    if _prime_factors(p) != [p]:
         raise ValueError(f"characteristic {p} is not prime")
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")

@@ -93,12 +93,13 @@ def sample_path(
     positions, since certification synthesizes every one.  With a search
     policy the pure-noise companion channel is tracked alongside, since
     certification needs both.  Raises ``ValueError`` for a negative n or a
-    resolution below 1.
+    resolution outside 1..2^53 (``quantize_merge``'s range).
     """
     if n < 0:
         raise ValueError(f"depth must be at least 0, got {n}")
-    if quantize_resolution is not None and quantize_resolution < 1:
-        raise ValueError(f"quantize resolution must be at least 1, got {quantize_resolution}")
+    if quantize_resolution is not None and not 1 <= quantize_resolution <= 2**53:
+        bound = "at least 1" if quantize_resolution < 1 else "at most 2^53"
+        raise ValueError(f"quantize resolution must be {bound}, got {quantize_resolution}")
     cur: Channel = W
     cur_v: Channel | None = None
     if isinstance(kernel_policy, SearchKernels):
@@ -150,7 +151,7 @@ def polarization_stats(
     Raises ``ValueError`` for fewer than one path, whose fractions are
     undefined, for thresholds outside 0 <= low < high <= 1, and, through
     ``sample_path`` before any path is walked, for a negative n or a
-    resolution below 1.
+    resolution outside 1..2^53.
     """
     if paths < 1:
         raise ValueError(f"need at least one path, got {paths}")

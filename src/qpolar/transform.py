@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Channel, _merge_runs, derived_distributions, merge_outputs
+from .channel import Channel, _merge_sorted, _posterior, merge_outputs
 from .gf import Kernel
 
 #: cap on the pre-merge output-alphabet size of an exact synthesis, read at call time
@@ -102,21 +102,20 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     field, so conditional entropy never decreases.  Anything downstream of
     this op should be flagged as approximate.
 
-    Grouping rule: columns are sorted lexicographically by their integer
-    bin vectors, and each run of equal bin vectors becomes one output, in
-    sorted order.  Summation order: each merged column adds its run's
-    transition columns left to right in sorted order, bitwise equal to
-    ``W.transition[:, run].sum(axis=1)``, as in ``merge_outputs``.
+    Grouping rule: ``merge_outputs``' scan at tol 0 over the bin vectors
+    min(floor(resolution * posterior), resolution - 1), so each run of equal
+    bin vectors in sorted order becomes one output, and each merged column
+    adds its run's transition columns left to right in sorted order.  The
+    bins are formed in place in the posterior buffer; up to 2^53 every bin
+    is an exact float integer, so ``resolution`` must lie in 1..2^53.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be a positive integer")
-    d = derived_distributions(W)
-    bins = np.minimum((d.posterior * resolution).astype(np.int64), resolution - 1)
-    order = np.lexsort(bins[::-1, :])
-    B = bins[:, order]
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (B[:, 1:] != B[:, :-1]).any(axis=0)
-    return _merge_runs(W, order, start)
+    if not 1 <= resolution <= 2**53:
+        bound = "at least 1" if resolution < 1 else "at most 2^53"
+        raise ValueError(f"resolution must be {bound}, got {resolution}")
+    bins = _posterior(W)[0]
+    bins *= resolution
+    np.minimum(np.trunc(bins, out=bins), resolution - 1, out=bins)
+    return _merge_sorted(W, bins, 0.0)
 
 
 def quantize_to_fit(

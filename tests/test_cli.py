@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -270,10 +271,15 @@ def test_process_without_paths_exits_one(capsys):
     "extra, message",
     [(["--depth", "-1"], "depth must be at least 0, got -1"),
      (["--depth", "2", "--quantize", "-5"], "quantize resolution must be at least 1, got -5"),
+     (["--depth", "2", "--quantize", str(2**64)],
+      f"quantize resolution must be at most 2^53, got {2**64}"),
+     (["--depth", "2", "--quantize", str(2**63 - 1)],
+      f"quantize resolution must be at most 2^53, got {2**63 - 1}"),
      (["--depth", "2", "--low", "0.9", "--high", "0.1"],
       "thresholds must satisfy 0 <= low < high <= 1, got 0.9 and 0.1"),
      (["--depth", "-1", "--trace"], "depth must be at least 0, got -1")],
-    ids=["depth-negative", "quantize-negative", "thresholds-swapped", "trace-depth-negative"],
+    ids=["depth-negative", "quantize-negative", "quantize-2^64", "quantize-2^63-1",
+         "thresholds-swapped", "trace-depth-negative"],
 )
 def test_process_bad_input_exits_one(capsys, extra, message):
     code, out, err = run_cli(
@@ -428,6 +434,20 @@ def test_params_wrong_typed_channel_field_exits_one(capsys, tmp_path, edit, name
     code, out, err = run_cli(capsys, "params", "--channel", str(cfile))
     assert code == 1 and out == ""
     assert err.startswith(f"error: channel field {name} has the wrong type")
+
+
+@pytest.mark.parametrize(
+    "field", [{"p": 1000000000000000003}, {"p": 3, "m": 100000000}], ids=["huge-p", "huge-m"]
+)
+def test_huge_field_in_a_channel_file_exits_one_at_once(capsys, tmp_path, field):
+    # trial division of p, or p**m, would run for minutes before the size check
+    cfile = tmp_path / "chan.json"
+    cfile.write_text(json.dumps({**field, "transition": [[1.0], [1.0], [1.0]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "params", "--channel", str(cfile))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "exceeds supported limit 65536" in err
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,8 @@ def test_construct_search_policy_deterministic():
 def test_construct_validates():
     with pytest.raises(ValueError, match="disagrees"):
         construct(bec(0.5), 3, 2, 0.2, FixedKernel(ARIKAN), seed=0)
+    with pytest.raises(ValueError, match="the kernel policy's size 3 disagrees with ell 2"):
+        construct(bsc(0.11), 2, 2, 0.2, SearchKernels(ell=3, budget=50), seed=7)
     with pytest.raises(ValueError):
         construct(bec(0.5), 2, 0, 0.2, FixedKernel(ARIKAN), seed=0)
     for pi in (math.nan, math.inf, -math.inf):

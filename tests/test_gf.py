@@ -43,6 +43,13 @@ def test_field_make_rejects_bad_input():
         field_make(2, 0)
     with pytest.raises(ValueError):
         field_make(2, 17)
+    for p in (0, 1, -3, 65535, 65537 * 65537):
+        with pytest.raises(ValueError):
+            field_make(p)
+    # a huge p or m is refused before trial division or p**m could hang
+    for p, m in ((1000000000000000003, 1), (3, 100000000), (2, 10**30)):
+        with pytest.raises(ValueError, match="exceeds supported limit"):
+            field_make(p, m)
 
 
 # ----------------------------------------------------------- field axioms

@@ -118,8 +118,9 @@ def test_polarization_stats_needs_a_path():
 @pytest.mark.parametrize(
     "n, resolution, match",
     [(-1, None, "depth must be at least 0"), (2, 0, "resolution must be at least 1"),
-     (2, -5, "resolution must be at least 1")],
-    ids=["depth-negative", "resolution-zero", "resolution-negative"],
+     (2, -5, "resolution must be at least 1"),
+     (2, 2**53 + 1, r"resolution must be at most 2\^53, got 9007199254740993")],
+    ids=["depth-negative", "resolution-zero", "resolution-negative", "resolution-past-2^53"],
 )
 def test_process_refuses_a_bad_depth_or_resolution(n, resolution, match):
     policy = FixedKernel(ARIKAN)

@@ -255,6 +255,15 @@ def test_param_vector_of_the_largest_raw_synthesis_stays_under_its_memory_bound(
     assert peak < 32e6
 
 
+def test_quantize_merge_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
+    # the lossless merge's buffers: one posterior buffer, binned and sorted
+    # in place, the sort order, two N buffers and the run heads
+    raw = transform(_largest_construct_parent(), ARIKAN, 2, merge=False)
+    merged, peak = _traced_peak(lambda: quantize_merge(raw, 2048))
+    assert (raw.output_size, merged.output_size) == (288_800, 2049)
+    assert peak < 16e6
+
+
 def test_the_law_is_kept_on_merged_channels_and_not_on_raw_syntheses(monkeypatch):
     import qpolar.channel as channel_module
 
@@ -382,6 +391,10 @@ def test_quantize_merge_validates_and_is_deterministic():
     W = random_channel(field_make(3), 9, np.random.default_rng(2))
     with pytest.raises(ValueError):
         quantize_merge(W, 0)
+    # past 2^53 a float bin no longer holds every integer
+    with pytest.raises(ValueError, match=r"at most 2\^53"):
+        quantize_merge(W, 2**53 + 1)
+    assert quantize_merge(W, 2**53).output_size == W.output_size
     A = quantize_merge(W, 8)
     B = quantize_merge(W, 8)
     np.testing.assert_array_equal(A.transition, B.transition)
