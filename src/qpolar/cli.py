@@ -366,79 +366,105 @@ def _draw_case(rng: np.random.Generator, outputs: int) -> tuple[Channel, Kernel]
     return W, sample_invertible(f, ell, rng)
 
 
-def _suite_conservation(seed: int) -> bool:
+def _failure(case: int, check: str, lhs: float, rhs: float) -> str:
+    """The line a suite returns for its first failing check."""
+    return f"case {case}: {check}: lhs {float(lhs)!r}, rhs {float(rhs)!r}"
+
+
+# Each suite returns None when every check passes, else the line of its first
+# failing check: the case index in its draw order, the check, lhs and rhs.
+
+def _suite_conservation(seed: int) -> str | None:
     rng = np.random.default_rng([seed, 1])
-    for _ in range(30):
+    for case in range(30):
         W, kern = _draw_case(rng, 6)
         kids = transform_all(W, kern)
         mean_h = float(np.mean([param_vector(child).H for child in kids]))
-        if abs(mean_h - param_vector(W).H) > 1e-9:
-            return False
-    return True
+        parent_h = param_vector(W).H
+        if abs(mean_h - parent_h) > 1e-9:
+            return _failure(case, "mean child H == parent H", mean_h, parent_h)
+    return None
 
 
-def _suite_ftpc(seed: int) -> bool:
+def _suite_ftpc(seed: int) -> str | None:
     rng = np.random.default_rng([seed, 2])
-    f2 = field_make(2)
-    tight = verify_ftpcz(bec(0.5), arikan_kernel(f2), 2)
+    tight = verify_ftpcz(bec(0.5), arikan_kernel(field_make(2)), 2)
     if not (tight["pass"] and abs(tight["lhs"] - tight["rhs"]) <= 1e-9):
-        return False
-    for _ in range(12):
+        return _failure(0, "BEC(0.5) Arikan Zmad bound at i=2 is tight", tight["lhs"], tight["rhs"])
+    for case in range(1, 13):
         W, kern = _draw_case(rng, 5)
         i = int(rng.integers(1, kern.ell + 1))
-        if not verify_ftpcz(W, kern, i)["pass"]:
-            return False
-        if not verify_ftpcs(W, kern, i)["pass"]:
-            return False
-    return True
+        for name, check in (("Zmad", verify_ftpcz), ("Smax", verify_ftpcs)):
+            rep = check(W, kern, i)
+            if not rep["pass"]:
+                return _failure(case, f"{name} bound at i={i}", rep["lhs"], rep["rhs"])
+    return None
 
 
-def _suite_holder(seed: int) -> bool:
+def _suite_holder(seed: int) -> str | None:
     rng = np.random.default_rng([seed, 3])
-    for _ in range(30):
-        q = int(rng.choice([2, 3, 5]))
-        W = random_channel(field_make(q), int(rng.integers(2, 7)), rng)
-        if not holder_report(W)["ok"]:
-            return False
-    return True
+    for case in range(30):
+        W = random_channel(field_make(int(rng.choice([2, 3, 5]))), int(rng.integers(2, 7)), rng)
+        for name, check in holder_report(W)["checks"].items():
+            if not check["ok"]:
+                return _failure(case, name, check["lhs"], check["rhs"])
+    return None
 
 
-def _suite_quadratic(seed: int) -> bool:
+def _suite_quadratic(seed: int) -> str | None:
     rng = np.random.default_rng([seed, 4])
     channels = [bec(0.5), bsc(0.25)]
     for q in (2, 3):
         channels.append(random_channel(field_make(q), int(rng.integers(2, 5)), rng))
-    return all(quadratic_check(W)["ok"] for W in channels)
+    for case, W in enumerate(channels):
+        rep = quadratic_check(W)
+        # the floors of quadratic_check: -1e-9 and -2 ln(q)^2 - 1e-6
+        for name, floor in (("slack", -1e-9), ("curvature", -2 * math.log(W.q) ** 2 - 1e-6)):
+            if not rep[f"{name}_ok"]:
+                return _failure(case, f"min {name} >= rhs", rep[f"min_{name}"], floor)
+    return None
 
 
-def _suite_symmetrization(seed: int) -> bool:
+def _suite_symmetrization(seed: int) -> str | None:
     rng = np.random.default_rng([seed, 5])
-    for _ in range(10):
-        q = int(rng.choice([2, 3]))
-        f = field_make(q)
+    for case in range(10):
+        f = field_make(int(rng.choice([2, 3])))
         W = random_channel(f, int(rng.integers(2, 5)), rng, random_input=True)
         Wb = symmetrize(W)
-        if abs(param_vector(Wb).H - param_vector(W).H) > 1e-9:
-            return False
+        hw, hb = param_vector(W).H, param_vector(Wb).H
+        if abs(hb - hw) > 1e-9:
+            return _failure(case, "symmetrized H == H", hb, hw)
         kern = arikan_kernel(f)
         for i in (1, 2):
             hw = param_vector(transform(W, kern, i)).H
             hb = param_vector(transform(Wb, kern, i)).H
             if abs(hw - hb) > 1e-9:
-                return False
-    return True
+                return _failure(case, f"symmetrized child {i} H == child {i} H", hb, hw)
+    return None
 
 
-def _suite_local(seed: int) -> bool:
+def _suite_local(seed: int) -> str | None:
     rng = np.random.default_rng([seed, 6])
-    for _ in range(12):
-        if not check_local(*_draw_case(rng, 6))["ok"]:
-            return False
-    return True
+    for case in range(12):
+        rep = check_local(*_draw_case(rng, 6))
+        if rep["ok"]:
+            continue
+        if not rep["martingale_ok"]:
+            return _failure(case, "martingale residual <= 1e-9", rep["martingale_residual"], 1e-9)
+        if not rep["expansion_ok"]:
+            return _failure(case, "expansion slack >= -1e-12", rep["expansion_min_slack"], -1e-12)
+        spread = rep["spread"]
+        name = "spread" if spread and spread["required"] and not spread["ok"] else "supermartingale"
+        return _failure(case, name, rep[name]["lhs"], rep[name]["rhs"])
+    return None
 
 
-def _suite_gadget(seed: int) -> bool:
-    return all(gadget_bound(ell)["pass"] for ell in range(55, 257))
+def _suite_gadget(seed: int) -> str | None:
+    for case, ell in enumerate(range(55, 257)):
+        rep = gadget_bound(ell)
+        if not rep["pass"]:
+            return _failure(case, f"gadget_bound at ell={ell}", rep["lhs"], rep["rhs"])
+    return None
 
 
 def _cmd_verify(args) -> int:
@@ -454,13 +480,14 @@ def _cmd_verify(args) -> int:
     failed = 0
     for name, fn in suites:
         try:
-            ok = bool(fn(args.seed))
+            failure = fn(args.seed)
         except Exception as exc:
-            # stdout keeps its one verdict line; the cause goes to stderr
-            print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            ok = False
-        print(("PASS " if ok else "FAIL ") + name)
-        failed += 0 if ok else 1
+            failure = f"{type(exc).__name__}: {exc}"
+        if failure is not None:
+            # stdout keeps its one verdict line; the failing check goes to stderr
+            print(f"{name}: {failure}", file=sys.stderr)
+        print(("PASS " if failure is None else "FAIL ") + name)
+        failed += failure is not None
     return 2 if failed else 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -204,8 +204,8 @@ def node_posterior(
     kernel's completion table and multiplied column by column from x_1.
     A zero total (contradictory pins) yields the uniform distribution and
     ok=False so a decoder can keep going while flagging the block.  Decided
-    symbols outside 0..q-1 and pins whose total is NaN or infinite raise
-    ``ValueError``.
+    symbols outside 0..q-1, negative pins and pins whose total is NaN or
+    infinite raise ``ValueError``.
     """
     q, ell = kernel.field.q, kernel.ell
     if not 1 <= i <= ell:
@@ -213,6 +213,8 @@ def node_posterior(
     pins = np.asarray(pins, dtype=float)
     if pins.shape != (ell, q):
         raise ValueError(f"pins must be ({ell}, {q})")
+    if min(pins.flat) < 0.0:  # -0.0 passes; a NaN is left to the total check
+        raise ValueError("pins must be nonnegative")
     decided = np.asarray(decided, dtype=np.int64).reshape(-1)
     if decided.shape[0] != i - 1:
         raise ValueError("decided prefix length must be i-1")
@@ -256,6 +258,8 @@ class _Engine:
         self.decoded: list[int] = []
         self.du_activations = 0
         self.failed = False
+        # place values of a source word's digits: its completion-table row is u @ place
+        self.place = spec.field.q ** np.arange(spec.ell - 1, -1, -1)
 
     def run(self, pins_ch: np.ndarray, pins_pr: np.ndarray) -> np.ndarray:
         # a depth-0 code is one leaf, whose symbol comes back as an int
@@ -286,7 +290,8 @@ class _Engine:
                 ch_k[t] = post_ch
                 pr_k[t] = post_pr
             decided[:, k - 1] = self._rec(path + (k,), ch_k, pr_k)
-        return kern.apply_rows(decided).reshape(-1)
+        # x = u G of each group is its completion-table row, less the pin offsets j*q
+        return (kern.completions[decided @ self.place] % q).reshape(-1)
 
     def _leaf(self, path: tuple[int, ...], pc: np.ndarray, pp: np.ndarray) -> int:
         q = self.spec.field.q
@@ -488,15 +493,7 @@ def codespec_to_dict(spec: CodeSpec) -> dict:
         "info_set": sorted(list(p) for p in spec.info_set),
         "frozen_class": {_path_key(p): c for p, c in sorted(spec.frozen_class.items())},
         "leaf_stats": [
-            {
-                "path": list(path),
-                "H_w": s.H_w,
-                "H_v": s.H_v,
-                "Pe_w": s.Pe_w,
-                "T_v": s.T_v,
-                "exact": s.exact,
-            }
-            for path, s in sorted(spec.leaf_stats.items())
+            {"path": list(path), **asdict(s)} for path, s in sorted(spec.leaf_stats.items())
         ],
     }
 

@@ -15,8 +15,8 @@ multiplier-1 slice g_j + S_(j+1).  The dual side is the same sweep over the
 rows of the inverse-transpose in reverse order.  Once a level fills a block
 of 2^16 words it is frozen, and the positions above it nest a span of
 offsets instead, each batch of which is added to the block in one step, so
-no step holds more than 2^16 words.  A single position runs the same sweep
-over rows i..ell (rows i..1 on the dual side) and weighs only its own coset.
+no step holds more than 2^16 words.  A single position is entry 0 of the
+same sweep over rows i..ell (rows i..1 on the dual side).
 
 A coset word is enumerated packed: ceil(ell / (64 // (m b))) uint64 lanes,
 each holding whole symbols of m digit fields of b bits.  Over GF(2^m) a
@@ -179,7 +179,7 @@ def _weigh(
     return WeightEnumerator(ell=ell, counts=counts)
 
 
-def _sweep(field: FieldSpec, rows: np.ndarray, every: bool) -> list[WeightEnumerator]:
+def _sweep(field: FieldSpec, rows: np.ndarray) -> list[WeightEnumerator]:
     """Weight histograms of the cosets rows[t] + span(rows[t+1:]), t = 0 .. n-1.
 
     One nested sweep from the last row up: level t adds the q multiples of
@@ -187,9 +187,7 @@ def _sweep(field: FieldSpec, rows: np.ndarray, every: bool) -> list[WeightEnumer
     of that level.  Once the span fills a 2^16-word block it is frozen, and
     the levels above nest a fresh span of offsets that are added to the block
     batch by batch.  The first row's level is never built in full, only its
-    coset.  With ``every`` False only that coset is weighed, and the span
-    starts from rows[0] so that its last level already is the coset.  Raises
-    ``ValueError`` when the first coset exceeds ``ENUM_GUARD``.
+    coset.  Raises ``ValueError`` when the first coset exceeds ``ENUM_GUARD``.
     """
     q, (n, ell) = field.q, rows.shape
     count = q ** (n - 1)
@@ -197,19 +195,16 @@ def _sweep(field: FieldSpec, rows: np.ndarray, every: bool) -> list[WeightEnumer
         raise ValueError(f"coset of size {count} exceeds enumeration guard {ENUM_GUARD}")
     packing = _Packing(field, ell)
     multiples = packing.pack(field.mul(field.elements[None, :, None], rows[:, None, :]))
-    zero = np.zeros((1, packing.lanes), dtype=np.uint64)
-    lead = multiples[0, 1:2]
-    span = zero if every else lead
+    span = zero = np.zeros((1, packing.lanes), dtype=np.uint64)
     block = None
     enums = []
     for t in range(n - 1, 0, -1):
         level = packing.add(multiples[t][:, None, :], span[None, :, :])
-        if every:
-            enums.append(_weigh(packing, level[1], block, ell))
+        enums.append(_weigh(packing, level[1], block, ell))
         span = level.reshape(-1, packing.lanes)
         if block is None and t > 1 and len(span) * q > _BLOCK_WORDS:
             block, span = span, zero
-    enums.append(_weigh(packing, packing.add(lead, span) if every else span, block, ell))
+    enums.append(_weigh(packing, packing.add(multiples[0, 1:2], span), block, ell))
     return enums[::-1]
 
 
@@ -220,24 +215,24 @@ def _check_position(kernel: Kernel, i: int) -> None:
 
 def coset_enumerators(kernel: Kernel) -> list[WeightEnumerator]:
     """Primal enumerators of every position, in order 1..ell, from one sweep."""
-    return _sweep(kernel.field, kernel.entries, every=True)
+    return _sweep(kernel.field, kernel.entries)
 
 
 def dual_coset_enumerators(kernel: Kernel) -> list[WeightEnumerator]:
     """Dual enumerators of every position, in order 1..ell, from one sweep."""
-    return _sweep(kernel.field, kernel.inv_transpose[::-1], every=True)[::-1]
+    return _sweep(kernel.field, kernel.inv_transpose[::-1])[::-1]
 
 
 def coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Primal enumerator: words (0^(i-1), 1, free suffix) @ G."""
     _check_position(kernel, i)
-    return _sweep(kernel.field, kernel.entries[i - 1 :], every=False)[0]
+    return _sweep(kernel.field, kernel.entries[i - 1 :])[0]
 
 
 def dual_coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Dual enumerator: words (free prefix, 1, 0^(ell-i)) @ G^-T."""
     _check_position(kernel, i)
-    return _sweep(kernel.field, kernel.inv_transpose[i - 1 :: -1], every=False)[0]
+    return _sweep(kernel.field, kernel.inv_transpose[i - 1 :: -1])[0]
 
 
 def _verify(W: Channel, kernel: Kernel, i: int, param: str, enumerator) -> dict:

@@ -11,13 +11,14 @@ every machine.
 
 Multiplication uses discrete log/exp tables over a primitive element, and
 the negation, inverse, trace and character tables are lookups into them, so
-no q-by-q table is ever materialised.  For m > 1 a product is the single
-lookup exp_z[log_z[a] + log_z[b]].  log_z is the log table with log 0 set to
-2q - 1.  exp_z holds two periods of the exp table, so a sum of two logs needs
-no reduction mod q - 1, followed by a zero tail (4q - 1 entries in all), so
-a product with a zero factor lands in the tail and needs no mask.  Building a
-field is the scalar bootstrap of log/exp: about 0.2 s for GF(2^12) and
-3.4 s for GF(2^16) on a 2-vCPU Xeon VM, once per process.
+no q-by-q table is ever materialised.  In every field, m = 1 included, a
+product is the single lookup exp_z[log_z[a] + log_z[b]].  log_z is the log
+table with log 0 set to 2q - 1.  exp_z holds two periods of the exp table,
+so a sum of two logs needs no reduction mod q - 1, followed by a zero tail
+(4q - 1 entries in all), so a product with a zero factor lands in the tail
+and needs no mask.  Building a field is the scalar bootstrap of log/exp:
+about 0.2 s for GF(2^12) and 3.4 s for GF(2^16) on a 2-vCPU Xeon VM, once
+per process.
 """
 
 from __future__ import annotations
@@ -135,13 +136,13 @@ class FieldSpec:
         log_t, exp_t = self._build_log_exp()
         object.__setattr__(self, "_log_t", log_t)
         object.__setattr__(self, "_exp_t", exp_t)
-        if m > 1:  # the zero-sentinel tables of mul (see the module docstring)
-            log_z = log_t.copy()
-            log_z[0] = 2 * q - 1
-            exp_z = np.zeros(4 * q - 1, dtype=np.int64)
-            exp_z[: 2 * (q - 1)] = np.tile(exp_t, 2)
-            object.__setattr__(self, "_log_z", log_z)
-            object.__setattr__(self, "_exp_z", exp_z)
+        # the zero-sentinel tables of mul (see the module docstring)
+        log_z = log_t.copy()
+        log_z[0] = 2 * q - 1
+        exp_z = np.zeros(4 * q - 1, dtype=np.int64)
+        exp_z[: 2 * (q - 1)] = np.tile(exp_t, 2)
+        object.__setattr__(self, "_log_z", log_z)
+        object.__setattr__(self, "_exp_z", exp_z)
         # every other table is a lookup into log/exp: -a = a (p - 1),
         # a^-1 = g^(-log a), and Tr(a) = sum_j a^(p^j) over the m Frobenius powers
         object.__setattr__(self, "_neg_t", self.mul(self.elements, p - 1))
@@ -182,18 +183,17 @@ class FieldSpec:
         return out
 
     def _build_log_exp(self) -> tuple[np.ndarray, np.ndarray]:
-        """Log/exp tables over the first primitive element g = 2, 3, ...
+        """Log/exp tables over the first primitive element g = 1, 2, ...
 
         A candidate g is primitive iff g^((q-1)/r) != 1 for every prime r
         dividing q - 1, so only the chosen g is walked through its powers.
+        g = 1 passes only in GF(2), where q - 1 has no prime divisor.
         """
         q = self.q
-        if self.m == 1 and q == 2:
-            return np.array([-1, 0], dtype=np.int64), np.array([1], dtype=np.int64)
         order = q - 1
         cofactors = [order // r for r in _prime_factors(order)]
         g = next(
-            g for g in range(2, q) if all(self._scalar_pow(g, c) != 1 for c in cofactors)
+            g for g in range(1, q) if all(self._scalar_pow(g, c) != 1 for c in cofactors)
         )
         log_t = np.full(q, -1, dtype=np.int64)
         exp_t = np.empty(order, dtype=np.int64)
@@ -222,8 +222,6 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.m == 1:
-            return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
         return self._exp_z[self._log_z[a] + self._log_z[b]]
 
     def inv(self, a):
@@ -279,7 +277,12 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
 # -------------------------------------------------------------- matrices
 
 def field_matmul(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(q); A is (..., L), B is (L, R)."""
+    """Matrix product over GF(q); A is (..., L), B is (L, R).
+
+    No library code calls it: every map u -> u G reads ``Kernel.completions``.
+    It stays as the independent oracle the tests check that table against,
+    and the benchmark tracer wraps it by name.
+    """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if spec.m == 1:
@@ -294,14 +297,6 @@ def field_matmul(spec: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out[0] if was_vec else out
 
 
-def _digit_matrix(q: int, width: int) -> np.ndarray:
-    """All q^width digit vectors, first digit most significant."""
-    count = q**width
-    idx = np.arange(count, dtype=np.int64)
-    shifts = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // shifts[None, :]) % q
-
-
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """An invertible ell x ell transform matrix with its cached inverse-transpose."""
@@ -311,22 +306,24 @@ class Kernel:
     entries: np.ndarray
     inv_transpose: np.ndarray
 
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Map row vectors u -> u @ entries (the source-to-channel map)."""
-        return field_matmul(self.field, rows, self.entries)
-
     @cached_property
     def completions(self) -> np.ndarray:
         """Completion table: row u holds the flat pin indices j*q + x_j of x = u G.
 
         Rows run over all of GF(q)^ell in digit order, first digit most
         significant, so the completions of a decided prefix d of length
-        i-1 are the q^(ell-i+1) rows starting at index(d) * q^(ell-i+1).
-        Built on first use and kept for the kernel's lifetime: q^ell * ell
-        integers, read-only.
+        i-1 are the q^(ell-i+1) rows starting at index(d) * q^(ell-i+1),
+        and x_j is entry j mod q.  One nested sweep of the rows builds it,
+        from the last up: level j adds the q multiples of g_j, as the
+        leading digit, to every image of rows j+1..ell.  Built on first use
+        and kept for the kernel's lifetime: q^ell * ell integers, read-only.
         """
-        q = self.field.q
-        table = self.apply_rows(_digit_matrix(q, self.ell)) + q * np.arange(self.ell)
+        f, ell = self.field, self.ell
+        multiples = f.mul(f.elements[:, None, None], self.entries[None, :, :])
+        table = np.zeros((1, ell), dtype=np.int64)
+        for j in range(ell - 1, -1, -1):
+            table = f.add(multiples[:, j, None, :], table[None, :, :]).reshape(-1, ell)
+        table += f.q * np.arange(ell)
         table.setflags(write=False)
         return table
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import Channel
 from .ftpc import WeightEnumerator, coset_enumerators, dual_coset_enumerators
-from .gf import Kernel, _prime_factors, field_make, sample_invertible
+from .gf import MAX_Q, Kernel, _prime_factors, field_make, sample_invertible
 from .params import param_vector
 from .transform import transform_all
 
@@ -270,16 +270,21 @@ def empirical_failure_rate(
     3 q^(-sqrt(ell)/13) is reported; ``binding`` is False when that ceiling
     reaches 1 (vacuous).  Every failure carries a re-verifiable witness.
     Raises ``ValueError`` for fewer than one trial, whose rate is undefined,
-    and for a z that is not finite or lies outside [0, 1].
+    for a z that is not finite or lies outside [0, 1], and for a q outside
+    2..``MAX_Q`` or not a prime power.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     _check_point(z=z)
+    if not 2 <= q <= MAX_Q:  # refused before trial division, which takes ages on a huge q
+        raise ValueError(f"field size {q} outside 2..{MAX_Q}")
     primes = _prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = primes[0]
-    field = field_make(p, round(math.log(q, p)))
+    p, m, rest = primes[0], 0, q
+    while rest > 1:
+        rest, m = rest // p, m + 1
+    field = field_make(p, m)
     failures = 0
     witnesses: list[dict] = []
     for _ in range(trials):

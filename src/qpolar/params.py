@@ -23,7 +23,7 @@ functions with their source-coding duals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,17 +53,7 @@ class ParamVector:
     Smax: float
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "H": self.H,
-            "I": self.I,
-            "Pe": self.Pe,
-            "Z": self.Z,
-            "Zmad": self.Zmad,
-            "T": self.T,
-            "S": self.S,
-            "Smax": self.Smax,
-        }
+        return asdict(self)
 
 
 _FIELD_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}

@@ -239,8 +239,8 @@ def _encode_basis(spec):
                 kids = [vecs[path + (k,)] for k in range(1, ell + 1)]
                 out = np.empty(ell * kids[0].shape[0], dtype=np.int64)
                 for t in range(kids[0].shape[0]):
-                    out[t * ell : (t + 1) * ell] = kern.apply_rows(
-                        np.array([kid[t] for kid in kids])
+                    out[t * ell : (t + 1) * ell] = field_matmul(
+                        spec.field, np.array([kid[t] for kid in kids]), kern.entries
                     )
                 vecs[path] = out
         basis[j] = vecs[()]

@@ -503,7 +503,7 @@ def test_verify_reports_the_exception_on_stderr(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_suite_holder", broken)
     for name in ("_suite_conservation", "_suite_ftpc", "_suite_quadratic",
                  "_suite_symmetrization", "_suite_local", "_suite_gadget"):
-        monkeypatch.setattr(cli, name, lambda seed: True)
+        monkeypatch.setattr(cli, name, lambda seed: None)
     code, out, err = run_cli(capsys, "verify", "--seed", "0")
     assert code == 2
     assert out.splitlines() == [
@@ -512,6 +512,31 @@ def test_verify_reports_the_exception_on_stderr(capsys, monkeypatch):
         "PASS distance-average-bound",
     ]
     assert err == "parameter-inequalities: ZeroDivisionError: pivot vanished\n"
+
+
+def test_verify_names_the_failing_check_on_stderr(capsys, monkeypatch):
+    # one library check turned to a failure: its suite's first failing case
+    # goes to stderr, and stdout keeps its verdict lines
+    real, failed = cli.holder_report, []
+
+    def broken(W):
+        report = real(W)
+        check = report["checks"]["entropy_upper_fano"]
+        check["ok"] = report["ok"] = False
+        failed.append(check)
+        return report
+
+    monkeypatch.setattr(cli, "holder_report", broken)
+    code, out, err = run_cli(capsys, "verify", "--seed", "0")
+    assert code == 2
+    assert out.splitlines() == [
+        "PASS conservation", "PASS coset-identities", "FAIL parameter-inequalities",
+        "PASS exponent-curvature", "PASS symmetrization-identities", "PASS one-step-laws",
+        "PASS distance-average-bound",
+    ]
+    assert len(failed) == 1  # the suite stops at its first failing case
+    lhs, rhs = failed[0]["lhs"], failed[0]["rhs"]
+    assert err == f"parameter-inequalities: case 0: entropy_upper_fano: lhs {lhs!r}, rhs {rhs!r}\n"
 
 
 def test_module_entry_point():

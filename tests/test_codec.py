@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from qpolar.codec import (
     node_posterior,
     simulate,
 )
-from qpolar.gf import _digit_matrix, arikan_kernel, field_make, field_matmul, sample_invertible
+from qpolar.gf import arikan_kernel, field_make, field_matmul, sample_invertible
 from qpolar.kernsearch import FixedKernel, SearchKernels
 
 F2 = field_make(2)
@@ -203,7 +204,7 @@ def _posterior_oracle(kern, pins, decided, i):
     for u in itertools.product(range(q), repeat=ell):
         if list(u[: i - 1]) != list(decided):
             continue
-        x = kern.apply_rows(np.array(u))
+        x = field_matmul(f, np.array(u), kern.entries)
         gamma[u[i - 1]] += float(np.prod([pins[j, x[j]] for j in range(ell)]))
     total = gamma.sum()
     return (gamma / total, True) if total > 0 else (np.full(q, 1.0 / q), False)
@@ -251,6 +252,14 @@ def test_node_posterior_validates():
             node_posterior(ARIKAN, np.array([[bad, 0.5], [0.5, 0.5]]), np.array([]), 1)
 
 
+def test_node_posterior_refuses_negative_pins():
+    # these pins once gave [0.5, 0.5] with ok=True
+    with pytest.raises(ValueError, match="nonnegative"):
+        node_posterior(ARIKAN, np.array([[-1.0, 2.0], [0.5, 0.5]]), np.array([]), 1)
+    post, ok = node_posterior(ARIKAN, np.array([[-0.0, 1.0], [0.5, 0.5]]), np.array([]), 1)
+    assert ok and post.tolist() == [0.5, 0.5]
+
+
 # Reference copy of the node posterior before the completion table: it
 # rebuilds the completion rows U and their images X = U G on every call.
 def _node_posterior_reference(kernel, pins, decided, i):
@@ -258,7 +267,8 @@ def _node_posterior_reference(kernel, pins, decided, i):
     q, ell = f.q, kernel.ell
     pins = np.asarray(pins, dtype=float)
     decided = np.asarray(decided, dtype=np.int64).reshape(-1)
-    tails = _digit_matrix(q, ell - i + 1)  # (candidate symbol, free suffix)
+    # (candidate symbol, free suffix), first digit most significant
+    tails = np.array(list(itertools.product(range(q), repeat=ell - i + 1)), dtype=np.int64)
     U = np.empty((tails.shape[0], ell), dtype=np.int64)
     U[:, : i - 1] = decided
     U[:, i - 1 :] = tails
@@ -295,6 +305,29 @@ def test_node_posterior_matches_reference_bitwise(case, zero_share, seed):
             got, ok = node_posterior(kern, pins, np.array(prefix, dtype=np.int64), i)
             want, ok_want = _node_posterior_reference(kern, pins, prefix, i)
             assert got.tobytes() == want.tobytes() and ok == ok_want, (i, prefix)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_pipeline_needs_no_field_matmul(monkeypatch, pm):
+    # every u G of construct, encode, decode, simulate and transform reads
+    # the completion table
+    def refuse(*args):
+        raise AssertionError("field_matmul called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qpolar" and hasattr(module, "field_matmul"):
+            monkeypatch.setattr(module, "field_matmul", refuse)
+    f = field_make(*pm)
+    rng = np.random.default_rng(7)
+    W = random_channel(f, 3, rng)
+    kern = sample_invertible(f, 2, rng)
+    spec = construct(W, 2, 2, 0.2, FixedKernel(kern), seed=3)
+    x = encode(spec, rng.integers(0, f.q, size=spec.dimension), seed=5)
+    y = sample_outputs(W, x, rng.random(x.shape))
+    assert decode(spec, y, seed=5, channel=W).message.shape == (spec.dimension,)
+    assert simulate(spec, W, trials=2, seed=1)["trials"] == 2
+    fresh = sample_invertible(f, 3, rng)
+    assert transform_module.transform(W, fresh, 1).field is f
 
 
 def test_completion_table_is_built_on_first_use():
@@ -345,7 +378,7 @@ def _encode_map_reference(spec, u_leaf):
             out = np.empty(ell * kids[0].shape[0], dtype=np.int64)
             for t in range(kids[0].shape[0]):
                 row = np.array([kid[t] for kid in kids])
-                out[t * ell : (t + 1) * ell] = kern.apply_rows(row)
+                out[t * ell : (t + 1) * ell] = field_matmul(spec.field, row, kern.entries)
             vecs[path] = out
     return vecs[()]
 

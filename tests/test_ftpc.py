@@ -216,6 +216,18 @@ def test_multi_block_enumeration_matches_the_reference(i):
     _assert_matches_reference(kern, 19 - i)
 
 
+@pytest.mark.parametrize("pm, ell", [((2, 1), 6), ((3, 1), 5), ((2, 2), 5), ((3, 2), 4),
+                                     ((2, 1), 20)])
+def test_single_positions_equal_the_full_sweeps(pm, ell):
+    # a single position is entry 0 of the sweep over rows i..ell (i..1 on the
+    # dual side); the whole kernel's sweep must give the same histogram
+    kern = sample_invertible(field_make(*pm), ell, np.random.default_rng(ell))
+    prims, duals = coset_enumerators(kern), dual_coset_enumerators(kern)
+    for i in range(1, ell + 1):
+        assert coset_enumerator(kern, i).counts.tolist() == prims[i - 1].counts.tolist()
+        assert dual_coset_enumerator(kern, i).counts.tolist() == duals[i - 1].counts.tolist()
+
+
 def test_enumeration_memory_stays_blocked():
     # 2^19 words of 20 int64 entries would take about 80 MB at once
     kern = sample_invertible(field_make(2), 20, np.random.default_rng(20))
@@ -258,8 +270,8 @@ def test_multi_lane_words_match_the_reference(pm, ell):
             _coset_weights_reference(kern.inv_transpose, kern, i, free_tail=False).counts,
         )
     # the sweep engine over the same rows, every position weighed
-    tail = ftpc._sweep(field, kern.entries[ell - 3 :], every=True)
-    head = ftpc._sweep(field, kern.inv_transpose[2::-1], every=True)[::-1]
+    tail = ftpc._sweep(field, kern.entries[ell - 3 :])
+    head = ftpc._sweep(field, kern.inv_transpose[2::-1])[::-1]
     for k in range(3):
         np.testing.assert_array_equal(tail[k].counts, coset_enumerator(kern, ell - 2 + k).counts)
         np.testing.assert_array_equal(head[k].counts, dual_coset_enumerator(kern, k + 1).counts)

@@ -1,12 +1,13 @@
 """Field layer: canonical moduli, arithmetic axioms, kernels, GL sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolar.gf import (
-    Kernel,
     arikan_kernel,
     field_make,
     field_matmul,
@@ -247,6 +248,30 @@ def test_mul_matches_the_masked_reference_on_sampled_pairs(m):
     _assert_mul_matches_the_masked_reference(f, a, b[::-1])
 
 
+PRIMES_TO_101 = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_prime_field_mul_is_the_product_mod_p_on_every_pair(p):
+    f = field_make(p)
+    a, b = f.elements[:, None], f.elements[None, :]
+    got = f.mul(a, b)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, (a * b) % p)
+
+
+def test_prime_field_mul_is_the_product_mod_p_on_sampled_pairs():
+    f = field_make(65521)
+    rng = np.random.default_rng(65521)
+    a = rng.integers(0, f.q, size=1 << 16)
+    b = rng.integers(0, f.q, size=1 << 16)
+    a[:64] = 0
+    b[32:96] = 0
+    b[-64:] = f.q - 1
+    np.testing.assert_array_equal(f.mul(a, b), (a * b) % f.q)
+    assert f.mul(3, 5) == 15 and f.mul(f.q - 1, f.q - 1) == 1
+
+
 def test_mul_keeps_dtype_and_shape_for_scalars_and_broadcasts():
     f = field_make(3, 2)
     row = np.arange(9)
@@ -374,6 +399,24 @@ def test_random_square_matrices_invert_or_raise(seed):
     )
 
 
+# GF(2, 3, 4, 5, 7, 8, 9) with the largest ell whose q^ell stays within 2^16
+COMPLETION_FIELDS = {(2, 1): 16, (3, 1): 10, (2, 2): 8, (5, 1): 6, (7, 1): 5, (2, 3): 5,
+                     (3, 2): 5}
+
+
+@given(st.sampled_from(sorted(COMPLETION_FIELDS)), st.integers(1, 16), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_completions_equal_field_matmul_over_every_source_row(pm, ell, seed):
+    f = field_make(*pm)
+    ell = min(ell, COMPLETION_FIELDS[pm])
+    kern = sample_invertible(f, ell, np.random.default_rng(seed))
+    rows = np.array(list(itertools.product(range(f.q), repeat=ell)), dtype=np.int64)
+    want = field_matmul(f, rows, kern.entries) + f.q * np.arange(ell)
+    table = kern.completions
+    assert table.dtype == np.int64 and not table.flags.writeable
+    np.testing.assert_array_equal(table, want)
+
+
 def test_field_matmul_matches_scalar_reference():
     f = field_make(2, 3)
     rng = np.random.default_rng(3)
@@ -433,13 +476,3 @@ def test_sample_invertible_uniform_over_gl22():
     sigma = (n * (1 / 6) * (5 / 6)) ** 0.5
     for c in counts.values():
         assert abs(c - n / 6) <= 4 * sigma
-
-
-def test_kernel_apply_rows():
-    f = field_make(2)
-    k = arikan_kernel(f)
-    rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-    np.testing.assert_array_equal(
-        k.apply_rows(rows), [[0, 0], [1, 1], [1, 0], [0, 1]]
-    )
-    assert isinstance(k, Kernel)

@@ -1,10 +1,12 @@
 """Kernel certification, search determinism, failure-rate estimation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from qpolar import kernsearch
 from qpolar import transform as transform_module
 from qpolar.channel import bec, flatten
 from qpolar.ftpc import coset_enumerator, dual_coset_enumerator
@@ -148,6 +150,23 @@ def test_empirical_failure_rate_f2_ell8():
 def test_empirical_failure_rate_validates_alphabet():
     with pytest.raises(ValueError):
         empirical_failure_rate(4, 6, 0.1, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 2**17, 1, 0])
+def test_empirical_failure_rate_refuses_a_field_size_out_of_range_at_once(q):
+    # 2^61 - 1 is prime: trial division of it ran until killed
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="outside 2..65536"):
+        empirical_failure_rate(2, q, 0.3, 1, np.random.default_rng(0))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 3), (3, 3), (5, 3), (7, 2), (2, 8), (3, 5)])
+def test_empirical_failure_rate_finds_the_extension_degree_exactly(monkeypatch, p, m):
+    made = []
+    monkeypatch.setattr(kernsearch, "field_make", lambda *pm: made.append(pm) or field_make(*pm))
+    empirical_failure_rate(2, p**m, 0.3, 1, np.random.default_rng(0))
+    assert made == [(p, m)]
 
 
 def test_empirical_failure_rate_needs_a_trial():

@@ -1,5 +1,6 @@
 """Single-step synthesis: closed forms, conservation, quotient oracle, MC."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from qpolar.channel import (
     sample_outputs,
     zchannel,
 )
-from qpolar.gf import _digit_matrix, arikan_kernel, field_make, field_matmul, sample_invertible
+from qpolar.gf import arikan_kernel, field_make, field_matmul, sample_invertible
 from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
 from qpolar.transform import quantize_merge, transform, transform_all
@@ -105,7 +106,7 @@ def _quotient_oracle(field, input_dist, kern, i):
     idx = np.arange(count)
     shifts = q ** np.arange(ell - 1, -1, -1)
     U = (idx[:, None] // shifts[None, :]) % q
-    X = kern.apply_rows(U)
+    X = field_matmul(kern.field, U, kern.entries)
     w = np.prod(np.asarray(input_dist)[X], axis=1)
     prefix_size = q ** (i - 1)
     A = np.zeros((q, prefix_size))
@@ -157,8 +158,8 @@ def _loop_transform(W, kernel, i, merge):
     ell = kernel.ell
     q, M = W.q, W.output_size
     joint = derived_distributions(W).joint
-    U = _digit_matrix(q, ell)
-    X = kernel.apply_rows(U)
+    U = np.array(list(itertools.product(range(q), repeat=ell)), dtype=np.int64)
+    X = field_matmul(W.field, U, kernel.entries)
     prefix_size = q ** (i - 1)
     shifts = q ** np.arange(i - 2, -1, -1, dtype=np.int64) if i > 1 else None
     A = np.zeros((q, prefix_size * M**ell))
@@ -320,7 +321,8 @@ def _estimate_entropy_mc(W, kernel, i, samples, rng):
     field = W.field
     joint = derived_distributions(W).joint
     in_cdf = np.cumsum(W.input_dist)
-    cands = _digit_matrix(q, ell - i + 1)  # candidate (u_i, suffix) blocks
+    # candidate (u_i, suffix) blocks, first digit most significant
+    cands = np.array(list(itertools.product(range(q), repeat=ell - i + 1)), dtype=np.int64)
     C = cands.shape[0]
     losses = np.empty(samples)
     done = 0
