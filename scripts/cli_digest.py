@@ -17,10 +17,12 @@ posterior array for the length-8 spec.
 The exit status is 1 if any command exits nonzero.  Two trees that print
 the same lines give byte-identical output on every listed command, so the
 list serves as a quick check that a change leaves the CLI's results alone.
-It takes a few seconds.
+It takes a few seconds.  ``scripts/cli_digest.expected`` holds the lines
+this tree prints; a change that alters a line on purpose updates that file
+in the same commit (a tier-1 test compares every line).
 
 example:
-  PYTHONPATH=src python3 scripts/cli_digest.py
+  PYTHONPATH=src python3 scripts/cli_digest.py | diff scripts/cli_digest.expected -
 """
 
 import contextlib
@@ -145,8 +147,8 @@ def run(command: str, files: dict) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def digest_all() -> int:
-    failed = 0
+def digest_lines():
+    """Yield (exit code, digest line) for every command of ``COMMANDS``, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         names = ("spec", "kernel", "gf3", "gf9", "gf2_20", "gf3_9", "post")
         files = {name: Path(tmp) / f"{name}.json" for name in names}
@@ -161,8 +163,14 @@ def digest_all() -> int:
             if command == C11_SPEC:
                 files["spec"].write_text(text)
             digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-            print(f"{digest}  {command}" + (f"  (exit {code})" if code else ""))
-            failed += code != 0
+            yield code, f"{digest}  {command}" + (f"  (exit {code})" if code else "")
+
+
+def digest_all() -> int:
+    failed = 0
+    for code, line in digest_lines():
+        print(line)
+        failed += code != 0
     return 1 if failed else 0
 
 

@@ -162,11 +162,17 @@ def _posterior(W: Channel) -> tuple[np.ndarray, np.ndarray]:
     ``merge_outputs`` both call it.
     """
     post = W.input_dist[:, None] * W.transition
-    output = post.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    output = np.add.reduce(post, axis=0)
+    if np.minimum.reduce(output) > 0.0:
         post /= output
-    dead = output <= 0.0
-    if dead.any():
+    else:
+        # divide the dead columns by 1, so no 0 / 0 is formed: their
+        # output entries are set to 1 for the divide and then put back
+        dead = (output <= 0.0).nonzero()[0]
+        mass = output.take(dead)
+        output.put(dead, 1.0)
+        post /= output
+        output.put(dead, mass)
         post[:, dead] = 1.0 / W.q
     return post, output
 
@@ -284,18 +290,24 @@ def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
     N = order.size
     gap, diff = np.empty(N - 1), np.empty(N)
     # sort in place, one contiguous row at a time; every index is in range,
-    # and mode="clip" gathers straight into ``out`` where the default mode
-    # would gather into a hidden copy first
+    # and mode "clip" gathers straight into ``out`` where the default mode
+    # would gather into a hidden copy first.  The method is called with
+    # positional arguments: np.take's Python wrapper costs more than the
+    # gather itself on small inputs
     for row in key:
-        row[:] = np.take(row, order, out=diff, mode="clip")
+        row[:] = row.take(order, None, diff, "clip")
     diff = diff[1:]
     # the neighbour gaps: sup over x of |key[x, k] - key[x, k - 1]|
     np.abs(np.subtract(key[0, 1:], key[0, :-1], out=gap), out=gap)
     for row in key[1:]:
         np.maximum(gap, np.abs(np.subtract(row[1:], row[:-1], out=diff), out=diff), out=gap)
-    start = np.ones(N, dtype=bool)
-    start[1:] = ~(gap <= tol)
-    near_ties = ((gap > 0.0) & (gap <= tol)).any()
+    start = np.empty(N, dtype=bool)
+    start[0] = True
+    np.greater(gap, tol, out=start[1:])
+    # every split gap is positive, so a nonzero gap within tol exists
+    # exactly when there are more nonzero gaps than splits
+    G = np.count_nonzero(start)
+    near_ties = np.count_nonzero(gap) > G - 1
     del gap
     if near_ties:
         # compare each column with its run's head, and each head with the
@@ -306,25 +318,29 @@ def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
         np.maximum.accumulate(head, out=head)
         near = np.ones(N - 1, dtype=bool)
         for row in key:
-            np.subtract(row[1:], np.take(row, head[:-1], out=diff, mode="clip"), out=diff)
+            np.subtract(row[1:], row.take(head[:-1], None, diff, "clip"), out=diff)
             near &= np.abs(diff, out=diff) <= tol
         bad = np.zeros(N, dtype=bool)
         bad[1:] = near == start[1:]  # a mismatch with the run rule flags the column
         del head, near
         if bad.any():
             _rescan_runs(key, tol, start, bad)
+            G = np.count_nonzero(start)
     del key, diff  # free the sort buffers before the sums gather
+    if G == N:
+        return W
+    # the run index of each column, cumsum(start) - 1 (start[0] is set),
+    # accumulated in place over intp flags: a cumsum of booleans casts
+    # through a buffer, several times the cost on small inputs
+    runs = start.astype(np.intp)
+    runs[0] = 0
+    np.add.accumulate(runs, out=runs)
     # Each transition row is gathered in sorted order and summed by one
     # np.bincount over the run indices, which adds every bin's weights in
     # index order starting from zero, so each run is added left to right
     # (test_run_sums_add_each_run_left_to_right pins this).  A sum over a
     # contiguous axis would not be bitwise: numpy adds it pairwise, and
     # np.add.reduceat is no better.
-    runs = np.cumsum(start)
-    runs -= 1
-    G = int(runs[-1]) + 1
-    if G == N:
-        return W
     sums = np.empty((W.q, G))
     for x, row in enumerate(W.transition):
         sums[x] = np.bincount(runs, weights=row.take(order), minlength=G)

@@ -345,6 +345,12 @@ def encode(spec: CodeSpec, message: np.ndarray, seed: int) -> np.ndarray:
     return eng.run(prior, prior.copy())
 
 
+def _check_channel_field(spec: CodeSpec, W: Channel) -> None:
+    """Refuse a channel over another field than the spec's, naming both."""
+    if W.q != spec.field.q:  # q = p^m names the field
+        raise ValueError(f"the channel is over GF({W.q}) but the spec over GF({spec.field.q})")
+
+
 def decode(
     spec: CodeSpec,
     received: np.ndarray,
@@ -357,8 +363,9 @@ def decode(
     length-N symbol vector (then ``channel`` supplies the posterior map).
     ``seed`` must match the encoder's.  ``failed`` reports contradictory
     pins somewhere in the pass; decoding still completes on uniform
-    substitutes.  NaN, infinite or negative posteriors and symbols that are
-    not integers in the channel's output alphabet raise ``ValueError``.
+    substitutes.  NaN, infinite or negative posteriors, symbols that are
+    not integers in the channel's output alphabet and a channel over
+    another field than the spec's raise ``ValueError``.
     """
     received = np.asarray(received)
     N, q = spec.block_length, spec.field.q
@@ -371,6 +378,7 @@ def decode(
     elif received.ndim == 1:
         if channel is None:
             raise ValueError("symbol input needs the channel")
+        _check_channel_field(spec, channel)
         if received.shape[0] != N:
             raise ValueError(f"expected {N} output symbols")
         if not (np.isfinite(received).all() and (received % 1 == 0).all()):
@@ -399,7 +407,10 @@ def simulate_counts(spec: CodeSpec, W: Channel, streams: list) -> dict:
 
     Factored out so trial ranges can be sharded across workers: tallies
     over a partition of the streams merge to exactly the sequential run.
+    A channel over another field than the spec's raises ``ValueError``
+    before any trial is drawn.
     """
+    _check_channel_field(spec, W)
     q, k = spec.field.q, spec.dimension
     block_errs = sym_errs = failures = du = 0
     for ss in streams:

@@ -69,9 +69,16 @@ class WeightEnumerator:
     counts: np.ndarray
 
     def evaluate(self, z: float) -> float:
-        """Sum counts[w] * z^w (with 0^0 = 1)."""
-        powers = np.power(float(z), np.arange(self.ell + 1))
-        return float(self.counts @ powers)
+        """Sum counts[w] * z^w (with 0^0 = 1), by Horner's rule in Python floats.
+
+        Every step is one IEEE multiply and one add of an integer count, each
+        correctly rounded (the counts stay below 2^53), so the value does not
+        depend on numpy's SIMD dispatch, on BLAS or on libm.
+        """
+        z, acc = float(z), 0.0
+        for count in reversed(self.counts.tolist()):
+            acc = acc * z + count
+        return acc
 
     @property
     def min_weight(self) -> int:

@@ -327,6 +327,25 @@ class Kernel:
         table.setflags(write=False)
         return table
 
+    def synthesis_words(self, i: int) -> np.ndarray:
+        """The symbols of x = u G for every source word, in position ``i``'s synthesis order.
+
+        A (q^(ell-i), q^i, ell) array: block s holds the words whose suffix
+        u_(i+1..ell) has index s, row u_i * q^(i-1) + index(u_1..u_(i-1))
+        of the block holds x_1..x_ell of that word.  These are the rows of
+        ``completions`` taken in (suffix, u_i, prefix) order, mod q.  Built
+        on first use for each position and kept beside ``completions`` for
+        the kernel's lifetime, read-only.
+        """
+        tables = vars(self).setdefault("_synthesis_words", {})
+        if i not in tables:
+            q, ell = self.field.q, self.ell
+            perm = np.arange(q**ell).reshape(q ** (i - 1), q, q ** (ell - i)).T.ravel()
+            words = (self.completions[perm] % q).reshape(q ** (ell - i), q**i, ell)
+            words.setflags(write=False)
+            tables[i] = words
+        return tables[i]
+
 
 def mat_invert(spec: FieldSpec, entries) -> Kernel:
     """Invert a square matrix over GF(q) by Gaussian elimination.

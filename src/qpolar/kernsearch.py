@@ -90,6 +90,18 @@ def _check_point(**point: float) -> None:
             raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
+def _int_power(base: float, k: int) -> float:
+    """base^k for an integer k >= 0 by k correctly rounded multiplications.
+
+    Unlike ``**`` (libm's pow) or ``np.power`` (SIMD dispatch), the bits are
+    the same on every IEEE 754 platform.
+    """
+    out = 1.0
+    for _ in range(k):
+        out *= base
+    return out
+
+
 def _phases(enum: WeightEnumerator, i: int, q: int, x: float) -> tuple[bool, float, float, bool]:
     """Both certificate phases of one coset enumerator, against position i's target d_i.
 
@@ -101,7 +113,7 @@ def _phases(enum: WeightEnumerator, i: int, q: int, x: float) -> tuple[bool, flo
     ell = enum.ell
     d = _distance_target(i, ell)
     lhs = enum.evaluate(x)
-    rhs = ell * (1 + (q - 1) * x) ** (ell - d) * ((q - 1) * x) ** d
+    rhs = ell * _int_power(1 + (q - 1) * x, ell - d) * _int_power((q - 1) * x, d)
     return i * i <= 3 * ell or enum.min_weight >= d, lhs, rhs, lhs <= rhs + 1e-12
 
 

@@ -79,6 +79,9 @@ def _field_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
 def param_vector(W: Channel) -> ParamVector:
     """The nine functionals of W at its input law (see the module table).
 
+    Computed on first use and kept on W, as ``W.derived`` is: a second call
+    on the same channel returns the same (immutable) result.
+
     Memory: besides the law ``W.derived`` (kept on W), one (q, M) float
     scratch buffer, ``sqrt(joint)`` while Z is taken, one M float buffer
     and the (q, M) boolean mask ``joint > 0``; S's character product is the
@@ -86,8 +89,13 @@ def param_vector(W: Channel) -> ParamVector:
     functional is the same ufuncs in the same order as the plain
     expression it stands for, written into the buffers: x log y with the
     0 log 0 = 0 convention is ``where(joint > 0, x * log(where(joint > 0,
-    y, 1)), 0)``, so the bits do not depend on the buffering.
+    y, 1)), 0)``, so the bits do not depend on the buffering.  Sums,
+    maxima and the mean are the ufunc reductions that ``ndarray.sum``,
+    ``max`` and ``mean`` call, without their Python wrappers.
     """
+    kept = vars(W).get("_param_vector")
+    if kept is not None:
+        return kept
     q = W.q
     shifts, chi = _field_tables(W.field)
     d = W.derived
@@ -95,12 +103,13 @@ def param_vector(W: Channel) -> ParamVector:
     lnq = math.log(q)
     live = joint > 0
     buf = np.empty_like(joint)
+    add, top = np.add.reduce, np.maximum.reduce
 
     def xlogy(x: np.ndarray) -> float:
         # buf holds y on the live entries and 1 elsewhere; log(1) = 0 stays 0
         np.log(buf, out=buf)
         np.multiply(x, buf, out=buf, where=live)
-        return float(buf.sum())
+        return float(add(buf, axis=None))
 
     buf.fill(1.0)
     np.copyto(buf, post, where=live)
@@ -111,31 +120,34 @@ def param_vector(W: Channel) -> ParamVector:
     np.divide(joint, buf, out=buf, where=live)
     I = xlogy(joint) / lnq
 
-    col = post.max(axis=0)
+    col = top(post, axis=0)
     np.subtract(1.0, col, out=col)
-    Pe = float(np.multiply(out, col, out=col).sum())
+    Pe = float(add(np.multiply(out, col, out=col)))
 
     R = np.sqrt(joint)
     overlaps = np.empty(q - 1)
     for k, shift in enumerate(shifts):
-        # shift is in range: mode="clip" gathers straight into buf (the
-        # default mode gathers into a hidden copy first)
-        np.take(R, shift, axis=0, out=buf, mode="clip")
-        overlaps[k] = float(np.multiply(R, buf, out=buf).sum())
+        # shift is in range: mode "clip" gathers straight into buf (the
+        # default mode gathers into a hidden copy first); the method, with
+        # positional arguments, skips np.take's Python wrapper
+        R.take(shift, 0, buf, "clip")
+        overlaps[k] = float(add(np.multiply(R, buf, out=buf), axis=None))
     del R
-    Z = float(overlaps.sum() / (q - 1))
-    Zmad = float(overlaps.max())
+    Z = float(add(overlaps) / (q - 1))
+    Zmad = float(top(overlaps))
 
     np.subtract(joint, np.divide(out, q, out=col), out=buf)
-    T = float(np.abs(buf, out=buf).sum())
+    T = float(add(np.abs(buf, out=buf), axis=None))
     del live, buf, col  # S's complex product sets the peak
 
     corr = np.abs(chi @ post)  # (q, M)
-    weights = corr @ out
-    S = float(weights[1:].mean())
-    Smax = float(weights[1:].max())
+    weights = (corr @ out)[1:]
+    S = float(add(weights) / (q - 1))
+    Smax = float(top(weights))
 
-    return ParamVector(q=q, H=H, I=I, Pe=Pe, Z=Z, Zmad=Zmad, T=T, S=S, Smax=Smax)
+    pv = ParamVector(q=q, H=H, I=I, Pe=Pe, Z=Z, Zmad=Zmad, T=T, S=S, Smax=Smax)
+    vars(W)["_param_vector"] = pv
+    return pv
 
 
 # ------------------------------------------------------ inequality report

@@ -59,34 +59,33 @@ def _raw_law(joint: np.ndarray, kernel: Kernel, i: int) -> tuple[np.ndarray, np.
 
     Column ``prefix * M^ell + y`` of row ``u_i`` holds the joint mass of the
     words with that prefix and symbol summed over their q^(ell-i) suffixes.
-    Each word's joint comes from the kernel's completion table: the stacked
-    joint is gathered at the table's pin indices and the ell channel rows
-    are multiplied as outer products, left to right.  Words are taken in
-    (suffix, u_i, prefix) order, so each suffix block is one contiguous
-    (q, prefix * M^ell) slab.  The blocks are gathered one at a time and
-    added in word order one ``+`` at a time: the bits equal a word-by-word
-    accumulation from zero (a reduction over the suffix axis would add
-    pairwise).  Rows of zero mass are uniform.
+    Each word's joint comes from the kernel's word table for position i
+    (``Kernel.synthesis_words``): the joint rows of its symbols are
+    gathered and multiplied as outer products, left to right.  Words are
+    taken in (suffix, u_i, prefix) order, so each suffix block is one
+    contiguous (q, prefix * M^ell) slab.  The blocks are gathered one at a
+    time and added in word order one ``+`` at a time: the bits equal a
+    word-by-word accumulation from zero (a reduction over the suffix axis
+    would add pairwise).  Rows of zero mass are uniform.
     """
     q, ell = kernel.field.q, kernel.ell
-    words = q**i
-    perm = np.arange(q**ell).reshape(q ** (i - 1), q, q ** (ell - i)).T.ravel()
-    table = kernel.completions[perm]
-    stacked = np.concatenate([joint] * ell)
     A = None
-    for lo in range(0, table.shape[0], words):
-        rows = stacked[table[lo : lo + words]]  # (words, ell, M)
+    for block in kernel.synthesis_words(i):
+        rows = joint[block]  # (q^i, ell, M)
         w = rows[:, 0]
         for j in range(1, ell):
-            w = (w[:, :, None] * rows[:, j, None, :]).reshape(words, -1)
+            w = (w[:, :, None] * rows[:, j, None, :]).reshape(len(block), -1)
         if A is None:
             A = w.reshape(q, -1)
         else:
             A += w.reshape(q, -1)
         del rows, w
-    mass = A.sum(axis=1)
-    A /= np.where(mass > 0, mass, 1.0)[:, None]
-    A[mass <= 0] = 1.0 / A.shape[1]
+    mass = np.add.reduce(A, axis=1)
+    if np.minimum.reduce(mass) > 0.0:
+        A /= mass[:, None]
+    else:
+        A /= np.where(mass > 0, mass, 1.0)[:, None]
+        A[mass <= 0] = 1.0 / A.shape[1]
     return A, mass
 
 

@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -414,6 +416,21 @@ def test_decode_out_of_range_symbol_exits_one(capsys, spec_file):
     assert "output symbols must lie in 0..2" in err
 
 
+@pytest.mark.parametrize("command", ["decode", "simulate"])
+def test_channel_over_another_field_than_the_spec_exits_one(capsys, spec_file, tmp_path, command):
+    cfile = tmp_path / "chan.json"
+    cfile.write_text(json.dumps({"p": 3, "m": 1, "transition": np.full((3, 2), 0.5).tolist()}))
+    extra = {
+        "decode": ["--received", "0,1,0,0,1,1,0,1"],
+        "simulate": ["--trials", "4", "--jobs", "2"],
+    }[command]
+    code, out, err = run_cli(
+        capsys, command, "--spec", str(spec_file), "--channel", str(cfile), "--seed", "7", *extra
+    )
+    assert code == 1 and out == ""
+    assert err == "error: the channel is over GF(3) but the spec over GF(2)\n"
+
+
 def test_params_non_finite_channel_file_exits_one(capsys, tmp_path):
     cfile = tmp_path / "chan.json"
     cfile.write_text('{"p": 2, "transition": [[NaN, 0.5], [0.5, 0.5]]}')
@@ -547,3 +564,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["params"]["H"] == 0.25
+
+
+# ---- pinned digest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_cli_digest_matches_the_pinned_lines():
+    # scripts/cli_digest.py run in-process: every line, exit codes included,
+    # must equal the committed scripts/cli_digest.expected
+    spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    expected = (SCRIPTS / "cli_digest.expected").read_text().splitlines()
+    assert [line for _, line in digest.digest_lines()] == expected

@@ -473,6 +473,18 @@ def test_decode_rejects_fractional_symbols(bec_spec):
     assert np.array_equal(as_float.message, decode(bec_spec, whole, seed=1, channel=bec(0.5)).message)
 
 
+def test_a_channel_over_another_field_is_refused(bec_spec):
+    gf3 = random_channel(field_make(3), 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"channel is over GF\(3\) but the spec over GF\(2\)"):
+        decode(bec_spec, np.zeros(8, dtype=int), seed=0, channel=gf3)
+    with pytest.raises(ValueError, match=r"channel is over GF\(3\) but the spec over GF\(2\)"):
+        simulate(bec_spec, gf3, trials=2, seed=0)
+    # a smaller field fails before any channel output is drawn
+    spec3 = construct(gf3, 2, 2, 0.2, FixedKernel(arikan_kernel(field_make(3))), seed=1)
+    with pytest.raises(ValueError, match=r"channel is over GF\(2\) but the spec over GF\(3\)"):
+        simulate(spec3, bec(0.5), trials=2, seed=0)
+
+
 def test_decode_flags_contradictory_pins():
     rng = np.random.default_rng(0)
     spec = _all_info_spec(F2, 2, 1, rng)

@@ -1,0 +1,241 @@
+"""One synthesis step against a frozen copy of the code it replaced, bit for bit.
+
+``transform``, ``merge_outputs``, ``quantize_merge``, the derived law and
+``param_vector`` were rewritten to make fewer numpy calls per step (a word
+table per kernel position, ufunc reductions without the ndarray wrappers,
+no error-state context, split flags written in place).  The functions
+below are the earlier bodies, kept here as the reference: every result must
+match them in every bit, on random channels with dead outputs and
+zero-mass input symbols, over GF(2), GF(3), GF(4) and GF(5), at every
+position of random 2x2 and 3x3 kernels.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpolar.channel import (
+    Channel,
+    DerivedDists,
+    _rescan_runs,
+    bsc,
+    derived_distributions,
+    make_channel,
+    merge_outputs,
+)
+from qpolar.gf import field_make, sample_invertible
+from qpolar.params import ParamVector, _field_tables, param_vector
+from qpolar.transform import quantize_merge, transform
+
+# ------------------------------------------------------ the earlier code
+
+
+def _ref_posterior(W):
+    post = W.input_dist[:, None] * W.transition
+    output = post.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        post /= output
+    dead = output <= 0.0
+    if dead.any():
+        post[:, dead] = 1.0 / W.q
+    return post, output
+
+
+def _ref_derived(W):
+    joint = W.input_dist[:, None] * W.transition
+    posterior, output = _ref_posterior(W)
+    return DerivedDists(joint=joint, output=output, posterior=posterior)
+
+
+def _ref_merge_sorted(W, key, tol):
+    order = np.lexsort(key[::-1, :])
+    N = order.size
+    gap, diff = np.empty(N - 1), np.empty(N)
+    for row in key:
+        row[:] = np.take(row, order, out=diff, mode="clip")
+    diff = diff[1:]
+    np.abs(np.subtract(key[0, 1:], key[0, :-1], out=gap), out=gap)
+    for row in key[1:]:
+        np.maximum(gap, np.abs(np.subtract(row[1:], row[:-1], out=diff), out=diff), out=gap)
+    start = np.ones(N, dtype=bool)
+    start[1:] = ~(gap <= tol)
+    near_ties = ((gap > 0.0) & (gap <= tol)).any()
+    if near_ties:
+        head = np.arange(N)
+        head *= start
+        np.maximum.accumulate(head, out=head)
+        near = np.ones(N - 1, dtype=bool)
+        for row in key:
+            np.subtract(row[1:], np.take(row, head[:-1], out=diff, mode="clip"), out=diff)
+            near &= np.abs(diff, out=diff) <= tol
+        bad = np.zeros(N, dtype=bool)
+        bad[1:] = near == start[1:]
+        if bad.any():
+            _rescan_runs(key, tol, start, bad)
+    runs = np.cumsum(start)
+    runs -= 1
+    G = int(runs[-1]) + 1
+    if G == N:
+        return W
+    sums = np.empty((W.q, G))
+    for x, row in enumerate(W.transition):
+        sums[x] = np.bincount(runs, weights=row.take(order), minlength=G)
+    return Channel._owned(W.field, sums, W.input_dist)
+
+
+def _ref_merge_outputs(W, tol=1e-12):
+    return _ref_merge_sorted(W, _ref_posterior(W)[0], tol)
+
+
+def _ref_quantize_merge(W, resolution):
+    bins = _ref_posterior(W)[0]
+    bins *= resolution
+    np.minimum(np.trunc(bins, out=bins), resolution - 1, out=bins)
+    return _ref_merge_sorted(W, bins, 0.0)
+
+
+def _ref_raw_law(joint, kernel, i):
+    q, ell = kernel.field.q, kernel.ell
+    words = q**i
+    perm = np.arange(q**ell).reshape(q ** (i - 1), q, q ** (ell - i)).T.ravel()
+    table = kernel.completions[perm]
+    stacked = np.concatenate([joint] * ell)
+    A = None
+    for lo in range(0, table.shape[0], words):
+        rows = stacked[table[lo : lo + words]]
+        w = rows[:, 0]
+        for j in range(1, ell):
+            w = (w[:, :, None] * rows[:, j, None, :]).reshape(words, -1)
+        if A is None:
+            A = w.reshape(q, -1)
+        else:
+            A += w.reshape(q, -1)
+    mass = A.sum(axis=1)
+    A /= np.where(mass > 0, mass, 1.0)[:, None]
+    A[mass <= 0] = 1.0 / A.shape[1]
+    return A, mass
+
+
+def _ref_transform(W, kernel, i, merge):
+    out = Channel._owned(W.field, *_ref_raw_law(_ref_derived(W).joint, kernel, i))
+    return _ref_merge_outputs(out, tol=1e-12) if merge else out
+
+
+def _ref_param_vector(W):
+    q = W.q
+    shifts, chi = _field_tables(W.field)
+    d = _ref_derived(W)
+    joint, out, post = d.joint, d.output, d.posterior
+    lnq = math.log(q)
+    live = joint > 0
+    buf = np.empty_like(joint)
+
+    def xlogy(x):
+        np.log(buf, out=buf)
+        np.multiply(x, buf, out=buf, where=live)
+        return float(buf.sum())
+
+    buf.fill(1.0)
+    np.copyto(buf, post, where=live)
+    H = -xlogy(joint) / lnq
+
+    buf.fill(1.0)
+    np.multiply(W.input_dist[:, None], out, out=buf, where=live)
+    np.divide(joint, buf, out=buf, where=live)
+    I = xlogy(joint) / lnq
+
+    col = post.max(axis=0)
+    np.subtract(1.0, col, out=col)
+    Pe = float(np.multiply(out, col, out=col).sum())
+
+    R = np.sqrt(joint)
+    overlaps = np.empty(q - 1)
+    for k, shift in enumerate(shifts):
+        np.take(R, shift, axis=0, out=buf, mode="clip")
+        overlaps[k] = float(np.multiply(R, buf, out=buf).sum())
+    Z = float(overlaps.sum() / (q - 1))
+    Zmad = float(overlaps.max())
+
+    np.subtract(joint, np.divide(out, q, out=col), out=buf)
+    T = float(np.abs(buf, out=buf).sum())
+
+    corr = np.abs(chi @ post)
+    weights = corr @ out
+    S = float(weights[1:].mean())
+    Smax = float(weights[1:].max())
+    return ParamVector(q=q, H=H, I=I, Pe=Pe, Z=Z, Zmad=Zmad, T=T, S=S, Smax=Smax)
+
+
+# ------------------------------------------------------------ the checks
+
+
+def _same_channel(got, want):
+    assert got.output_size == want.output_size
+    assert got.transition.tobytes() == want.transition.tobytes()
+    assert got.input_dist.tobytes() == want.input_dist.tobytes()
+
+
+def _same_params(got, want):
+    # == would let -0.0 pass for 0.0; the bits must agree
+    assert np.array(list(got.as_dict().values())).tobytes() == np.array(
+        list(want.as_dict().values())
+    ).tobytes()
+
+
+@st.composite
+def step_cases(draw):
+    """A channel over GF(2), GF(3), GF(4) or GF(5), a 2x2 or 3x3 kernel and a position.
+
+    Transition entries are zeroed at random, a share of the outputs is dead
+    (zero in every row) and some columns repeat others, so merges see ties;
+    half the input laws have zero-mass symbols, which give zero rows in the
+    joint and in the raw synthesis.
+    """
+    field = field_make(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    q = field.q
+    ell = draw(st.integers(2, 3))
+    M = draw(st.integers(1, 5 if ell == 2 or q < 4 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = rng.dirichlet(np.ones(M), size=q) * (rng.random((q, M)) < 0.7)
+    T = T[:, rng.integers(0, M, M)] if draw(st.booleans()) else T
+    T[:, rng.random(M) < 0.25] = 0.0
+    T[np.arange(q), rng.integers(0, M, q)] += 0.5  # every row keeps some mass
+    T /= T.sum(axis=1, keepdims=True)
+    dist = rng.dirichlet(np.ones(q))
+    if draw(st.booleans()):
+        dist[rng.random(q) < 0.5] = 0.0
+        dist[int(rng.integers(q))] += 1.0 - dist.sum()
+    W = make_channel(field, T, dist / dist.sum())
+    return W, sample_invertible(field, ell, rng), draw(st.integers(1, ell))
+
+
+@given(step_cases(), st.sampled_from([0.0, 1e-12, 1e-3, 0.05]), st.sampled_from([1, 3, 64]))
+@settings(max_examples=300, deadline=None)
+def test_synthesis_step_matches_the_earlier_code_bitwise(case, tol, resolution):
+    W, kern, i = case
+    raw = transform(W, kern, i, merge=False)
+    _same_channel(raw, _ref_transform(W, kern, i, merge=False))
+    child = transform(W, kern, i)
+    _same_channel(child, _ref_transform(W, kern, i, merge=True))
+    _same_channel(merge_outputs(raw, tol), _ref_merge_outputs(raw, tol))
+    _same_channel(quantize_merge(raw, resolution), _ref_quantize_merge(raw, resolution))
+    for V in (W, raw, child):
+        got, want = derived_distributions(V), _ref_derived(V)
+        for name in ("joint", "output", "posterior"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        _same_params(param_vector(V), _ref_param_vector(V))
+
+
+def test_param_vector_is_kept_per_channel():
+    W = bsc(0.11)
+    pv = param_vector(W)
+    assert param_vector(W) is pv
+    # a channel made by with_input is another object with its own parameters
+    V = W.with_input([0.3, 0.7])
+    assert param_vector(V) is not pv and param_vector(V) is param_vector(V)
+    _same_params(param_vector(V), _ref_param_vector(V))
+    same_law = W.with_input(W.input_dist)
+    assert param_vector(same_law) is not pv
+    _same_params(param_vector(same_law), pv)
