@@ -16,7 +16,11 @@ raw synthesis, the derived law (``derived_distributions``) and
 Every call is timed on its own with ``time.perf_counter``; ``param_vector``
 is timed on a fresh copy of its channel each time, with the derived law
 already built, so its row is the first call's cost and not a kept result.
-The figures are wall clock on the host that runs the script.
+The figures are wall clock on the host that runs the script.  A last line
+gives the peak memory that ``tracemalloc`` traces during one call of
+``transform``, ``merge_outputs`` and ``param_vector`` on the construct
+input, made as for the timing (their arguments are built outside the
+traced call).
 
 example:
   PYTHONPATH=src python3 scripts/layer_costs.py --repeats 2000 --large-repeats 5
@@ -25,6 +29,7 @@ example:
 import argparse
 import statistics
 import time
+import tracemalloc
 
 from qpolar.channel import (
     Channel,
@@ -60,16 +65,27 @@ def _fresh_with_law(W: Channel):
     return make
 
 
-def layer_costs(W: Channel, i: int, V: Channel, repeats: int) -> dict:
-    """Median µs of ``transform`` and the merge at position ``i`` of one Arikan
-    step on W, and of the derived law and ``param_vector`` of V."""
+def _traced_peak_mb(fn, make_arg) -> float:
+    arg = make_arg()
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def layers(W: Channel, i: int, V: Channel) -> dict:
+    """Each layer's call and argument maker: ``transform`` and the merge at
+    position ``i`` of one Arikan step on W, the derived law and
+    ``param_vector`` of V."""
     W.derived
     raw = transform(W, ARIKAN, i, merge=False)
     return {
-        "transform": _median_us(lambda U: transform(U, ARIKAN, i), lambda: W, repeats),
-        "merge_outputs": _median_us(merge_outputs, lambda: raw, repeats),
-        "derived law": _median_us(derived_distributions, lambda: V, repeats),
-        "param_vector": _median_us(param_vector, _fresh_with_law(V), repeats),
+        "transform": (lambda U: transform(U, ARIKAN, i), lambda: W),
+        "merge_outputs": (merge_outputs, lambda: raw),
+        "derived law": (derived_distributions, lambda: V),
+        "param_vector": (param_vector, _fresh_with_law(V)),
     }
 
 
@@ -89,18 +105,22 @@ def main() -> None:
     for k in (1, 2, 1, 2):
         parent = transform(parent, ARIKAN, k)
     raw = transform(parent, ARIKAN, 2, merge=False)
+    construct = layers(parent, 2, raw)
     rows = {
-        f"census ({census.output_size} outputs, position 1)": layer_costs(
-            census, 1, census, args.repeats
+        f"census ({census.output_size} outputs, position 1)": (
+            layers(census, 1, census), args.repeats
         ),
-        f"construct ({parent.output_size} outputs, position 2)": layer_costs(
-            parent, 2, raw, args.large_repeats
-        ),
+        f"construct ({parent.output_size} outputs, position 2)": (construct, args.large_repeats),
     }
-    names = list(next(iter(rows.values())))
+    names = list(construct)
     print("median µs per call | " + " | ".join(names))
-    for label, costs in rows.items():
-        print(label + " | " + " | ".join(f"{costs[n]:.1f}" for n in names))
+    for label, (calls, repeats) in rows.items():
+        costs = [_median_us(fn, make_arg, repeats) for fn, make_arg in calls.values()]
+        print(label + " | " + " | ".join(f"{c:.1f}" for c in costs))
+    traced = ["transform", "merge_outputs", "param_vector"]
+    print("traced peak MB, construct | " + " | ".join(traced))
+    peaks = [_traced_peak_mb(*construct[n]) for n in traced]
+    print("construct | " + " | ".join(f"{p:.1f}" for p in peaks))
 
 
 if __name__ == "__main__":

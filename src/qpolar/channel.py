@@ -19,6 +19,9 @@ from .gf import FieldSpec, field_make
 #: tolerance for "rows sum to one" validation
 ROW_TOL = 1e-12
 
+#: sorted columns a merge scans and sums at a time
+_WINDOW = 1 << 14
+
 __all__ = [
     "Channel",
     "DerivedDists",
@@ -144,34 +147,41 @@ def derived_distributions(W: Channel) -> DerivedDists:
     """The joint, output and posterior laws of W, as read-only arrays.
 
     Holds two (q, M) arrays and one M vector: the joint, and the posterior
-    built by ``_posterior`` in its own buffer.
+    that ``_posterior`` divides out of it into a new buffer.
     """
     joint = W.input_dist[:, None] * W.transition
-    posterior, output = _posterior(W)
+    posterior, output = _posterior(W, joint)
     for arr in (joint, output, posterior):
         arr.setflags(write=False)
     return DerivedDists(joint=joint, output=output, posterior=posterior)
 
 
-def _posterior(W: Channel) -> tuple[np.ndarray, np.ndarray]:
+def _posterior(W: Channel, joint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The posterior P(x|y) in one fresh writable (q, M) buffer, and P(y).
 
-    The buffer is formed as the joint P(x) W(y|x), divided in place by its
-    column sums P(y), and its zero-mass columns are set uniform.  The one
-    posterior rule of the module: ``derived_distributions`` and
-    ``merge_outputs`` both call it.
+    The posterior is the joint P(x) W(y|x) divided by its column sums P(y),
+    with its zero-mass columns set uniform.  Given W's ``joint``, which the
+    caller keeps, it is divided out of it into a new buffer; otherwise the
+    joint is formed in the buffer and divided in place.  The one posterior
+    rule of the module: ``derived_distributions`` and ``merge_outputs``
+    both call it.
     """
-    post = W.input_dist[:, None] * W.transition
-    output = np.add.reduce(post, axis=0)
-    if np.minimum.reduce(output) > 0.0:
-        post /= output
-    else:
+    post = W.input_dist[:, None] * W.transition if joint is None else None
+    output = np.add.reduce(joint if post is None else post, axis=0)
+    live = np.minimum.reduce(output) > 0.0
+    if not live:
         # divide the dead columns by 1, so no 0 / 0 is formed: their
         # output entries are set to 1 for the divide and then put back
         dead = (output <= 0.0).nonzero()[0]
         mass = output.take(dead)
         output.put(dead, 1.0)
+    # operators, not np.divide(..., out=): its keyword costs more than the
+    # divide on small channels
+    if post is None:
+        post = joint / output
+    else:
         post /= output
+    if not live:
         output.put(dead, mass)
         post[:, dead] = 1.0 / W.q
     return post, output
@@ -204,11 +214,12 @@ def capacity_input(W: Channel, tol: float = 1e-9) -> np.ndarray:
     r = np.full(q, 1.0 / q)
     logT = np.where(T > 0, np.log(np.where(T > 0, T, 1.0)), 0.0)
     for _ in range(10**5):
-        out = r @ T
+        # reductions, not BLAS products: their bits do not depend on the CPU
+        out = np.add.reduce(r[:, None] * T, axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             log_out = np.where(out > 0, np.log(np.where(out > 0, out, 1.0)), 0.0)
         D = np.sum(np.where(T > 0, T * (logT - log_out[None, :]), 0.0), axis=1)
-        I = float(r @ D)
+        I = float(np.add.reduce(r * D))
         if float(D.max()) - I <= tol:
             return r / r.sum()
         r = r * np.exp(D - D.max())
@@ -263,7 +274,8 @@ def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
 
     The one place that groups output columns: ``merge_outputs`` keys them
     by posterior, ``transform.quantize_merge`` by grid bin.  ``key`` is a
-    writable float buffer the caller gives up; it is sorted in place.
+    float buffer the caller gives up: it is read, never written, and freed
+    before the sums.
 
     Columns are sorted lexicographically by key vector and scanned in that
     order; a column joins the current group when its key lies within
@@ -278,87 +290,157 @@ def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
     are rescanned column by column.
 
     Summation order: each merged column adds its group's transition columns
-    left to right in sorted order, bitwise equal to
-    ``W.transition[:, group].sum(axis=1)``.  Returns ``W`` itself, in its
-    original column order, when nothing merges.
+    left to right in sorted order, one at a time from zero (numpy's
+    ``W.transition[:, group].sum(axis=1)`` adds a group of more than eight
+    columns pairwise, which can differ in the last bits).  Returns ``W``
+    itself, in its original column order, when nothing merges.
 
-    Memory: besides W, the result and ``key``, two N float buffers, two N
-    index arrays (the sort order and the run heads) and a few N booleans;
-    every other temporary is one row long.
+    Memory: besides W, the result and ``key``, the N-long sort order and
+    split flags, and N more flags when a run breaks the rule.  The scan and
+    the sums walk the sorted order in windows of ``_WINDOW`` columns,
+    gathering one window of keys or of transition columns at a time, so
+    every other buffer they hold is window-sized; a rescan adds the run
+    heads.  The keys are never sorted in place.
     """
     order = np.lexsort(key[::-1, :])
     N = order.size
-    gap, diff = np.empty(N - 1), np.empty(N)
-    # sort in place, one contiguous row at a time; every index is in range,
-    # and mode "clip" gathers straight into ``out`` where the default mode
-    # would gather into a hidden copy first.  The method is called with
-    # positional arguments: np.take's Python wrapper costs more than the
-    # gather itself on small inputs
-    for row in key:
-        row[:] = row.take(order, None, diff, "clip")
-    diff = diff[1:]
-    # the neighbour gaps: sup over x of |key[x, k] - key[x, k - 1]|
-    np.abs(np.subtract(key[0, 1:], key[0, :-1], out=gap), out=gap)
-    for row in key[1:]:
-        np.maximum(gap, np.abs(np.subtract(row[1:], row[:-1], out=diff), out=diff), out=gap)
     start = np.empty(N, dtype=bool)
     start[0] = True
-    np.greater(gap, tol, out=start[1:])
-    # every split gap is positive, so a nonzero gap within tol exists
-    # exactly when there are more nonzero gaps than splits
-    G = np.count_nonzero(start)
-    near_ties = np.count_nonzero(gap) > G - 1
-    del gap
-    if near_ties:
-        # compare each column with its run's head, and each head with the
-        # previous head: both are the head of column k - 1's run, the
-        # running maximum of the head positions up to k - 1
-        head = np.arange(N)
-        head *= start
-        np.maximum.accumulate(head, out=head)
-        near = np.ones(N - 1, dtype=bool)
-        for row in key:
-            np.subtract(row[1:], row.take(head[:-1], None, diff, "clip"), out=diff)
-            near &= np.abs(diff, out=diff) <= tol
-        bad = np.zeros(N, dtype=bool)
-        bad[1:] = near == start[1:]  # a mismatch with the run rule flags the column
-        del head, near
-        if bad.any():
-            _rescan_runs(key, tol, start, bad)
-            G = np.count_nonzero(start)
-    del key, diff  # free the sort buffers before the sums gather
+    G, bad = _split_runs(key, order, tol, start)
+    if bad is not None and bad.any():
+        _rescan_runs(key, order, tol, start, bad)
+        G = np.count_nonzero(start)
+    del key, bad
     if G == N:
         return W
-    # the run index of each column, cumsum(start) - 1 (start[0] is set),
-    # accumulated in place over intp flags: a cumsum of booleans casts
-    # through a buffer, several times the cost on small inputs
-    runs = start.astype(np.intp)
-    runs[0] = 0
-    np.add.accumulate(runs, out=runs)
-    # Each transition row is gathered in sorted order and summed by one
-    # np.bincount over the run indices, which adds every bin's weights in
-    # index order starting from zero, so each run is added left to right
-    # (test_run_sums_add_each_run_left_to_right pins this).  A sum over a
-    # contiguous axis would not be bitwise: numpy adds it pairwise, and
-    # np.add.reduceat is no better.
-    sums = np.empty((W.q, G))
-    for x, row in enumerate(W.transition):
-        sums[x] = np.bincount(runs, weights=row.take(order), minlength=G)
-    return Channel._owned(W.field, sums, W.input_dist)
+    return Channel._owned(W.field, _run_sums(W.transition, order, start, G), W.input_dist)
 
 
-def _rescan_runs(P: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray) -> None:
+def _split_runs(
+    key: np.ndarray, order: np.ndarray, tol: float, start: np.ndarray
+) -> tuple[int, np.ndarray | None]:
+    """Set the run heads ``start[1:]`` of the sorted key columns; count the runs.
+
+    Returns the run count and, when a nonzero neighbour gap within ``tol``
+    exists, the flags of the columns that break the run rule (``None``
+    otherwise).  The sorted order is walked in windows of ``_WINDOW``
+    columns; each window gathers its key columns and the column before it,
+    so every neighbour gap is taken across window edges.  The run-head check
+    compares each column with the first column of the run holding its left
+    neighbour; the key of the run open at a window's edge is carried over.
+    """
+    q, N = key.shape
+    width = min(N, _WINDOW + 1)
+    P = np.empty((q, width))
+    gap, diff = np.empty(width - 1), np.empty(width - 1)
+    G, bad, carried = 1, None, None  # carried: key of the open run's first column
+    for lo in range(0, N, _WINDOW):
+        hi = min(lo + _WINDOW, N)
+        a = lo - 1 if lo else 0  # window column 0: the column before the window
+        m = hi - a
+        Pw, g, d = P[:, :m], gap[: m - 1], diff[: m - 1]
+        # gather the sorted keys; every index is in range, and mode "clip"
+        # gathers straight into ``out`` where the default mode would gather
+        # into a hidden copy first.  The method is called with positional
+        # arguments: np.take's Python wrapper costs more than the gather
+        # itself on small inputs
+        idx = order[a:hi]
+        for row, out in zip(key, Pw):
+            row.take(idx, None, out, "clip")
+        # the neighbour gaps: sup over x of |key[x, k] - key[x, k - 1]|
+        np.abs(np.subtract(Pw[0, 1:], Pw[0, :-1], out=g), out=g)
+        for row in Pw[1:]:
+            np.maximum(g, np.abs(np.subtract(row[1:], row[:-1], out=d), out=d), out=g)
+        split = start[a + 1 : hi]
+        np.greater(g, tol, out=split)
+        n_split = np.count_nonzero(split)
+        G += n_split
+        # every split gap is positive, so a nonzero gap within tol exists
+        # exactly when there are more nonzero gaps than splits.  A window
+        # without one can still break the rule at a split when the run open
+        # at its edge has drifted from its first column
+        check = np.count_nonzero(g) > n_split
+        if lo:
+            check = check or not np.array_equal(Pw[:, 0], carried)
+        if check:
+            # compare each column with its run's head, and each head with
+            # the previous head: both are the head of column k - 1's run,
+            # the running maximum of the head positions up to k - 1.  Window
+            # column 0 stands for the open run's head
+            head = np.arange(m)
+            head *= start[a:hi]
+            np.maximum.accumulate(head, out=head)
+            if lo:
+                Pw[:, 0] = carried
+            near = np.ones(m - 1, dtype=bool)
+            for row in Pw:
+                np.subtract(row[1:], row.take(head[:-1], None, d, "clip"), out=d)
+                near &= np.abs(d, out=d) <= tol
+            if bad is None:
+                bad = np.zeros(N, dtype=bool)
+            # a mismatch with the run rule flags the column
+            np.equal(near, split, out=bad[a + 1 : hi])
+            del head, near
+        if hi < N:
+            last = m - 1 - int(np.argmax(start[a:hi][::-1]))
+            if start[a + last]:
+                carried = Pw[:, last].copy()
+    return G, bad
+
+
+def _run_sums(T: np.ndarray, order: np.ndarray, start: np.ndarray, G: int) -> np.ndarray:
+    """The (q, G) sums of the transition columns over each run of the sorted order.
+
+    Each window of ``_WINDOW`` sorted columns gathers its transition
+    columns row by row and sums them by one np.bincount over the window's
+    run indices, which adds every bin's weights in index order starting
+    from zero, so each run is added left to right
+    (test_run_sums_add_each_run_left_to_right pins this).  A run that goes
+    on past a window's edge leaves its partial sum s in its output column,
+    and the next window adds s to the run's first column w there: the bin
+    then adds 0 + (w + s), which is s + w, the next step of one pass, so
+    the bits do not depend on the window.  A sum over a contiguous axis
+    would not be bitwise: numpy adds it pairwise, and np.add.reduceat is no
+    better.
+    """
+    N = order.size
+    sums = np.empty((T.shape[0], G))
+    done = 0  # the output column of the run open at lo
+    for lo in range(0, N, _WINDOW):
+        hi = min(lo + _WINDOW, N)
+        # the run indices, accumulated in place over intp flags: a cumsum of
+        # booleans casts through a buffer, several times the cost on small
+        # inputs.  Index 0 is the run open at lo
+        runs = start[lo:hi].astype(np.intp)
+        runs[0] = 0
+        np.add.accumulate(runs, out=runs)
+        n_runs = int(runs[-1]) + 1
+        idx = order[lo:hi]
+        goes_on = not start[lo]  # the run open at lo began in an earlier window
+        for x, row in enumerate(T):
+            w = row.take(idx)
+            if goes_on:
+                w[0] += sums[x, done]
+            sums[x, done : done + n_runs] = np.bincount(runs, weights=w, minlength=n_runs)
+        done += n_runs - (hi < N and not start[hi])  # the last run may go on past hi
+    return sums
+
+
+def _rescan_runs(
+    key: np.ndarray, order: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray
+) -> None:
     """Redo the first-member scan of ``_merge_sorted`` where runs disagree.
 
-    ``P`` holds the sorted keys, ``start`` the neighbour-split run heads
-    (updated in place) and ``bad`` the columns that break the run rule.
-    Each run holding a bad column is rescanned, and so is the run after a
-    rescan that ends on a representative other than its run's head.
+    Column c of the sorted order is ``key[:, order[c]]``; ``start`` holds
+    the neighbour-split run heads (updated in place) and ``bad`` the
+    columns that break the run rule.  Each run holding a bad column is
+    rescanned, and so is the run after a rescan that ends on a
+    representative other than its run's head.
     """
     heads = np.flatnonzero(start)
-    bounds = np.append(heads, P.shape[1])
+    bounds = np.append(heads, start.size)
     flagged = np.zeros(heads.size + 1, dtype=bool)
-    flagged[np.cumsum(start)[bad] - 1] = True
+    flagged[np.searchsorted(heads, np.flatnonzero(bad), "right") - 1] = True
     flagged[-1] = True  # sentinel past the last run
     rep = last = -1
     r = int(np.argmax(flagged))
@@ -366,7 +448,7 @@ def _rescan_runs(P: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray) 
         if r != last + 1:
             rep = int(heads[r - 1])  # the previous run was kept whole
         for c in range(bounds[r], bounds[r + 1]):
-            if rep >= 0 and float(np.max(np.abs(P[:, c] - P[:, rep]))) <= tol:
+            if rep >= 0 and float(np.max(np.abs(key[:, order[c]] - key[:, order[rep]]))) <= tol:
                 start[c] = False
             else:
                 start[c] = True

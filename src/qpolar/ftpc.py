@@ -34,6 +34,8 @@ never trust caller-provided parameter values — and report lhs/rhs/pass.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,12 @@ ENUM_GUARD = 1 << 24
 
 #: most coset words held in memory at once during one enumeration
 _BLOCK_WORDS = 1 << 16
+
+#: this thread's scratch words of the sweeps, kept from one sweep to the next
+_SCRATCH = threading.local()
+
+#: fewest words a sweep step takes from the scratch slots
+_SCRATCH_WORDS = 1 << 12
 
 __all__ = [
     "WeightEnumerator",
@@ -140,12 +148,12 @@ class _Packing:
         slots = slots.reshape(symbols.shape[:-1] + (self.lanes, self.per_lane))
         return (slots << self.slot_shifts).sum(axis=-1, dtype=np.uint64)
 
-    def add(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Symbol-wise field sum of two packed words (broadcasting)."""
+    def add(self, a: np.ndarray, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """Symbol-wise field sum of two packed words (broadcasting), in ``out`` if given."""
         if self.p == 2:
-            return a ^ c
-        s = a + c
-        t = s + self.excess
+            return np.bitwise_xor(a, c, out=out)
+        s = np.add(a, c, out=out)
+        t = np.add(s, self.excess, out=_scratch(4, s.shape))
         t &= self.guards
         t >>= np.uint64(self.digit - 1)
         t *= np.uint64(self.p)
@@ -153,15 +161,53 @@ class _Packing:
         return s
 
     def weights(self, words: np.ndarray) -> np.ndarray:
-        """Hamming weight of each packed word: its count of nonzero symbols."""
+        """Hamming weight of each packed (k, lanes) word: its count of nonzero symbols.
+
+        ``words`` is left as it is unless it is scratch slot 3: the symbols
+        are folded in slot 4, with slot 3 as the temporary of any fold
+        after the first.
+        """
         if self.width > 1:
-            for shift in self.folds:
-                words = words | (words >> shift)
-            words = words & self.low_bits
-        counts = np.bitwise_count(words)
-        if self.lanes == 1:
-            return counts[..., 0]
-        return counts.sum(axis=-1, dtype=np.intp)
+            folded = _scratch(4, words.shape)
+            folded = np.right_shift(words, self.folds[0], out=folded)
+            folded = np.bitwise_or(words, folded, out=folded)
+            for shift in self.folds[1:]:
+                tmp = np.right_shift(folded, shift, out=_scratch(3, words.shape))
+                np.bitwise_or(folded, tmp, out=folded)
+            words = np.bitwise_and(folded, self.low_bits, out=folded)
+        if self.lanes > 1:
+            return np.bitwise_count(words).sum(axis=-1, dtype=np.intp)
+        counts = _scratch(5, (len(words),))
+        return np.bitwise_count(words[:, 0], out=None if counts is None else counts.view(np.intp))
+
+
+def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray | None:
+    """A uint64 array of ``shape`` over this thread's scratch ``slot``, or None if small.
+
+    A sweep's large temporaries take the same few sizes every time, so they
+    are kept per thread and reused.  Freed after every sweep, they would
+    leave the top of the C heap free, which glibc may hand back to the
+    system; the next sweep then faults every page in again (about 1,900
+    page faults per 20 GF(4) 8x8 kernels), in any process whose heap layout
+    allows it.  Below ``_SCRATCH_WORDS`` words the answer is None, and the
+    ufunc given ``out=None`` allocates its own result: that costs less than
+    a view of the slot, and frees too little for the heap to be trimmed.
+    A slot only grows.  Its contents mean nothing between uses: every use
+    writes before it reads.  Slots 0-2 hold the levels of a sweep, 3 the
+    batches of ``_weigh``, 4 the temporaries of ``_Packing.add`` and the
+    folds of ``_Packing.weights``, 5 the counts.
+    """
+    size = math.prod(shape)
+    if size < _SCRATCH_WORDS:
+        return None
+    try:
+        bufs = _SCRATCH.bufs
+    except AttributeError:
+        bufs = _SCRATCH.bufs = [np.empty(0, dtype=np.uint64)] * 6
+    buf = bufs[slot]
+    if buf.size < size:
+        buf = bufs[slot] = np.empty(size, dtype=np.uint64)
+    return buf[:size].reshape(shape)
 
 
 def _weigh(
@@ -170,19 +216,19 @@ def _weigh(
     """Weight histogram of the words offset + b, b in the block (the offsets alone if None).
 
     Each batch of offsets is added to the whole block in one step, so no step
-    holds more than 2^16 words.
+    holds more than 2^16 words.  Large batches are formed in scratch slot
+    3; ``offsets`` is left as it is.
     """
+    lanes = packing.lanes
     if block is None:
         counts = np.bincount(packing.weights(offsets), minlength=ell + 1)
         return WeightEnumerator(ell=ell, counts=counts)
     step = _BLOCK_WORDS // len(block)
     counts = np.zeros(ell + 1, dtype=np.int64)
     for first in range(0, len(offsets), step):
-        # no name holds the batch, so it is freed before bincount widens the weights
-        weights = packing.weights(
-            packing.add(offsets[first : first + step, None, :], block[None, :, :])
-        )
-        counts += np.bincount(weights.ravel(), minlength=ell + 1)
+        batch = offsets[first : first + step, None, :]
+        words = packing.add(batch, block[None, :, :], _scratch(3, (len(batch), len(block), lanes)))
+        counts += np.bincount(packing.weights(words.reshape(-1, lanes)), minlength=ell + 1)
     return WeightEnumerator(ell=ell, counts=counts)
 
 
@@ -201,17 +247,24 @@ def _sweep(field: FieldSpec, rows: np.ndarray) -> list[WeightEnumerator]:
     if count > ENUM_GUARD:
         raise ValueError(f"coset of size {count} exceeds enumeration guard {ENUM_GUARD}")
     packing = _Packing(field, ell)
+    lanes = packing.lanes
     multiples = packing.pack(field.mul(field.elements[None, :, None], rows[:, None, :]))
-    span = zero = np.zeros((1, packing.lanes), dtype=np.uint64)
+    span = zero = np.zeros((1, lanes), dtype=np.uint64)
     block = None
+    # the levels alternate between two scratch slots, so a level never
+    # overwrites the span it is built from; slot 2 takes over the block's
+    slots, k = [0, 1], 0
     enums = []
     for t in range(n - 1, 0, -1):
-        level = packing.add(multiples[t][:, None, :], span[None, :, :])
+        level = _scratch(slots[k], (q, len(span), lanes))
+        level = packing.add(multiples[t][:, None, :], span[None, :, :], level)
         enums.append(_weigh(packing, level[1], block, ell))
-        span = level.reshape(-1, packing.lanes)
+        span = level.reshape(-1, lanes)
         if block is None and t > 1 and len(span) * q > _BLOCK_WORDS:
-            block, span = span, zero
-    enums.append(_weigh(packing, packing.add(multiples[0, 1:2], span), block, ell))
+            block, span, slots[k] = span, zero, 2
+        k ^= 1
+    coset = _scratch(slots[k], span.shape)
+    enums.append(_weigh(packing, packing.add(multiples[0, 1:2], span, coset), block, ell))
     return enums[::-1]
 
 

@@ -56,23 +56,30 @@ class ParamVector:
         return asdict(self)
 
 
-_FIELD_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_FIELD_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
 
-def _field_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Shift rows ``x + d`` (d = 1..q-1) and characters ``chi[w, z] = chi(w z)``.
+def _field_tables(f: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Shift rows ``x + d`` (d = 1..q-1) and the characters ``chi(w z)``.
 
-    Both depend on the field alone, so each field builds them once; the
-    arrays are read-only.
+    The characters come as their real and imaginary parts, each a
+    (q, q, 1) array indexed [w, z], so ``re[w]`` scales the rows of a
+    (q, M) array.  For p = 2 the characters are +-1 and the imaginary part
+    is None (the table's entries there are round-off of sin(pi)).  All
+    depend on the field alone, so each field builds them once; the arrays
+    are read-only.
     """
     key = (f.p, f.m)
     if key not in _FIELD_TABLES:
         xs = np.arange(f.q)
         shifts = np.array([f.add(xs, dsym) for dsym in range(1, f.q)])
-        chi = f.char(f.mul(xs[:, None], xs[None, :]))
-        shifts.setflags(write=False)
-        chi.setflags(write=False)
-        _FIELD_TABLES[key] = shifts, chi
+        chi = f.char(f.mul(xs[:, None], xs[None, :]))[:, :, None]
+        re = np.ascontiguousarray(chi.real)
+        im = None if f.p == 2 else np.ascontiguousarray(chi.imag)
+        for arr in (shifts, re, im):
+            if arr is not None:
+                arr.setflags(write=False)
+        _FIELD_TABLES[key] = shifts, re, im
     return _FIELD_TABLES[key]
 
 
@@ -83,21 +90,21 @@ def param_vector(W: Channel) -> ParamVector:
     on the same channel returns the same (immutable) result.
 
     Memory: besides the law ``W.derived`` (kept on W), one (q, M) float
-    scratch buffer, ``sqrt(joint)`` while Z is taken, one M float buffer
-    and the (q, M) boolean mask ``joint > 0``; S's character product is the
-    exception, a complex (q, M) product of the posterior.  Each
-    functional is the same ufuncs in the same order as the plain
-    expression it stands for, written into the buffers: x log y with the
-    0 log 0 = 0 convention is ``where(joint > 0, x * log(where(joint > 0,
-    y, 1)), 0)``, so the bits do not depend on the buffering.  Sums,
-    maxima and the mean are the ufunc reductions that ``ndarray.sum``,
-    ``max`` and ``mean`` call, without their Python wrappers.
+    scratch buffer, ``sqrt(joint)`` while Z is taken, two M float buffers
+    and the (q, M) boolean mask ``joint > 0``.  Each functional is the
+    same ufuncs in the same order as the plain expression it stands for,
+    written into the buffers: x log y with the 0 log 0 = 0 convention is
+    ``where(joint > 0, x * log(where(joint > 0, y, 1)), 0)``, so the bits
+    do not depend on the buffering.  Sums, maxima and the mean are the
+    ufunc reductions that ``ndarray.sum``, ``max`` and ``mean`` call,
+    without their Python wrappers.  No functional goes through a BLAS
+    product, whose bits depend on the CPU kernel that runs it.
     """
     kept = vars(W).get("_param_vector")
     if kept is not None:
         return kept
     q = W.q
-    shifts, chi = _field_tables(W.field)
+    shifts, re, im = _field_tables(W.field)
     d = W.derived
     joint, out, post = d.joint, d.output, d.posterior
     lnq = math.log(q)
@@ -138,10 +145,23 @@ def param_vector(W: Channel) -> ParamVector:
 
     np.subtract(joint, np.divide(out, q, out=col), out=buf)
     T = float(add(np.abs(buf, out=buf), axis=None))
-    del live, buf, col  # S's complex product sets the peak
+    del live
 
-    corr = np.abs(chi @ post)  # (q, M)
-    weights = (corr @ out)[1:]
+    # S, one character w = 1..q-1 at a time: its correlation with each
+    # posterior column is the scaled posterior rows added by one reduction
+    # over the outer axis, and its modulus is sqrt(re^2 + im^2)
+    weights = np.empty(q - 1)
+    part = None if im is None else np.empty_like(col)
+    for w in range(1, q):
+        add(np.multiply(post, re[w], out=buf), axis=0, out=col)
+        if im is None:
+            np.abs(col, out=col)
+        else:
+            add(np.multiply(post, im[w], out=buf), axis=0, out=part)
+            np.multiply(col, col, out=col)
+            np.add(col, np.multiply(part, part, out=part), out=col)
+            np.sqrt(col, out=col)
+        weights[w - 1] = add(np.multiply(col, out, out=col))
     S = float(add(weights) / (q - 1))
     Smax = float(top(weights))
 

@@ -391,7 +391,7 @@ def _dense_merge_outputs(W, tol=1e-12):
         bad = (np.abs(P - P[:, ref]).max(axis=0) <= tol) == start
         bad[0] = False
         if bad.any():
-            channel_mod._rescan_runs(P, tol, start, bad)
+            channel_mod._rescan_runs(P, np.arange(order.size), tol, start, bad)
     return _per_size_merge_runs(W, order, start)
 
 

@@ -1,6 +1,8 @@
 """Weight enumerators and the synthesized-parameter bounds."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -302,6 +304,51 @@ def test_certify_ldp_memory_both_sides():
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
+
+
+def test_sweeps_reuse_their_scratch():
+    # a GF(4) 8x8 sweep's levels and weighed words are 2^14-word (128 kB)
+    # arrays; after one sweep they are kept, so the next allocates none of
+    # them (what it traces is numpy's 8,192-element buffer for casting the
+    # bit counts to intp)
+    kern = sample_invertible(field_make(2, 2), 8, np.random.default_rng(8))
+    want = [e.counts.tolist() for e in coset_enumerators(kern)]
+    tracemalloc.start()
+    try:
+        got = [e.counts.tolist() for e in coset_enumerators(kern)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 100e3
+
+
+def test_sweeps_in_threads_keep_their_own_scratch():
+    # every thread sweeps through its own scratch slots, so concurrent
+    # sweeps over one field and size give the one-thread histograms
+    field = field_make(3)
+    kerns = [sample_invertible(field, 7, np.random.default_rng(seed)) for seed in range(8)]
+    want = [[e.counts.tolist() for e in dual_coset_enumerators(k)] for k in kerns]
+    got = [None] * len(kerns)
+
+    def work(j):
+        for _ in range(40):
+            res = [e.counts.tolist() for e in dual_coset_enumerators(kerns[j])]
+            if got[j] is None or res != want[j]:
+                got[j] = res
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(kerns))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between a sweep's steps
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
 
 
 # ----------------------------------------------------------------- bounds

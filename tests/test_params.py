@@ -1,12 +1,17 @@
 """Parameter calculus: frozen values, invariants, inequality web, exponents."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpolar
 from qpolar.channel import (
     Channel,
     bec,
@@ -141,7 +146,7 @@ def _xlogy(x, y):
 def _param_vector_reference(W):
     """Reference: ``param_vector`` as plain whole-array expressions, one temporary each."""
     q = W.q
-    shifts, chi = _field_tables(W.field)
+    shifts = _field_tables(W.field)[0]
     d = W.derived
     joint, out, post = d.joint, d.output, d.posterior
     lnq = math.log(q)
@@ -162,10 +167,19 @@ def _param_vector_reference(W):
 
     T = float(np.abs(joint - out[None, :] / q).sum())
 
-    corr = np.abs(chi @ post)  # (q, M)
-    weights = corr @ out
-    S = float(weights[1:].mean())
-    Smax = float(weights[1:].max())
+    xs = np.arange(q)
+    chi = W.field.char(W.field.mul(xs[:, None], xs[None, :]))
+    weights = []
+    for w in range(1, q):
+        re = (post * chi.real[w][:, None]).sum(axis=0)
+        if W.field.p == 2:  # the characters are +-1
+            mod = np.abs(re)
+        else:
+            im = (post * chi.imag[w][:, None]).sum(axis=0)
+            mod = np.sqrt(re * re + im * im)
+        weights.append((mod * out).sum())
+    S = float(np.mean(weights))
+    Smax = float(np.max(weights))
 
     return ParamVector(q=q, H=H, I=I, Pe=Pe, Z=Z, Zmad=Zmad, T=T, S=S, Smax=Smax)
 
@@ -206,6 +220,47 @@ def param_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_param_vector_matches_the_reference_bitwise(W):
     assert param_vector(W) == _param_vector_reference(W)
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from qpolar.channel import capacity_input, random_channel
+from qpolar.gf import arikan_kernel, field_make
+from qpolar.params import param_vector
+from qpolar.transform import transform
+h = hashlib.sha256()
+for seed, (p, m) in enumerate([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]):
+    F = field_make(p, m)
+    W = random_channel(F, 7, np.random.default_rng(seed), random_input=True)
+    h.update(capacity_input(W).tobytes())
+    for i in (1, 2):
+        V = transform(W, arikan_kernel(F), i)
+        h.update(np.array(list(param_vector(V).as_dict().values())).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_parameters_and_capacity_input_do_not_depend_on_the_blas_kernel():
+    # S, Smax and the capacity search once went through zgemm and dgemv,
+    # whose bits depend on the kernel OpenBLAS picks for the CPU; the same
+    # probe must hash alike with the kernel pinned to Nehalem (ignored by
+    # other BLAS builds) as with the one picked here
+    src = str(Path(qpolar.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    digests = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            env={**base, **extra},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # --------------------------------------------------------- inequality web

@@ -239,30 +239,34 @@ def _traced_peak(fn):
 
 
 def test_largest_construct_node_stays_under_its_memory_bound():
-    # 288,800 raw outputs merged to 22,801: the raw law, then one posterior
-    # buffer, the sort order, two N buffers and the run heads of the merge
+    # 288,800 raw outputs merged to 22,801: the raw law, then the merge's
+    # posterior key, sort order and N split flags; its scan and sums hold
+    # only window-sized buffers besides (12.9 MB here, 17.3 MB when the
+    # merge held four more N arrays)
     W = _largest_construct_parent()
     child, peak = _traced_peak(lambda: transform(W, ARIKAN, 2))
     assert (W.output_size, child.output_size) == (380, 22801)
-    assert peak < 22e6
+    assert peak < 15.5e6
 
 
 def test_param_vector_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
     # the law it keeps (joint, posterior, output), then one scratch buffer,
-    # sqrt(joint) and one N buffer; S's complex product sets the peak
+    # sqrt(joint) and two N buffers; S reuses the scratch buffer, one
+    # character at a time (23.7 MB here, 30.0 MB with a complex product)
     raw = transform(_largest_construct_parent(), ARIKAN, 2, merge=False)
     _, peak = _traced_peak(lambda: param_vector(raw))
     assert raw.output_size == 288_800
-    assert peak < 32e6
+    assert peak < 26e6
 
 
 def test_quantize_merge_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
-    # the lossless merge's buffers: one posterior buffer, binned and sorted
-    # in place, the sort order, two N buffers and the run heads
+    # the lossless merge's buffers: one posterior buffer, binned in place,
+    # the sort order, N split flags and window-sized buffers (7.8 MB here,
+    # 11.9 MB when the merge held four more N arrays)
     raw = transform(_largest_construct_parent(), ARIKAN, 2, merge=False)
     merged, peak = _traced_peak(lambda: quantize_merge(raw, 2048))
     assert (raw.output_size, merged.output_size) == (288_800, 2049)
-    assert peak < 16e6
+    assert peak < 10.5e6
 
 
 def test_the_law_is_kept_on_merged_channels_and_not_on_raw_syntheses(monkeypatch):
