@@ -19,6 +19,9 @@ from .gf import FieldSpec, field_make
 #: tolerance for "rows sum to one" validation
 ROW_TOL = 1e-12
 
+#: sup-norm distance within which a merge groups two key columns
+_MERGE_TOL = 1e-12
+
 #: sorted columns a merge scans and sums at a time
 _WINDOW = 1 << 14
 
@@ -201,13 +204,13 @@ def sample_outputs(W: Channel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- capacity search
 
-def capacity_input(W: Channel, tol: float = 1e-9) -> np.ndarray:
+def capacity_input(W: Channel) -> np.ndarray:
     """Capacity-achieving input distribution via alternating maximisation.
 
     Iterates the classic update r(x) <- r(x) exp(D(W(.|x) || out)) / Z and
-    stops once the optimality-gap certificate max_x D_x - I drops below
-    ``tol`` (everything in nats internally).  Raises ``ValueError`` if the
-    gap has not closed after 10^5 rounds.
+    stops once the optimality-gap certificate max_x D_x - I is at most
+    1e-9 nats, which bounds the capacity lost by stopping.  Raises
+    ``ValueError`` if the gap has not closed after 10^5 rounds.
     """
     T = W.transition
     q = W.q
@@ -220,7 +223,7 @@ def capacity_input(W: Channel, tol: float = 1e-9) -> np.ndarray:
             log_out = np.where(out > 0, np.log(np.where(out > 0, out, 1.0)), 0.0)
         D = np.sum(np.where(T > 0, T * (logT - log_out[None, :]), 0.0), axis=1)
         I = float(np.add.reduce(r * D))
-        if float(D.max()) - I <= tol:
+        if float(D.max()) - I <= 1e-9:
             return r / r.sum()
         r = r * np.exp(D - D.max())
         r /= r.sum()
@@ -252,24 +255,23 @@ def symmetrize(W: Channel) -> Channel:
     return Channel(W.field, trans, np.full(q, 1.0 / q))
 
 
-def merge_outputs(W: Channel, tol: float = 1e-12) -> Channel:
-    """Merge output symbols whose posteriors agree within ``tol`` (sup norm).
+def merge_outputs(W: Channel) -> Channel:
+    """Merge output symbols whose posteriors agree within 1e-12 (sup norm).
 
     Grouping rule: columns are sorted lexicographically by posterior vector
     and scanned in that order; a column joins the current group when its
-    posterior lies within ``tol`` of the group's *first* member (not of its
+    posterior lies within 1e-12 of the group's *first* member (not of its
     neighbour), and opens a new group otherwise.  The result is
-    deterministic.  Merging is information-lossless at ``tol = 1e-12`` and a
-    degradation for coarser tolerances.  Zero-mass outputs share a uniform
-    posterior and collapse together.
+    deterministic, and the merge is information-lossless.  Zero-mass
+    outputs share a uniform posterior and collapse together.
 
     This is ``_merge_sorted``'s scan over the posterior: its evaluation,
     summation order and memory are stated there.
     """
-    return _merge_sorted(W, _posterior(W)[0], tol)
+    return _merge_sorted(W, _posterior(W)[0])
 
 
-def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
+def _merge_sorted(W: Channel, key: np.ndarray) -> Channel:
     """The first-member scan over the (q, N) key columns, and the group sums.
 
     The one place that groups output columns: ``merge_outputs`` keys them
@@ -279,15 +281,16 @@ def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
 
     Columns are sorted lexicographically by key vector and scanned in that
     order; a column joins the current group when its key lies within
-    ``tol`` (sup norm) of the group's first member, and opens a new group
-    otherwise.  The scan is evaluated as runs of the sorted order, split
-    wherever two neighbours differ by more than ``tol``.  When no two
-    neighbours differ by a nonzero amount within ``tol``, every run holds
-    equal keys and the runs are the scan's groups.  Otherwise they are the
-    scan's groups when every column lies within ``tol`` of its run's first
-    column and every run's first column lies beyond ``tol`` of the previous
-    run's; only runs that break one of these (drift chains, coarse ``tol``)
-    are rescanned column by column.
+    ``_MERGE_TOL`` (sup norm) of the group's first member, and opens a new
+    group otherwise.  The scan is evaluated as runs of the sorted order,
+    split wherever two neighbours differ by more than ``_MERGE_TOL``.  When
+    no two neighbours differ by a nonzero amount within it, every run holds
+    equal keys and the runs are the scan's groups; this is always so for
+    integer keys such as grid bins.  Otherwise the runs are the scan's
+    groups when every column lies within ``_MERGE_TOL`` of its run's first
+    column and every run's first column lies beyond it from the previous
+    run's; only runs that break one of these (drift chains) are rescanned
+    column by column.
 
     Summation order: each merged column adds its group's transition columns
     left to right in sorted order, one at a time from zero (numpy's
@@ -306,9 +309,9 @@ def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
     N = order.size
     start = np.empty(N, dtype=bool)
     start[0] = True
-    G, bad = _split_runs(key, order, tol, start)
+    G, bad = _split_runs(key, order, start)
     if bad is not None and bad.any():
-        _rescan_runs(key, order, tol, start, bad)
+        _rescan_runs(key, order, start, bad)
         G = np.count_nonzero(start)
     del key, bad
     if G == N:
@@ -317,13 +320,13 @@ def _merge_sorted(W: Channel, key: np.ndarray, tol: float) -> Channel:
 
 
 def _split_runs(
-    key: np.ndarray, order: np.ndarray, tol: float, start: np.ndarray
+    key: np.ndarray, order: np.ndarray, start: np.ndarray
 ) -> tuple[int, np.ndarray | None]:
     """Set the run heads ``start[1:]`` of the sorted key columns; count the runs.
 
-    Returns the run count and, when a nonzero neighbour gap within ``tol``
-    exists, the flags of the columns that break the run rule (``None``
-    otherwise).  The sorted order is walked in windows of ``_WINDOW``
+    Returns the run count and, when a nonzero neighbour gap within
+    ``_MERGE_TOL`` exists, the flags of the columns that break the run rule
+    (``None`` otherwise).  The sorted order is walked in windows of ``_WINDOW``
     columns; each window gathers its key columns and the column before it,
     so every neighbour gap is taken across window edges.  The run-head check
     compares each column with the first column of the run holding its left
@@ -352,10 +355,10 @@ def _split_runs(
         for row in Pw[1:]:
             np.maximum(g, np.abs(np.subtract(row[1:], row[:-1], out=d), out=d), out=g)
         split = start[a + 1 : hi]
-        np.greater(g, tol, out=split)
+        np.greater(g, _MERGE_TOL, out=split)
         n_split = np.count_nonzero(split)
         G += n_split
-        # every split gap is positive, so a nonzero gap within tol exists
+        # every split gap is positive, so a nonzero gap within tolerance exists
         # exactly when there are more nonzero gaps than splits.  A window
         # without one can still break the rule at a split when the run open
         # at its edge has drifted from its first column
@@ -375,7 +378,7 @@ def _split_runs(
             near = np.ones(m - 1, dtype=bool)
             for row in Pw:
                 np.subtract(row[1:], row.take(head[:-1], None, d, "clip"), out=d)
-                near &= np.abs(d, out=d) <= tol
+                near &= np.abs(d, out=d) <= _MERGE_TOL
             if bad is None:
                 bad = np.zeros(N, dtype=bool)
             # a mismatch with the run rule flags the column
@@ -426,9 +429,7 @@ def _run_sums(T: np.ndarray, order: np.ndarray, start: np.ndarray, G: int) -> np
     return sums
 
 
-def _rescan_runs(
-    key: np.ndarray, order: np.ndarray, tol: float, start: np.ndarray, bad: np.ndarray
-) -> None:
+def _rescan_runs(key: np.ndarray, order: np.ndarray, start: np.ndarray, bad: np.ndarray) -> None:
     """Redo the first-member scan of ``_merge_sorted`` where runs disagree.
 
     Column c of the sorted order is ``key[:, order[c]]``; ``start`` holds
@@ -448,7 +449,7 @@ def _rescan_runs(
         if r != last + 1:
             rep = int(heads[r - 1])  # the previous run was kept whole
         for c in range(bounds[r], bounds[r + 1]):
-            if rep >= 0 and float(np.max(np.abs(key[:, order[c]] - key[:, order[rep]]))) <= tol:
+            if rep >= 0 and float(np.max(np.abs(key[:, order[c]] - key[:, order[rep]]))) <= _MERGE_TOL:
                 start[c] = False
             else:
                 start[c] = True
@@ -528,14 +529,15 @@ def _document(doc, what: str) -> dict:
     return doc
 
 
-def channel_from_dict(doc: dict, capacity_tol: float = 1e-9) -> Channel:
+def channel_from_dict(doc: dict) -> Channel:
     """Rebuild a channel from ``channel_to_dict`` output.
 
     Integer ``p``, ``m`` and ``output_size`` are read with
     ``operator.index`` and ``transition`` and ``input_dist`` as float
     arrays, so a wrong-typed one (null, 1.5, an object) raises a
     ``ValueError`` naming the field.  ``input_dist`` may be the keyword
-    ``"capacity"``.  A ``doc`` that is not an object raises ``ValueError``.
+    ``"capacity"``, which operates the channel at ``capacity_input``.  A
+    ``doc`` that is not an object raises ``ValueError``.
     """
     doc = _document(doc, "channel")
     p = _typed(operator.index, doc["p"], "p", "channel")
@@ -555,4 +557,4 @@ def channel_from_dict(doc: dict, capacity_tol: float = 1e-9) -> Channel:
             raise ValueError(
                 f"output_size {size} does not match transition width {W.output_size}"
             )
-    return W.with_input(capacity_input(W, tol=capacity_tol)) if capacity else W
+    return W.with_input(capacity_input(W)) if capacity else W

@@ -342,7 +342,7 @@ def encode(spec: CodeSpec, message: np.ndarray, seed: int) -> np.ndarray:
         raise ValueError("message symbols outside the field")
     prior = _prior_pins(spec)
     eng = _Engine(spec, "encode", _frozen_variates(spec, seed), message)
-    return eng.run(prior, prior.copy())
+    return eng.run(prior, prior)  # the engine only reads its pins
 
 
 def _check_channel_field(spec: CodeSpec, W: Channel) -> None:

@@ -51,7 +51,7 @@ def transform(W: Channel, kernel: Kernel, i: int, *, merge: bool = True) -> Chan
             f" over the guard {DEFAULT_GUARD}"
         )
     out = Channel._owned(W.field, *_raw_law(W.derived.joint, kernel, i))
-    return merge_outputs(out, tol=1e-12) if merge else out
+    return merge_outputs(out) if merge else out
 
 
 def _raw_law(joint: np.ndarray, kernel: Kernel, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,12 +101,14 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     field, so conditional entropy never decreases.  Anything downstream of
     this op should be flagged as approximate.
 
-    Grouping rule: ``merge_outputs``' scan at tol 0 over the bin vectors
-    min(floor(resolution * posterior), resolution - 1), so each run of equal
-    bin vectors in sorted order becomes one output, and each merged column
-    adds its run's transition columns left to right in sorted order.  The
-    bins are formed in place in the posterior buffer; up to 2^53 every bin
-    is an exact float integer, so ``resolution`` must lie in 1..2^53.
+    Grouping rule: ``merge_outputs``' scan over the bin vectors
+    min(floor(resolution * posterior), resolution - 1).  Bins are integers,
+    so two bin vectors either agree or differ by at least 1, far beyond the
+    merge tolerance: each run of equal bin vectors in sorted order becomes
+    one output, and each merged column adds its run's transition columns
+    left to right in sorted order.  The bins are formed in place in the
+    posterior buffer; up to 2^53 every bin is an exact float integer, so
+    ``resolution`` must lie in 1..2^53.
     """
     if not 1 <= resolution <= 2**53:
         bound = "at least 1" if resolution < 1 else "at most 2^53"
@@ -114,7 +116,7 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     bins = _posterior(W)[0]
     bins *= resolution
     np.minimum(np.trunc(bins, out=bins), resolution - 1, out=bins)
-    return _merge_sorted(W, bins, 0.0)
+    return _merge_sorted(W, bins)
 
 
 def quantize_to_fit(

@@ -29,6 +29,7 @@ from qpolar.codec import codespec_to_dict, construct
 from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
+from qpolar.procsim import polarization_stats
 from qpolar.transform import transform
 
 
@@ -145,15 +146,15 @@ def test_derived_laws_are_consistent(seed, pm):
 def test_capacity_input_zchannel_closed_form():
     # optimal P(X=1) for the Z-channel is 1/((1-e)(1+2^(h2(e)/(1-e))))
     for eps in (0.5, 0.25):
-        r = capacity_input(zchannel(eps), tol=1e-12)
+        r = capacity_input(zchannel(eps))
         p1 = 1.0 / ((1 - eps) * (1 + 2 ** (_h2(eps) / (1 - eps))))
         assert abs(r[1] - p1) < 1e-5
-    r = capacity_input(zchannel(0.5), tol=1e-12)
+    r = capacity_input(zchannel(0.5))
     assert abs(r[1] - 0.4) < 1e-6
 
 
 def test_capacity_input_symmetric_channel_is_uniform():
-    r = capacity_input(bsc(0.11), tol=1e-12)
+    r = capacity_input(bsc(0.11))
     np.testing.assert_allclose(r, [0.5, 0.5], atol=1e-6)
 
 
@@ -161,7 +162,7 @@ def test_capacity_input_never_loses_to_uniform():
     rng = np.random.default_rng(17)
     for _ in range(10):
         W = random_channel(field_make(3), 4, rng)
-        r = capacity_input(W, tol=1e-10)
+        r = capacity_input(W)
         gain = _mutual_info_nats(W.transition, r) - _mutual_info_nats(
             W.transition, W.input_dist
         )
@@ -188,6 +189,7 @@ def _extend_input(W, target):
 
 
 def test_extend_input_clones_last_row_and_pads_zeros():
+    # checks only the helper, which test_extend_input_preserves_capacity relies on
     W = zchannel(0.5)
     V = _extend_input(W, field_make(2, 2))
     assert V.q == 4
@@ -202,8 +204,8 @@ def test_extend_input_clones_last_row_and_pads_zeros():
 def test_extend_input_preserves_capacity():
     W = zchannel(0.3)
     V = _extend_input(W, field_make(5))
-    cw = _mutual_info_nats(W.transition, capacity_input(W, tol=1e-12))
-    cv = _mutual_info_nats(V.transition, capacity_input(V, tol=1e-12))
+    cw = _mutual_info_nats(W.transition, capacity_input(W))
+    cv = _mutual_info_nats(V.transition, capacity_input(V))
     assert abs(cw - cv) < 1e-9
 
 
@@ -247,7 +249,7 @@ def test_merge_outputs_recombines_split_columns():
         field_make(2),
         [[half, half, 0, 0, eps], [0, 0, half, half, eps]],
     )
-    V = merge_outputs(W, tol=1e-12)
+    V = merge_outputs(W)
     assert V.output_size == 3
     assert abs(_cond_entropy(V) - _cond_entropy(W)) < 1e-12
     np.testing.assert_allclose(V.transition.sum(axis=1), 1.0, atol=1e-12)
@@ -256,32 +258,26 @@ def test_merge_outputs_recombines_split_columns():
 def test_merge_outputs_lossless_and_idempotent():
     rng = np.random.default_rng(23)
     W = random_channel(field_make(3), 7, rng, random_input=True)
-    V = merge_outputs(W, tol=1e-12)
+    V = merge_outputs(W)
     assert abs(_cond_entropy(V) - _cond_entropy(W)) < 1e-12
-    V2 = merge_outputs(V, tol=1e-12)
+    V2 = merge_outputs(V)
     assert V2.output_size == V.output_size
-
-
-def test_merge_outputs_coarse_tolerance_degrades():
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        W = random_channel(field_make(2), 12, rng)
-        V = merge_outputs(W, tol=0.2)
-        assert V.output_size <= W.output_size
-        # degradation can only lose information
-        assert _cond_entropy(V) >= _cond_entropy(W) - 1e-12
 
 
 def test_merge_groups_zero_mass_outputs_together():
     W = make_channel(field_make(2), [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0]])
-    V = merge_outputs(W, tol=1e-12)
+    V = merge_outputs(W)
     # uniform-posterior live columns and dead columns all share one group
     assert V.output_size == 1
 
 
-def _scan_merge_outputs(W, tol=1e-12):
-    """Reference: the column-by-column scan ``merge_outputs`` must reproduce."""
-    post = derived_distributions(W).posterior
+def _scan_merge_outputs(W, key=None, tol=1e-12):
+    """Reference: the column-by-column scan ``merge_outputs`` must reproduce.
+
+    ``key`` defaults to W's posterior; ``_merge_sorted`` runs the same scan
+    over any other key.
+    """
+    post = derived_distributions(W).posterior if key is None else key
     order = np.lexsort(post[::-1, :])
     groups = []
     rep = None
@@ -302,9 +298,32 @@ def _scan_merge_outputs(W, tol=1e-12):
 _FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1)}
 
 
+def _coarse_key(W, tol):
+    """W's posterior on the integer multiples of 2^-42, a distance tol about 4.4 steps.
+
+    These keys and their differences are exact, and the merge tolerance
+    1e-12 lies between four steps (9.1e-13) and five (1.1e-12), so the
+    merge over this key groups the posteriors about as a scan within
+    ``tol`` would: near ties, drift chains and rescans at a coarse scale.
+    """
+    return np.rint(derived_distributions(W).posterior * (1e-12 / tol * 2**42)) * 2.0**-42
+
+
+def _merge_at(W, tol):
+    """The merge under test at posterior distance ``tol``, and the key it scans.
+
+    ``merge_outputs(W)`` over W's posterior at tol 1e-12, the merge
+    tolerance; ``_merge_sorted`` over ``_coarse_key(W, tol)`` otherwise.
+    """
+    if tol == 1e-12:
+        return merge_outputs(W), derived_distributions(W).posterior
+    key = _coarse_key(W, tol)
+    return channel_mod._merge_sorted(W, key), key
+
+
 @st.composite
 def merge_cases(draw):
-    """A channel whose outputs tie, nearly tie or drift, plus a tolerance.
+    """A channel whose outputs tie, nearly tie or drift, plus a distance tol.
 
     The channel is built from its output masses and posteriors: random
     posteriors (singleton runs), repeats of them (a column split in parts),
@@ -313,6 +332,7 @@ def merge_cases(draw):
     zero-mass outputs and drift chains whose neighbours are 0.6 tol apart,
     so that the first-member rule and the neighbour rule disagree.  With
     no repeat, long run, dead output or chain nothing merges at tol 1e-12.
+    ``_merge_at`` merges the channel at ``tol``.
     """
     q = draw(st.sampled_from(sorted(_FIELDS)))
     tol = draw(st.sampled_from([1e-12, 0.2]))
@@ -347,7 +367,8 @@ def merge_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_merge_outputs_matches_reference_scan_bitwise(case):
     W, tol = case
-    got, want = merge_outputs(W, tol=tol), _scan_merge_outputs(W, tol=tol)
+    got, key = _merge_at(W, tol)
+    want = _scan_merge_outputs(W, key)
     assert (got is W) == (want is W)
     assert got.output_size == want.output_size
     assert np.array_equal(got.transition, want.transition)
@@ -372,14 +393,16 @@ def _per_size_merge_runs(W, order, start):
     return Channel(W.field, new_trans, W.input_dist)
 
 
-def _dense_merge_outputs(W, tol=1e-12):
+def _dense_merge_outputs(W, key=None, tol=1e-12):
     """Reference: the run merge on whole (q, N) arrays, size masks included.
 
     The same runs, checks and sums as ``merge_outputs``, but the neighbour
     gaps and the run-head check are taken over all q rows at once and each
     run size is summed with its own mask and gather; it must agree bitwise.
+    ``key`` defaults to W's posterior; broken runs go to the library's
+    ``_rescan_runs``, which scans at the merge tolerance 1e-12.
     """
-    post = derived_distributions(W).posterior
+    post = derived_distributions(W).posterior if key is None else key
     order = np.lexsort(post[::-1, :])
     P = post[:, order]
     gap = np.abs(P[:, 1:] - P[:, :-1]).max(axis=0)
@@ -391,16 +414,16 @@ def _dense_merge_outputs(W, tol=1e-12):
         bad = (np.abs(P - P[:, ref]).max(axis=0) <= tol) == start
         bad[0] = False
         if bad.any():
-            channel_mod._rescan_runs(P, np.arange(order.size), tol, start, bad)
+            channel_mod._rescan_runs(P, np.arange(order.size), start, bad)
     return _per_size_merge_runs(W, order, start)
 
 
 @st.composite
 def synthesized_cases(draw):
-    """An unmerged synthesized channel and a tolerance up to 0.05.
+    """An unmerged synthesized channel and a distance tol up to 0.05.
 
     Raw synthesis repeats posteriors exactly (equal joint products), and the
-    coarse tolerances chain distinct ones, so runs get rescanned.
+    coarse distances chain distinct ones, so runs get rescanned.
     """
     q = draw(st.sampled_from(sorted(_FIELDS)))
     field = field_make(*_FIELDS[q])
@@ -416,7 +439,8 @@ def synthesized_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_merge_outputs_matches_dense_merge_bitwise(case):
     W, tol = case
-    got, want = merge_outputs(W, tol=tol), _dense_merge_outputs(W, tol=tol)
+    got, key = _merge_at(W, tol)
+    want = _dense_merge_outputs(W, key)
     assert (got is W) == (want is W)
     assert got.transition.tobytes() == want.transition.tobytes()
     assert got.input_dist.tobytes() == want.input_dist.tobytes()
@@ -469,9 +493,9 @@ def test_run_sums_add_each_run_left_to_right():
 def internal_channels(draw):
     """Every channel the library builds itself from one random synthesis.
 
-    The raw and merged syntheses, lossless and coarse merges of the raw one,
-    a posterior-grid merge and the flattened channel, over GF(2, 3, 4, 5, 7,
-    9) with a random kernel at ell 2 or 3.
+    The raw and merged syntheses, a posterior-grid merge of the raw one and
+    the flattened channel, over GF(2, 3, 4, 5, 7, 9) with a random kernel at
+    ell 2 or 3.
     """
     field = field_make(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -480,12 +504,10 @@ def internal_channels(draw):
     kern = sample_invertible(field, ell, rng)
     i = draw(st.integers(1, ell))
     raw = transform(W, kern, i, merge=False)
-    merged = [merge_outputs(raw, tol=tol) for tol in (1e-12, 1e-3, 0.05)]
     resolution = draw(st.sampled_from([1, 3, 64, 2048]))
     return [
         raw,
         transform(W, kern, i),
-        *merged,
         transform_mod.quantize_merge(raw, resolution),
         flatten(raw),
     ]
@@ -508,18 +530,27 @@ def test_merge_returns_the_channel_itself_when_nothing_merges():
     assert transform_mod.quantize_merge(W, 2**40) is W
 
 
-@pytest.mark.parametrize("tol", [1e-3, 0.05])
-def test_coarse_merge_of_a_synthesis_rescans_and_matches_the_dense_merge(tol, monkeypatch):
-    rescans = []
+def test_merge_of_a_quantized_synthesis_rescans_and_matches_the_dense_merge(monkeypatch):
+    # BSC(0.11) paths binned at resolution 64: their exact syntheses hold
+    # drift chains at the merge tolerance itself, so some merges rescan
+    rescans, rescanned = [], []
     rescan = channel_mod._rescan_runs
     monkeypatch.setattr(channel_mod, "_rescan_runs", lambda *a: rescans.append(rescan(*a)))
-    F3 = field_make(3)
-    base = random_channel(F3, 8, np.random.default_rng(0))
-    W = transform(base, arikan_kernel(F3), 2, merge=False)
-    got = merge_outputs(W, tol=tol)
-    assert rescans
+
+    def merge(W):
+        before = len(rescans)
+        V = merge_outputs(W)
+        if len(rescans) > before:
+            rescanned.append((W, V))
+        return V
+
+    monkeypatch.setattr(transform_mod, "merge_outputs", merge)
+    kern = FixedKernel(arikan_kernel(field_make(2)))
+    polarization_stats(bsc(0.11), kern, 6, 20, np.random.default_rng(0), quantize_resolution=64)
+    assert rescanned
     monkeypatch.setattr(channel_mod, "_rescan_runs", rescan)
-    assert got.transition.tobytes() == _dense_merge_outputs(W, tol=tol).transition.tobytes()
+    for W, got in rescanned:
+        assert got.transition.tobytes() == _dense_merge_outputs(W).transition.tobytes()
 
 
 def test_merge_rescans_only_where_the_run_rule_breaks(monkeypatch):
@@ -547,15 +578,20 @@ def test_merge_keeps_apart_posteriors_that_share_only_their_first_row():
 
 
 @pytest.mark.parametrize("tol", [1e-12, 0.2])
-def test_merge_outputs_drift_chain_follows_first_member(tol):
-    # neighbours 0.6 tol apart: the scan cuts the chain every second step
+def test_merge_outputs_drift_chain_follows_first_member(tol, monkeypatch):
+    # neighbours 0.6 tol apart: the scan cuts the chain every second step,
+    # so the neighbour runs are rescanned
+    rescans = []
+    rescan = channel_mod._rescan_runs
+    monkeypatch.setattr(channel_mod, "_rescan_runs", lambda *a: rescans.append(rescan(*a)))
     post0 = 0.3 + 0.6 * tol * np.arange(5)
     joint = np.vstack([post0, 1.0 - post0]) / 5
     dist = joint.sum(axis=1)
     W = make_channel(field_make(2), joint / dist[:, None], dist)
-    V = merge_outputs(W, tol=tol)
+    V, key = _merge_at(W, tol)
     assert V.output_size == 3
-    assert np.array_equal(V.transition, _scan_merge_outputs(W, tol=tol).transition)
+    assert rescans
+    assert np.array_equal(V.transition, _scan_merge_outputs(W, key).transition)
 
 
 def test_construct_is_unchanged_under_the_reference_merge(monkeypatch):
@@ -598,7 +634,7 @@ def test_channel_dict_roundtrip():
 def test_channel_from_dict_capacity_keyword():
     doc = channel_to_dict(zchannel(0.5))
     doc["input_dist"] = "capacity"
-    W = channel_from_dict(doc, capacity_tol=1e-12)
+    W = channel_from_dict(doc)
     assert abs(W.input_dist[1] - 0.4) < 1e-6
     doc["input_dist"] = "nonsense"
     with pytest.raises(ValueError):

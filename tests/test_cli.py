@@ -92,6 +92,7 @@ def test_kernel_search_emits_loadable_kernel(capsys, tmp_path):
         capsys, "transform", "--bec", "0.5", "--kernel", str(kfile), "--index", "1"
     )
     assert code2 == 0
+    assert json.loads(out2)["index"] == 1
     assert doc["ell"] == 2
 
 

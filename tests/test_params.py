@@ -361,11 +361,13 @@ def _tilted(W, t):
 
 
 def test_tilted_identity_at_zero():
+    # checks only the helper, which test_tilted_derivative_matches_conditional_entropy relies on
     W = bsc(0.2)
     assert _tilted(W, 0.0) is W
 
 
 def test_tilted_matches_direct_formula():
+    # checks only the helper, which test_tilted_derivative_matches_conditional_entropy relies on
     W = random_channel(field_make(3), 4, np.random.default_rng(8))
     t = 0.6
     V = _tilted(W, t)
@@ -391,6 +393,7 @@ def test_tilted_derivative_matches_conditional_entropy():
 
 
 def test_tilted_validates():
+    # checks only the helper, which test_tilted_derivative_matches_conditional_entropy relies on
     with pytest.raises(ValueError):
         _tilted(bsc(0.2), 1.2)
     with pytest.raises(ValueError):

@@ -10,6 +10,10 @@ them in every bit, on random channels with dead outputs and zero-mass input
 symbols, over GF(2), GF(3), GF(4) and GF(5), at every position of random
 2x2 and 3x3 kernels, and at window edges every few columns.
 
+Merges run at one tolerance, 1e-12.  A merge at a coarser posterior
+distance is checked as ``_merge_sorted`` over a lattice key
+(``_coarse_key``), against the earlier code over the same key.
+
 One exception: S and Smax are compared with ``_ref_correlations``, a
 restatement of their rule without BLAS products; the other seven
 functionals keep the earlier code as their reference.
@@ -119,6 +123,28 @@ def _ref_merge_outputs(W, tol=1e-12):
     return _ref_merge_sorted(W, _ref_posterior(W)[0], tol)
 
 
+def _coarse_key(W, tol):
+    """W's posterior on the integer multiples of 2^-42, a distance tol about 4.4 steps.
+
+    These keys and their differences are exact, and the merge tolerance
+    1e-12 lies between four steps and five, so merging this key groups the
+    posteriors about as a scan within ``tol`` would.
+    """
+    return np.rint(_ref_posterior(W)[0] * (1e-12 / tol * 2**42)) * 2.0**-42
+
+
+def _merges_at(W, tol):
+    """The merge of W at posterior distance ``tol``, and the earlier code's.
+
+    At 1e-12, the merge tolerance, both merge W's posterior; otherwise both
+    merge ``_coarse_key(W, tol)``, the library through ``_merge_sorted``.
+    """
+    if tol == 1e-12:
+        return merge_outputs(W), _ref_merge_outputs(W)
+    key = _coarse_key(W, tol)
+    return channel_module._merge_sorted(W, key), _ref_merge_sorted(W, key.copy(), 1e-12)
+
+
 def _ref_quantize_merge(W, resolution):
     bins = _ref_posterior(W)[0]
     bins *= resolution
@@ -150,7 +176,7 @@ def _ref_raw_law(joint, kernel, i):
 
 def _ref_transform(W, kernel, i, merge):
     out = Channel._owned(W.field, *_ref_raw_law(_ref_derived(W).joint, kernel, i))
-    return _ref_merge_outputs(out, tol=1e-12) if merge else out
+    return _ref_merge_outputs(out) if merge else out
 
 
 def _ref_param_vector(W):
@@ -263,7 +289,7 @@ def step_cases(draw):
     return W, sample_invertible(field, ell, rng), draw(st.integers(1, ell))
 
 
-@given(step_cases(), st.sampled_from([0.0, 1e-12, 1e-3, 0.05]), st.sampled_from([1, 3, 64]))
+@given(step_cases(), st.sampled_from([1e-12, 1e-3, 0.05]), st.sampled_from([1, 3, 64]))
 @settings(max_examples=300, deadline=None)
 def test_synthesis_step_matches_the_earlier_code_bitwise(case, tol, resolution):
     W, kern, i = case
@@ -271,7 +297,7 @@ def test_synthesis_step_matches_the_earlier_code_bitwise(case, tol, resolution):
     _same_channel(raw, _ref_transform(W, kern, i, merge=False))
     child = transform(W, kern, i)
     _same_channel(child, _ref_transform(W, kern, i, merge=True))
-    _same_channel(merge_outputs(raw, tol), _ref_merge_outputs(raw, tol))
+    _same_channel(*_merges_at(raw, tol))
     _same_channel(quantize_merge(raw, resolution), _ref_quantize_merge(raw, resolution))
     for V in (W, raw, child):
         got, want = derived_distributions(V), _ref_derived(V)
@@ -300,8 +326,9 @@ def window_edge_cases(draw):
     Each chain is a random walk of up to 20 columns from one posterior, with
     zero-sum steps of sup norm up to 4/3 of a scale: 0 (equal keys), 3e-13
     (a near-tie chain at tol 1e-12: neighbours within tol, the chain longer
-    than tol), 4e-4 or 9e-4 (drift chains that tol 1e-3 rescans, and that
-    can turn back towards their first column after a split).  Column masses
+    than tol), 4e-4 or 9e-4 (drift chains that a merge at distance 1e-3
+    rescans, and that can turn back towards their first column after a
+    split).  Column masses
     are random and some columns are dead, so quantized bins collide.
     """
     q = draw(st.sampled_from([2, 3]))
@@ -327,7 +354,7 @@ def window_edge_cases(draw):
         window_edge_cases(),
         step_cases().map(lambda c: transform(c[0], c[1], c[2], merge=False)),
     ),
-    st.sampled_from([0.0, 1e-12, 1e-3, 0.05]),
+    st.sampled_from([1e-12, 1e-3, 0.05]),
     st.sampled_from([1, 3, 64]),
     st.sampled_from([1, 2, 7]),
 )
@@ -338,7 +365,7 @@ def test_windowed_merge_matches_the_earlier_code_at_every_window_edge(W, tol, re
     # into the next window
     with mock.patch.object(channel_module, "_WINDOW", window):
         for got, want in (
-            (merge_outputs(W, tol), _ref_merge_outputs(W, tol)),
+            _merges_at(W, tol),
             (quantize_merge(W, resolution), _ref_quantize_merge(W, resolution)),
         ):
             assert (got is W) == (want is W)
@@ -347,22 +374,15 @@ def test_windowed_merge_matches_the_earlier_code_at_every_window_edge(W, tol, re
 
 @pytest.mark.parametrize("window", [1, 2])
 def test_a_split_that_turns_back_after_a_window_edge_is_rescanned(window):
-    # sorted posteriors: a head, a column 0.9 tol from it, then a column
-    # beyond tol of its neighbour but within tol of the head.  With the
-    # edge before the third column, that window has no near tie of its own:
-    # only the drift of the run open at its edge flags the split
-    t = 1e-3
-    post = np.array(
-        [
-            [0.2, 0.4, 0.4],
-            [0.2, 0.4 + 0.9 * t, 0.4 - 0.9 * t],
-            [0.2 + 0.05 * t, 0.4 - 0.2 * t, 0.4 + 0.15 * t],
-        ]
-    )
-    joint = post.T / 3
-    dist = joint.sum(axis=1)
-    W = make_channel(field_make(3), joint / dist[:, None], dist)
-    want = _ref_merge_outputs(W, t)
+    # sorted key columns, in steps of 2^-42 (the tolerance is 4.4 steps): a
+    # head, a column 4 steps from it, then a column 5 steps from its
+    # neighbour but 1 step from the head.  With the edge before the third
+    # column, that window has no near tie of its own: only the drift of the
+    # run open at its edge flags the split
+    key = np.array([[0, 0, 1], [10, 14, 9], [10, 6, 11]]) * 2.0**-42
+    trans = [[0.5, 0.25, 0.25], [0.125, 0.5, 0.375], [0.25, 0.25, 0.5]]
+    W = make_channel(field_make(3), trans, [0.5, 0.25, 0.25])
+    want = _ref_merge_sorted(W, key.copy(), 1e-12)
     assert want.output_size == 1
     with mock.patch.object(channel_module, "_WINDOW", window):
-        _same_channel(merge_outputs(W, t), want)
+        _same_channel(channel_module._merge_sorted(W, key), want)
