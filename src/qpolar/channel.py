@@ -19,11 +19,18 @@ from .gf import FieldSpec, field_make
 #: tolerance for "rows sum to one" validation
 ROW_TOL = 1e-12
 
-#: sup-norm distance within which a merge groups two key columns
-_MERGE_TOL = 1e-12
+#: log 0 in the merge key: below every finite log posterior (at least -745)
+_LOG_ZERO = -2000.0
+
+#: lattice points per unit of log posterior ratio in the merge key (pitch 2^-40)
+_LATTICE = 2.0**40
 
 #: sorted columns a merge scans and sums at a time
 _WINDOW = 1 << 14
+
+#: most columns whose single key row a merge sorts by the stable argsort;
+#: past it the unstable argsort and ``_canonical`` are faster
+_STABLE_SORT_MAX = 1 << 14
 
 __all__ = [
     "Channel",
@@ -256,139 +263,172 @@ def symmetrize(W: Channel) -> Channel:
 
 
 def merge_outputs(W: Channel) -> Channel:
-    """Merge output symbols whose posteriors agree within 1e-12 (sup norm).
+    """Merge the output symbols whose likelihood ratios agree on a lattice of pitch 2^-40.
 
-    Grouping rule: columns are sorted lexicographically by posterior vector
-    and scanned in that order; a column joins the current group when its
-    posterior lies within 1e-12 of the group's *first* member (not of its
-    neighbour), and opens a new group otherwise.  The result is
-    deterministic, and the merge is information-lossless.  Zero-mass
-    outputs share a uniform posterior and collapse together.
+    The key of output y is its log posterior ratios on the lattice,
+    key_u = rint(2^40 * (log P(u|y) - log P(0|y))) for u = 1..q-1, with
+    log 0 read as ``_LOG_ZERO`` = -2000.  Two outputs are neighbours when
+    their keys differ by at most one lattice step in every row, and a group
+    is what neighbours chain together, one key row at a time (the rule is
+    ``_merge_sorted``'s with ``step`` 1).  Equal posteriors differ in their
+    computed log ratios by rounding only, far below the pitch, so they
+    always merge, on whichever side of a lattice midpoint their keys fall.
+    Two outputs are told apart only when no chain of outputs, each within
+    one step of the next, connects them.  The rule bounds no group's span,
+    and a group that joins distinct posteriors loses their difference.
+    The lattice is relative: its step is 2^-40 of log ratio, so posteriors
+    near 0 or 1 are resolved as finely as those in between.  A finite log
+    posterior is at least -745.  So where P(0|y) > 0, row u of the key lies
+    within 745 * 2^40 of 0 when P(u|y) > 0 and below -1255 * 2^40 when
+    P(u|y) = 0; where P(0|y) = 0, it is 0 when P(u|y) = 0 and above
+    1255 * 2^40 otherwise.  Outputs whose keys are within a step of each
+    other thus have their zeros in the same places.  Every key is an integer of magnitude at most
+    2000 * 2^40 < 2^53, so keys and their differences are exact.
+    Zero-mass outputs share a uniform posterior (key 0) and collapse
+    together, and with the live uniform ones.
 
-    This is ``_merge_sorted``'s scan over the posterior: its evaluation,
-    summation order and memory are stated there.
+    The key is formed in place in the posterior buffer of ``_posterior``
+    (``_log_ratio_key``); ``_merge_sorted`` groups it and states the order,
+    the summation order and the memory.
     """
-    return _merge_sorted(W, _posterior(W)[0])
+    return _merge_sorted(W, _log_ratio_key(W), 1)
 
 
-def _merge_sorted(W: Channel, key: np.ndarray) -> Channel:
-    """The first-member scan over the (q, N) key columns, and the group sums.
+def _log_ratio_key(W: Channel) -> np.ndarray:
+    """``merge_outputs``' (q-1, N) key, formed in place in W's posterior buffer.
+
+    The logs are of the posterior, not of the joint: a column scaled by its
+    mass would move the keys of its zero entries, which sit at the fixed
+    ``_LOG_ZERO``.  Row 0 ends as scratch; the key is the caller's only
+    reference to the buffer, so it frees it.
+    """
+    post = _posterior(W)[0]
+    with np.errstate(divide="ignore"):
+        np.log(post, out=post)
+    np.maximum(post, _LOG_ZERO, out=post)
+    key = post[1:]
+    key -= post[0]
+    key *= _LATTICE
+    return np.rint(key, out=key)
+
+
+def _merge_sorted(W: Channel, key: np.ndarray, step: int) -> Channel:
+    """Merge the output columns of W that the (r, N) key columns chain together.
 
     The one place that groups output columns: ``merge_outputs`` keys them
-    by posterior, ``transform.quantize_merge`` by grid bin.  ``key`` is a
-    float buffer the caller gives up: it is read, never written, and freed
-    before the sums.
+    by log-ratio lattice point (r = q - 1, ``step`` 1),
+    ``transform.quantize_merge`` by grid bin (r = q, ``step`` 0).  ``key``
+    holds exact float integers in a C-ordered buffer the caller gives up:
+    it is never sorted in place, and it is freed before the sums.
 
-    Columns are sorted lexicographically by key vector and scanned in that
-    order; a column joins the current group when its key lies within
-    ``_MERGE_TOL`` (sup norm) of the group's first member, and opens a new
-    group otherwise.  The scan is evaluated as runs of the sorted order,
-    split wherever two neighbours differ by more than ``_MERGE_TOL``.  When
-    no two neighbours differ by a nonzero amount within it, every run holds
-    equal keys and the runs are the scan's groups; this is always so for
-    integer keys such as grid bins.  Otherwise the runs are the scan's
-    groups when every column lies within ``_MERGE_TOL`` of its run's first
-    column and every run's first column lies beyond it from the previous
-    run's; only runs that break one of these (drift chains) are rescanned
-    column by column.
+    Grouping rule: at ``step`` 0 the groups are the columns with equal key
+    vectors, the runs of the stable lexicographic sort order.  Otherwise
+    the columns are sorted stably by key row 0 and split wherever two
+    neighbours differ by more than ``step``; then, one key row at a time,
+    each run is sorted stably by that row and split the same way.  Either
+    way a group is a run of the final order, whatever the column labels.
+
+    Canonical order: every sort is stable, so the order within a run is
+    fixed by the keys and the column labels.  A single key row over more
+    than ``_STABLE_SORT_MAX`` columns is sorted by numpy's unstable
+    ``argsort`` instead, whose order among equal keys depends on the CPU's
+    sort kernel, and then put back in the stable order by ``_canonical``.
+    The order, and with it every sum, does not depend on the CPU.
 
     Summation order: each merged column adds its group's transition columns
-    left to right in sorted order, one at a time from zero (numpy's
+    left to right in that order, one at a time from zero (numpy's
     ``W.transition[:, group].sum(axis=1)`` adds a group of more than eight
     columns pairwise, which can differ in the last bits).  Returns ``W``
     itself, in its original column order, when nothing merges.
 
     Memory: besides W, the result and ``key``, the N-long sort order and
-    split flags, and N more flags when a run breaks the rule.  The scan and
-    the sums walk the sorted order in windows of ``_WINDOW`` columns,
-    gathering one window of keys or of transition columns at a time, so
-    every other buffer they hold is window-sized; a rescan adds the run
-    heads.  The keys are never sorted in place.
+    run heads, and N more flags while the unstable order is put back; the
+    run values that put it back take the key row's memory, which is read
+    for the last time.  With more than one key row and ``step`` 1, each
+    row's pass also holds the N run indices, the row's sorted keys and the
+    order within the runs.  The scan and the sums walk the sorted order in
+    windows of ``_WINDOW`` columns, gathering one window of keys or of
+    transition columns at a time, so every other buffer they hold is
+    window-sized.
     """
-    order = np.lexsort(key[::-1, :])
-    N = order.size
-    start = np.empty(N, dtype=bool)
+    rows, N = key.shape
+    start = np.zeros(N, dtype=bool)
     start[0] = True
-    G, bad = _split_runs(key, order, start)
-    if bad is not None and bad.any():
-        _rescan_runs(key, order, start, bad)
-        G = np.count_nonzero(start)
-    del key, bad
+    unstable = step and rows == 1 and N > _STABLE_SORT_MAX
+    changes = np.zeros(N, dtype=bool) if unstable else None
+    if step == 0:
+        order = np.lexsort(key[::-1])
+        _split_runs(key, order, start, 0)
+    else:
+        order = key[0].argsort() if unstable else key[0].argsort(kind="stable")
+        _split_runs(key[:1], order, start, step, changes)
+        for r in range(1, rows):
+            within = np.lexsort((key[r].take(order), np.cumsum(start)))
+            order = order.take(within)
+            del within
+            _split_runs(key[r : r + 1], order, start, step)
+    G = np.count_nonzero(start)
     if G == N:
         return W
+    if unstable:
+        # the key row is read for the last time: its memory holds the run values
+        _canonical(order, changes, key[0].view(np.int64))
+        del changes
+    del key
     return Channel._owned(W.field, _run_sums(W.transition, order, start, G), W.input_dist)
 
 
 def _split_runs(
-    key: np.ndarray, order: np.ndarray, start: np.ndarray
-) -> tuple[int, np.ndarray | None]:
-    """Set the run heads ``start[1:]`` of the sorted key columns; count the runs.
+    key: np.ndarray, order: np.ndarray, start: np.ndarray, step: int, changes: np.ndarray | None = None
+) -> None:
+    """Flag in ``start`` the sorted columns more than ``step`` above the column before.
 
-    Returns the run count and, when a nonzero neighbour gap within
-    ``_MERGE_TOL`` exists, the flags of the columns that break the run rule
-    (``None`` otherwise).  The sorted order is walked in windows of ``_WINDOW``
+    A flag is set where some key row exceeds the previous column's by more
+    than ``step``; flags already set stay.  ``order`` must sort the key
+    lexicographically within the runs that ``start`` already holds, so a
+    row can fall only where an earlier row or a set flag rose, and no
+    difference needs its sign dropped.  ``changes``, when given, flags
+    every sorted column whose single key row differs at all from the
+    column before.  The sorted order is walked in windows of ``_WINDOW``
     columns; each window gathers its key columns and the column before it,
-    so every neighbour gap is taken across window edges.  The run-head check
-    compares each column with the first column of the run holding its left
-    neighbour; the key of the run open at a window's edge is carried over.
+    so every neighbour pair is compared, across window edges too.  A merge
+    of at most ``_WINDOW`` columns is one window, with no loop state to
+    carry.
     """
-    q, N = key.shape
-    width = min(N, _WINDOW + 1)
-    P = np.empty((q, width))
-    gap, diff = np.empty(width - 1), np.empty(width - 1)
-    G, bad, carried = 1, None, None  # carried: key of the open run's first column
-    for lo in range(0, N, _WINDOW):
-        hi = min(lo + _WINDOW, N)
+    for lo in range(0, order.size, _WINDOW):
         a = lo - 1 if lo else 0  # window column 0: the column before the window
-        m = hi - a
-        Pw, g, d = P[:, :m], gap[: m - 1], diff[: m - 1]
-        # gather the sorted keys; every index is in range, and mode "clip"
-        # gathers straight into ``out`` where the default mode would gather
-        # into a hidden copy first.  The method is called with positional
-        # arguments: np.take's Python wrapper costs more than the gather
-        # itself on small inputs
-        idx = order[a:hi]
-        for row, out in zip(key, Pw):
-            row.take(idx, None, out, "clip")
-        # the neighbour gaps: sup over x of |key[x, k] - key[x, k - 1]|
-        np.abs(np.subtract(Pw[0, 1:], Pw[0, :-1], out=g), out=g)
-        for row in Pw[1:]:
-            np.maximum(g, np.abs(np.subtract(row[1:], row[:-1], out=d), out=d), out=g)
-        split = start[a + 1 : hi]
-        np.greater(g, _MERGE_TOL, out=split)
-        n_split = np.count_nonzero(split)
-        G += n_split
-        # every split gap is positive, so a nonzero gap within tolerance exists
-        # exactly when there are more nonzero gaps than splits.  A window
-        # without one can still break the rule at a split when the run open
-        # at its edge has drifted from its first column
-        check = np.count_nonzero(g) > n_split
-        if lo:
-            check = check or not np.array_equal(Pw[:, 0], carried)
-        if check:
-            # compare each column with its run's head, and each head with
-            # the previous head: both are the head of column k - 1's run,
-            # the running maximum of the head positions up to k - 1.  Window
-            # column 0 stands for the open run's head
-            head = np.arange(m)
-            head *= start[a:hi]
-            np.maximum.accumulate(head, out=head)
-            if lo:
-                Pw[:, 0] = carried
-            near = np.ones(m - 1, dtype=bool)
-            for row in Pw:
-                np.subtract(row[1:], row.take(head[:-1], None, d, "clip"), out=d)
-                near &= np.abs(d, out=d) <= _MERGE_TOL
-            if bad is None:
-                bad = np.zeros(N, dtype=bool)
-            # a mismatch with the run rule flags the column
-            np.equal(near, split, out=bad[a + 1 : hi])
-            del head, near
-        if hi < N:
-            last = m - 1 - int(np.argmax(start[a:hi][::-1]))
-            if start[a + last]:
-                carried = Pw[:, last].copy()
-    return G, bad
+        idx = order[a : lo + _WINDOW]
+        split = start[a + 1 : lo + _WINDOW]
+        for row in key:
+            # operators, not ufuncs with ``out=``: the keyword costs more
+            # than the arithmetic on small merges
+            sorted_row = row.take(idx)
+            rise = sorted_row[1:] - sorted_row[:-1]
+            split |= rise > step
+        if changes is not None:
+            np.not_equal(rise, 0.0, out=changes[a + 1 : lo + _WINDOW])
+
+
+def _canonical(order: np.ndarray, changes: np.ndarray, work: np.ndarray) -> None:
+    """Put an unstable sort order of one key row in the stable order, in place.
+
+    ``order`` sorts the key; ``changes[c]`` flags the sorted columns c >= 1
+    whose key differs from column c - 1's.  With k the index of a column's
+    run of equal keys, the values k * N + column are distinct and sorted
+    exactly as the stable order takes the columns (by key, then label), so
+    any sort of them gives the same result: their remainders mod N are the
+    stable order.  The values are formed in ``work``, an N-long int64
+    buffer the caller gives up.
+    """
+    N = order.size
+    # the run indices, accumulated in place: a cumsum of booleans into int64
+    # would cast the whole input through a temporary first
+    work[...] = changes
+    np.add.accumulate(work, out=work)
+    work *= N
+    work += order
+    work.sort()
+    np.remainder(work, N, out=order)
 
 
 def _run_sums(T: np.ndarray, order: np.ndarray, start: np.ndarray, G: int) -> np.ndarray:
@@ -427,37 +467,6 @@ def _run_sums(T: np.ndarray, order: np.ndarray, start: np.ndarray, G: int) -> np
             sums[x, done : done + n_runs] = np.bincount(runs, weights=w, minlength=n_runs)
         done += n_runs - (hi < N and not start[hi])  # the last run may go on past hi
     return sums
-
-
-def _rescan_runs(key: np.ndarray, order: np.ndarray, start: np.ndarray, bad: np.ndarray) -> None:
-    """Redo the first-member scan of ``_merge_sorted`` where runs disagree.
-
-    Column c of the sorted order is ``key[:, order[c]]``; ``start`` holds
-    the neighbour-split run heads (updated in place) and ``bad`` the
-    columns that break the run rule.  Each run holding a bad column is
-    rescanned, and so is the run after a rescan that ends on a
-    representative other than its run's head.
-    """
-    heads = np.flatnonzero(start)
-    bounds = np.append(heads, start.size)
-    flagged = np.zeros(heads.size + 1, dtype=bool)
-    flagged[np.searchsorted(heads, np.flatnonzero(bad), "right") - 1] = True
-    flagged[-1] = True  # sentinel past the last run
-    rep = last = -1
-    r = int(np.argmax(flagged))
-    while r < heads.size:
-        if r != last + 1:
-            rep = int(heads[r - 1])  # the previous run was kept whole
-        for c in range(bounds[r], bounds[r + 1]):
-            if rep >= 0 and float(np.max(np.abs(key[:, order[c]] - key[:, order[rep]]))) <= _MERGE_TOL:
-                start[c] = False
-            else:
-                start[c] = True
-                rep = c
-        last = r
-        if rep != heads[r]:
-            flagged[r + 1] = True  # the next head meets another representative
-        r += 1 + int(np.argmax(flagged[r + 1 :]))
 
 
 # ------------------------------------------------------- stock channels

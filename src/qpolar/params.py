@@ -118,14 +118,17 @@ def param_vector(W: Channel) -> ParamVector:
         np.multiply(x, buf, out=buf, where=live)
         return float(add(buf, axis=None))
 
+    # H and I lie in [0, 1] base-q symbols; a sum rounded in another order
+    # can carry them an ulp past an end, so they are kept inside.  H is a
+    # sum of non-positive terms negated, never below 0 (at most -0.0)
     buf.fill(1.0)
     np.copyto(buf, post, where=live)
-    H = -xlogy(joint) / lnq
+    H = min(-xlogy(joint) / lnq, 1.0)
 
     buf.fill(1.0)
     np.multiply(W.input_dist[:, None], out, out=buf, where=live)
     np.divide(joint, buf, out=buf, where=live)
-    I = xlogy(joint) / lnq
+    I = min(max(xlogy(joint) / lnq, 0.0), 1.0)
 
     col = top(post, axis=0)
     np.subtract(1.0, col, out=col)

@@ -3,8 +3,9 @@
 Feeding an ell-block of i.i.d. channel uses through an invertible kernel G
 turns position i of the block into a new channel: its input is the i-th
 source symbol, its output is the pair (all previous source symbols, all ell
-channel outputs).  This module builds that channel exactly (with a lossless
-output merge so alphabets stay as small as the law allows) and provides the
+channel outputs).  This module builds that channel exactly (with
+``merge_outputs``' likelihood-ratio merge, so alphabets stay as small as
+the law allows) and provides the
 lossy posterior-quantization merge used by long-horizon simulations.
 """
 
@@ -31,7 +32,7 @@ def transform(W: Channel, kernel: Kernel, i: int, *, merge: bool = True) -> Chan
     """Synthesize position ``i`` (1-based) of one kernel step, exactly.
 
     Output labels enumerate (previous source symbols, raw output block)
-    pairs; a lossless posterior merge is applied before returning, so the
+    pairs; ``merge_outputs`` is applied before returning, so the
     output alphabet of the result is canonical up to relabeling.  Pass
     ``merge=False`` to keep the raw labels (handy for cross-checks against
     the defining quotient).  Raises ``ValueError`` when the kernel is over
@@ -101,14 +102,16 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     field, so conditional entropy never decreases.  Anything downstream of
     this op should be flagged as approximate.
 
-    Grouping rule: ``merge_outputs``' scan over the bin vectors
-    min(floor(resolution * posterior), resolution - 1).  Bins are integers,
-    so two bin vectors either agree or differ by at least 1, far beyond the
-    merge tolerance: each run of equal bin vectors in sorted order becomes
-    one output, and each merged column adds its run's transition columns
-    left to right in sorted order.  The bins are formed in place in the
-    posterior buffer; up to 2^53 every bin is an exact float integer, so
-    ``resolution`` must lie in 1..2^53.
+    Grouping rule: the outputs with equal bin vectors
+    min(floor(resolution * posterior), resolution - 1) merge.  The bins are
+    absolute cells of the posterior, not ``merge_outputs``' relative
+    lattice: they are this merge's definition.  ``channel._merge_sorted``
+    groups them with ``step`` 0, the scan ``merge_outputs`` shares: the
+    columns are sorted stably and lexicographically by bin vector, each run
+    of equal bin vectors becomes one output, and each merged column adds
+    its run's transition columns left to right in that order.  The bins are
+    formed in place in the posterior buffer; up to 2^53 every bin is an
+    exact float integer, so ``resolution`` must lie in 1..2^53.
     """
     if not 1 <= resolution <= 2**53:
         bound = "at least 1" if resolution < 1 else "at most 2^53"
@@ -116,7 +119,7 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     bins = _posterior(W)[0]
     bins *= resolution
     np.minimum(np.trunc(bins, out=bins), resolution - 1, out=bins)
-    return _merge_sorted(W, bins)
+    return _merge_sorted(W, bins, 0)
 
 
 def quantize_to_fit(

@@ -1,7 +1,9 @@
 """Channel layer: validation, derived laws, capacity, alphabet surgery."""
 
 import functools
+import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from qpolar.codec import codespec_to_dict, construct
 from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
-from qpolar.procsim import polarization_stats
 from qpolar.transform import transform
 
 
@@ -271,107 +272,184 @@ def test_merge_groups_zero_mass_outputs_together():
     assert V.output_size == 1
 
 
-def _scan_merge_outputs(W, key=None, tol=1e-12):
-    """Reference: the column-by-column scan ``merge_outputs`` must reproduce.
+_PITCH = 2.0**-40  # the merge lattice's step in log posterior ratio
 
-    ``key`` defaults to W's posterior; ``_merge_sorted`` runs the same scan
-    over any other key.
+_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}
+
+
+def _lattice_key(W):
+    """``merge_outputs``' key, from its definition.
+
+    rint(2^40 * (log P(u|y) - log P(0|y))) for u = 1..q-1, with log 0 read
+    as -2000: a (q-1, N) array of integers.
     """
-    post = derived_distributions(W).posterior if key is None else key
-    order = np.lexsort(post[::-1, :])
-    groups = []
-    rep = None
-    for col in order:
-        if rep is not None and float(np.max(np.abs(post[:, col] - rep))) <= tol:
-            groups[-1].append(int(col))
-        else:
-            groups.append([int(col)])
-            rep = post[:, col]
-    if len(groups) == W.output_size:
+    with np.errstate(divide="ignore"):
+        logs = np.maximum(np.log(derived_distributions(W).posterior), -2000.0)
+    return np.rint((logs[1:] - logs[0]) / _PITCH)
+
+
+def _oracle_runs(key, step):
+    """The groups of ``_merge_sorted``'s rule, by Python sorts over whole columns.
+
+    Each group is a list of column labels, in the order its sum adds them.
+    At ``step`` 0 a group is the columns of one key vector, in label order,
+    and the groups come in lexicographic key order.  Otherwise the columns
+    are sorted by (row 0, label) and cut wherever two neighbours differ by
+    more than ``step`` in row 0; then, one row at a time, each group is
+    sorted by that row (Python's sort is stable) and cut the same way.
+    """
+    rows, N = key.shape
+    cols = [tuple(key[:, c].tolist()) for c in range(N)]
+    if step == 0:
+        runs = []
+        for c in sorted(range(N), key=lambda c: (cols[c], c)):
+            if runs and cols[runs[-1][-1]] == cols[c]:
+                runs[-1].append(c)
+            else:
+                runs.append([c])
+        return runs
+    runs = [sorted(range(N), key=lambda c: (cols[c][0], c))]
+    for r in range(rows):
+        cut = []
+        for run in runs:
+            run = sorted(run, key=lambda c: cols[c][r])
+            cut.append(run[:1])
+            for a, b in zip(run, run[1:]):
+                if abs(cols[b][r] - cols[a][r]) > step:
+                    cut.append([b])
+                else:
+                    cut[-1].append(b)
+        runs = cut
+    return runs
+
+
+def _oracle_merge(W, key, step):
+    """Reference: W merged over ``_oracle_runs(key, step)``.
+
+    Each merged column adds its group's transition columns left to right in
+    the group's order, one Python float addition at a time; W itself when
+    nothing merges.
+    """
+    runs = _oracle_runs(key, step)
+    if len(runs) == W.output_size:
         return W
-    new_trans = np.empty((W.q, len(groups)))
-    for j, cols in enumerate(groups):
-        new_trans[:, j] = W.transition[:, cols].sum(axis=1)
-    return make_channel(W.field, new_trans, W.input_dist)
+    T = W.transition.tolist()
+    sums = [[functools.reduce(operator.add, [row[c] for c in run]) for run in runs] for row in T]
+    return make_channel(W.field, sums, W.input_dist)
 
 
-_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1)}
-
-
-def _coarse_key(W, tol):
-    """W's posterior on the integer multiples of 2^-42, a distance tol about 4.4 steps.
-
-    These keys and their differences are exact, and the merge tolerance
-    1e-12 lies between four steps (9.1e-13) and five (1.1e-12), so the
-    merge over this key groups the posteriors about as a scan within
-    ``tol`` would: near ties, drift chains and rescans at a coarse scale.
-    """
-    return np.rint(derived_distributions(W).posterior * (1e-12 / tol * 2**42)) * 2.0**-42
-
-
-def _merge_at(W, tol):
-    """The merge under test at posterior distance ``tol``, and the key it scans.
-
-    ``merge_outputs(W)`` over W's posterior at tol 1e-12, the merge
-    tolerance; ``_merge_sorted`` over ``_coarse_key(W, tol)`` otherwise.
-    """
-    if tol == 1e-12:
-        return merge_outputs(W), derived_distributions(W).posterior
-    key = _coarse_key(W, tol)
-    return channel_mod._merge_sorted(W, key), key
+def _same_bits(got, want):
+    assert got.output_size == want.output_size
+    assert got.transition.tobytes() == want.transition.tobytes()
+    assert got.input_dist.tobytes() == want.input_dist.tobytes()
 
 
 @st.composite
 def merge_cases(draw):
-    """A channel whose outputs tie, nearly tie or drift, plus a distance tol.
+    """A channel whose outputs tie, chain on the merge lattice or sit near the endpoints.
 
     The channel is built from its output masses and posteriors: random
-    posteriors (singleton runs), repeats of them (a column split in parts),
-    long runs of 10 to 80 equal posteriors whose lengths no other drawn
-    run has (a sum over such a run is pairwise unless taken left to right),
-    zero-mass outputs and drift chains whose neighbours are 0.6 tol apart,
-    so that the first-member rule and the neighbour rule disagree.  With
-    no repeat, long run, dead output or chain nothing merges at tol 1e-12.
-    ``_merge_at`` merges the channel at ``tol``.
+    posteriors (singleton runs), posteriors with one entry scaled down by
+    10^-8 to 10^-200 (near an endpoint, where only a relative key tells
+    them apart), repeats (a column split in parts), long runs of 10 to 80
+    equal posteriors whose lengths no other drawn run has (a sum over such a
+    run is pairwise unless taken left to right), zero-mass outputs, and
+    chains whose log ratios step by 0.3, 0.6, 1.5 or 3 lattice steps, so
+    that keys straddle lattice midpoints and neighbours chain.
     """
     q = draw(st.sampled_from(sorted(_FIELDS)))
-    tol = draw(st.sampled_from([1e-12, 0.2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_random = draw(st.integers(1, 6))
-    n_repeat = draw(st.integers(0, 8))
-    long_runs = draw(st.lists(st.integers(10, 80), max_size=2, unique=True))
-    n_dead = draw(st.integers(0, 3))
-    chains = draw(st.lists(st.integers(2, 8), max_size=3))
-    posts = list(rng.dirichlet(np.ones(q), size=n_random))
-    for _ in range(n_repeat):
+    posts = list(rng.dirichlet(np.ones(q), size=draw(st.integers(1, 6))))
+    for _ in range(draw(st.integers(0, 3))):
+        p = rng.dirichlet(np.ones(q))
+        p[rng.integers(q)] *= 10.0 ** -float(rng.integers(8, 200))
+        posts.append(p / p.sum())
+    for _ in range(draw(st.integers(0, 8))):
         posts.append(posts[int(rng.integers(len(posts)))])
-    for length in long_runs:
+    for length in draw(st.lists(st.integers(10, 80), max_size=2, unique=True)):
         posts.extend([rng.dirichlet(np.ones(q))] * length)
-    step = 0.6 * tol
-    for length in chains:
-        length = min(length, int(0.9 / step) + 1)
-        a, b = rng.choice(q, size=2, replace=False)
-        base = rng.dirichlet(np.ones(q)) * (1.0 - (length - 1) * step)
-        base[b] += (length - 1) * step
-        posts.extend(base + k * step * (np.eye(q)[a] - np.eye(q)[b]) for k in range(length))
+    chains = st.tuples(st.integers(2, 8), st.sampled_from([0.3, 0.6, 1.5, 3.0]))
+    for length, step in draw(st.lists(chains, max_size=3)):
+        base, b = rng.dirichlet(np.ones(q)), int(rng.integers(q))
+        for k in range(length):
+            p = base.copy()
+            p[b] *= math.exp(k * step * _PITCH)
+            posts.append(p / p.sum())
     mass = rng.random(len(posts)) + 0.05
     joint = np.array(posts).T * mass
-    joint = np.hstack([joint, np.zeros((q, n_dead))])
+    joint = np.hstack([joint, np.zeros((q, draw(st.integers(0, 3))))])
     joint = joint[:, rng.permutation(joint.shape[1])] / joint.sum()
     dist = joint.sum(axis=1)
-    W = make_channel(field_make(*_FIELDS[q]), joint / dist[:, None], dist)
-    return W, tol
+    return make_channel(field_make(*_FIELDS[q]), joint / dist[:, None], dist)
 
 
-@given(merge_cases())
+@st.composite
+def synthesized_cases(draw):
+    """An unmerged synthesized channel: raw synthesis repeats posteriors up to rounding."""
+    q = draw(st.sampled_from(sorted(_FIELDS)))
+    field = field_make(*_FIELDS[q])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = random_channel(field, draw(st.integers(1, 6)), rng, random_input=draw(st.booleans()))
+    ell = 2 if q > 4 else draw(st.integers(2, 3))
+    kern = sample_invertible(field, ell, rng)
+    return transform(W, kern, draw(st.integers(1, ell)), merge=False)
+
+
+@given(st.one_of(merge_cases(), synthesized_cases()))
 @settings(max_examples=300, deadline=None)
-def test_merge_outputs_matches_reference_scan_bitwise(case):
-    W, tol = case
-    got, key = _merge_at(W, tol)
-    want = _scan_merge_outputs(W, key)
+def test_merge_outputs_matches_the_dense_oracle_bitwise(W):
+    got, want = merge_outputs(W), _oracle_merge(W, _lattice_key(W), 1)
     assert (got is W) == (want is W)
-    assert got.output_size == want.output_size
-    assert np.array_equal(got.transition, want.transition)
+    _same_bits(got, want)
+
+
+@st.composite
+def integer_keys(draw):
+    """A channel of N outputs and a (rows, N) key of small integers, N up to 60.
+
+    Values from a range of 2 to 12 give ties, neighbours one step apart and
+    chains; rows 1 to 3, so that the later rows re-sort within the runs.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(1, 60))
+    rows = draw(st.integers(1, 3))
+    key = rng.integers(0, draw(st.integers(2, 12)), (rows, N)).astype(float)
+    W = random_channel(field_make(*_FIELDS[draw(st.sampled_from([2, 3]))]), N, rng)
+    return W, key
+
+
+@given(integer_keys(), st.sampled_from([0, 1, 2]), st.sampled_from([1, 2, 7, 1 << 14]))
+@settings(max_examples=300, deadline=None)
+def test_merge_matches_the_dense_oracle_at_every_window_edge(case, step, window):
+    # windows of 1, 2 and 7 columns: neighbours compared across window edges,
+    # run sums carried into the next window, and a single key row over more
+    # columns than the window sorted unstably and put back in canonical order
+    W, key = case
+    with mock.patch.object(channel_mod, "_WINDOW", window), mock.patch.object(
+        channel_mod, "_STABLE_SORT_MAX", window
+    ):
+        got = channel_mod._merge_sorted(W, key.copy(), step)
+    want = _oracle_merge(W, key, step)
+    assert (got is W) == (want is W)
+    _same_bits(got, want)
+
+
+@pytest.mark.parametrize("most", [64, 1 << 14], ids=["unstable-sort", "stable-sort"])
+def test_the_merge_order_is_the_stable_argsort(most, monkeypatch):
+    # 3,000 columns over 1,000 key values: ties and one-step neighbours.  Past
+    # ``_STABLE_SORT_MAX`` columns the merge sorts unstably and then puts the
+    # order back; on either side its run sums must walk the stable argsort
+    key = np.random.default_rng(11).integers(0, 1000, (1, 3000)).astype(float)
+    assert not np.array_equal(key[0].argsort(), key[0].argsort(kind="stable"))
+    W = random_channel(field_make(2), 3000, np.random.default_rng(12))
+    orders = []
+    run_sums = channel_mod._run_sums
+    monkeypatch.setattr(
+        channel_mod, "_run_sums", lambda T, order, *a: orders.append(order.copy()) or run_sums(T, order, *a)
+    )
+    monkeypatch.setattr(channel_mod, "_STABLE_SORT_MAX", most)
+    channel_mod._merge_sorted(W, key.copy(), 1)
+    assert np.array_equal(orders[0], key[0].argsort(kind="stable"))
 
 
 def _per_size_merge_runs(W, order, start):
@@ -393,59 +471,6 @@ def _per_size_merge_runs(W, order, start):
     return Channel(W.field, new_trans, W.input_dist)
 
 
-def _dense_merge_outputs(W, key=None, tol=1e-12):
-    """Reference: the run merge on whole (q, N) arrays, size masks included.
-
-    The same runs, checks and sums as ``merge_outputs``, but the neighbour
-    gaps and the run-head check are taken over all q rows at once and each
-    run size is summed with its own mask and gather; it must agree bitwise.
-    ``key`` defaults to W's posterior; broken runs go to the library's
-    ``_rescan_runs``, which scans at the merge tolerance 1e-12.
-    """
-    post = derived_distributions(W).posterior if key is None else key
-    order = np.lexsort(post[::-1, :])
-    P = post[:, order]
-    gap = np.abs(P[:, 1:] - P[:, :-1]).max(axis=0)
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = ~(gap <= tol)
-    if ((gap > 0.0) & (gap <= tol)).any():
-        heads = np.flatnonzero(start)
-        ref = heads[np.cumsum(start) - 1 - start]
-        bad = (np.abs(P - P[:, ref]).max(axis=0) <= tol) == start
-        bad[0] = False
-        if bad.any():
-            channel_mod._rescan_runs(P, np.arange(order.size), start, bad)
-    return _per_size_merge_runs(W, order, start)
-
-
-@st.composite
-def synthesized_cases(draw):
-    """An unmerged synthesized channel and a distance tol up to 0.05.
-
-    Raw synthesis repeats posteriors exactly (equal joint products), and the
-    coarse distances chain distinct ones, so runs get rescanned.
-    """
-    q = draw(st.sampled_from(sorted(_FIELDS)))
-    field = field_make(*_FIELDS[q])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    W = random_channel(field, draw(st.integers(1, 6)), rng, random_input=draw(st.booleans()))
-    ell = 2 if q > 4 else draw(st.integers(2, 3))
-    kern = sample_invertible(field, ell, rng)
-    raw = transform(W, kern, draw(st.integers(1, ell)), merge=False)
-    return raw, draw(st.sampled_from([1e-12, 1e-3, 0.05]))
-
-
-@given(st.one_of(merge_cases(), synthesized_cases()))
-@settings(max_examples=300, deadline=None)
-def test_merge_outputs_matches_dense_merge_bitwise(case):
-    W, tol = case
-    got, key = _merge_at(W, tol)
-    want = _dense_merge_outputs(W, key)
-    assert (got is W) == (want is W)
-    assert got.transition.tobytes() == want.transition.tobytes()
-    assert got.input_dist.tobytes() == want.input_dist.tobytes()
-
-
 def _per_size_quantize_merge(W, resolution):
     """Reference: ``quantize_merge``'s bins and runs, summed per run length."""
     post = derived_distributions(W).posterior
@@ -459,8 +484,7 @@ def _per_size_quantize_merge(W, resolution):
 
 @given(st.one_of(merge_cases(), synthesized_cases()), st.sampled_from([1, 2, 3, 7, 64, 2048]))
 @settings(max_examples=300, deadline=None)
-def test_quantize_merge_matches_per_size_merge_bitwise(case, resolution):
-    W, _ = case
+def test_quantize_merge_matches_per_size_merge_bitwise(W, resolution):
     got = transform_mod.quantize_merge(W, resolution)
     want = _per_size_quantize_merge(W, resolution)
     assert (got is W) == (want is W)
@@ -471,7 +495,8 @@ def test_quantize_merge_matches_per_size_merge_bitwise(case, resolution):
 def test_run_sums_add_each_run_left_to_right():
     # runs of 1, 8, 9 and 75 equal posteriors, every length once: each
     # merged column is the float sum of one run's columns, left to right in
-    # sorted order (rounding leaves a run's posteriors a few ulps apart)
+    # the merge's order (rounding leaves a run's posteriors a few ulps apart,
+    # so its keys may differ by a step and the later key row re-sorts it)
     rng = np.random.default_rng(5)
     lengths = [1, 8, 9, 75]
     posts = np.repeat(rng.dirichlet(np.ones(3), size=len(lengths)), lengths, axis=0)
@@ -479,14 +504,13 @@ def test_run_sums_add_each_run_left_to_right():
     joint /= joint.sum()
     dist = joint.sum(axis=1)
     W = make_channel(field_make(3), joint / dist[:, None], dist)
-    order = np.lexsort(derived_distributions(W).posterior[::-1, :])
+    runs = _oracle_runs(_lattice_key(W), 1)
+    assert sorted(map(len, runs)) == lengths
     want = []
-    for run in np.split(np.arange(W.output_size), np.cumsum(lengths)[:-1]):
-        cols = order[np.isin(order, run)]
+    for cols in runs:
         sums = [functools.reduce(operator.add, W.transition[x, cols].tolist()) for x in range(3)]
         want.append(tuple(sums))
-    got = merge_outputs(W).transition.T.tolist()
-    assert sorted(map(tuple, got)) == sorted(want)
+    assert merge_outputs(W).transition.T.tolist() == [list(w) for w in want]
 
 
 @st.composite
@@ -530,68 +554,40 @@ def test_merge_returns_the_channel_itself_when_nothing_merges():
     assert transform_mod.quantize_merge(W, 2**40) is W
 
 
-def test_merge_of_a_quantized_synthesis_rescans_and_matches_the_dense_merge(monkeypatch):
-    # BSC(0.11) paths binned at resolution 64: their exact syntheses hold
-    # drift chains at the merge tolerance itself, so some merges rescan
-    rescans, rescanned = [], []
-    rescan = channel_mod._rescan_runs
-    monkeypatch.setattr(channel_mod, "_rescan_runs", lambda *a: rescans.append(rescan(*a)))
-
-    def merge(W):
-        before = len(rescans)
-        V = merge_outputs(W)
-        if len(rescans) > before:
-            rescanned.append((W, V))
-        return V
-
-    monkeypatch.setattr(transform_mod, "merge_outputs", merge)
-    kern = FixedKernel(arikan_kernel(field_make(2)))
-    polarization_stats(bsc(0.11), kern, 6, 20, np.random.default_rng(0), quantize_resolution=64)
-    assert rescanned
-    monkeypatch.setattr(channel_mod, "_rescan_runs", rescan)
-    for W, got in rescanned:
-        assert got.transition.tobytes() == _dense_merge_outputs(W).transition.tobytes()
-
-
-def test_merge_rescans_only_where_the_run_rule_breaks(monkeypatch):
-    # two pairs of posteriors 1e-14 apart: near ties, but every column is
-    # within tol of its run's head and the heads are far apart
-    rescans = []
-    monkeypatch.setattr(channel_mod, "_rescan_runs", lambda *a: rescans.append(a))
-    post0 = np.array([0.3, 0.3 + 1e-14, 0.6, 0.6 + 1e-14])
-    joint = np.vstack([post0, 1.0 - post0]) / 4
-    dist = joint.sum(axis=1)
-    W = make_channel(field_make(2), joint / dist[:, None], dist)
-    assert merge_outputs(W).output_size == 2
-    assert rescans == []
-
-
 def test_merge_keeps_apart_posteriors_that_share_only_their_first_row():
     # exact dyadic posteriors (0.5, 0.125, 0.375) twice and (0.5, 0.375, 0.125):
-    # the first row has no gap at all, the others tell the outputs apart
+    # the first key row tells them apart, the first posterior row does not
     trans = [[0.25, 0.5, 0.25], [0.125, 0.75, 0.125], [0.375, 0.25, 0.375]]
     W = make_channel(field_make(3), trans, [0.5, 0.25, 0.25])
     assert np.array_equal(derived_distributions(W).posterior[0], [0.5, 0.5, 0.5])
     V = merge_outputs(W)
     assert V.output_size == 2
-    assert np.array_equal(V.transition, _scan_merge_outputs(W).transition)
+    _same_bits(V, _oracle_merge(W, _lattice_key(W), 1))
 
 
-@pytest.mark.parametrize("tol", [1e-12, 0.2])
-def test_merge_outputs_drift_chain_follows_first_member(tol, monkeypatch):
-    # neighbours 0.6 tol apart: the scan cuts the chain every second step,
-    # so the neighbour runs are rescanned
-    rescans = []
-    rescan = channel_mod._rescan_runs
-    monkeypatch.setattr(channel_mod, "_rescan_runs", lambda *a: rescans.append(rescan(*a)))
-    post0 = 0.3 + 0.6 * tol * np.arange(5)
-    joint = np.vstack([post0, 1.0 - post0]) / 5
+def test_merge_outputs_chains_neighbours_within_one_lattice_step():
+    # log ratios 0, 0.6, 1.2, 1.8 and 2.4 steps from a base chain into one
+    # output, whichever lattice midpoints they straddle; 3 steps past the
+    # chain's end is another output
+    base = 0.3
+    llrs = math.log(base / (1 - base)) + _PITCH * np.array([0.0, 0.6, 1.2, 1.8, 2.4, 5.4])
+    post1 = 1.0 / (1.0 + np.exp(-llrs))
+    joint = np.vstack([1.0 - post1, post1]) / llrs.size
     dist = joint.sum(axis=1)
     W = make_channel(field_make(2), joint / dist[:, None], dist)
-    V, key = _merge_at(W, tol)
-    assert V.output_size == 3
-    assert rescans
-    assert np.array_equal(V.transition, _scan_merge_outputs(W, key).transition)
+    V = merge_outputs(W)
+    assert V.output_size == 2
+    _same_bits(V, _oracle_merge(W, _lattice_key(W), 1))
+
+
+def test_merge_outputs_keeps_apart_distinct_posteriors_near_the_endpoints():
+    # P(1|y) of 3.0e-15 and 1.9e-13, and 1 - 1.9e-13 and 1 - 3.0e-15: each
+    # pair is within 1e-12 in sup norm but 63 times apart in likelihood ratio
+    post1 = np.array([3.0e-15, 1.9e-13, 1 - 1.9e-13, 1 - 3.0e-15, 0.0, 1.0])
+    joint = np.vstack([1.0 - post1, post1]) / post1.size
+    dist = joint.sum(axis=1)
+    W = make_channel(field_make(2), joint / dist[:, None], dist)
+    assert merge_outputs(W) is W
 
 
 def test_construct_is_unchanged_under_the_reference_merge(monkeypatch):
@@ -603,7 +599,7 @@ def test_construct_is_unchanged_under_the_reference_merge(monkeypatch):
         return codespec_to_dict(construct(W, 2, 4, 0.2, kern, seed=7))
 
     fast = build()
-    monkeypatch.setattr(transform_mod, "merge_outputs", _scan_merge_outputs)
+    monkeypatch.setattr(transform_mod, "merge_outputs", lambda V: _oracle_merge(V, _lattice_key(V), 1))
     assert build() == fast
 
 

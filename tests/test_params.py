@@ -151,10 +151,12 @@ def _param_vector_reference(W):
     joint, out, post = d.joint, d.output, d.posterior
     lnq = math.log(q)
 
-    H = float(-_xlogy(joint, post).sum()) / lnq
+    # H and I are entropies in base-q symbols: rounding past [0, 1] is cut off
+    H = min(float(-_xlogy(joint, post).sum()) / lnq, 1.0)
 
     prod = W.input_dist[:, None] * out[None, :]
     I = float(_xlogy(joint, np.where(joint > 0, joint / np.where(joint > 0, prod, 1.0), 1.0)).sum()) / lnq
+    I = min(max(I, 0.0), 1.0)
 
     Pe = float((out * (1.0 - post.max(axis=0))).sum())
 
@@ -219,7 +221,9 @@ def param_cases(draw):
 @given(param_cases())
 @settings(max_examples=300, deadline=None)
 def test_param_vector_matches_the_reference_bitwise(W):
-    assert param_vector(W) == _param_vector_reference(W)
+    pv = param_vector(W)
+    assert pv == _param_vector_reference(W)
+    assert 0.0 <= pv.H <= 1.0 and 0.0 <= pv.I <= 1.0
 
 
 _BLAS_PROBE = """

@@ -240,8 +240,9 @@ def _traced_peak(fn):
 
 def test_largest_construct_node_stays_under_its_memory_bound():
     # 288,800 raw outputs merged to 22,801: the raw law, then the merge's
-    # posterior key, sort order and N split flags; its scan and sums hold
-    # only window-sized buffers besides (12.9 MB here, 17.3 MB when the
+    # log-ratio key, sort order, N run heads and N flags (the canonical
+    # order's run values take the key's memory); its scan and sums hold
+    # only window-sized buffers besides (12.5 MB here, 17.3 MB when the
     # merge held four more N arrays)
     W = _largest_construct_parent()
     child, peak = _traced_peak(lambda: transform(W, ARIKAN, 2))
@@ -261,7 +262,7 @@ def test_param_vector_of_the_largest_raw_synthesis_stays_under_its_memory_bound(
 
 def test_quantize_merge_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
     # the lossless merge's buffers: one posterior buffer, binned in place,
-    # the sort order, N split flags and window-sized buffers (7.8 MB here,
+    # the sort order, N split flags and window-sized buffers (7.7 MB here,
     # 11.9 MB when the merge held four more N arrays)
     raw = transform(_largest_construct_parent(), ARIKAN, 2, merge=False)
     merged, peak = _traced_peak(lambda: quantize_merge(raw, 2048))
