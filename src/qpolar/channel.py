@@ -25,12 +25,8 @@ _LOG_ZERO = -2000.0
 #: lattice points per unit of log posterior ratio in the merge key (pitch 2^-40)
 _LATTICE = 2.0**40
 
-#: sorted columns a merge scans and sums at a time
+#: sorted columns a merge scans at a time
 _WINDOW = 1 << 14
-
-#: most columns whose single key row a merge sorts by the stable argsort;
-#: past it the unstable argsort and ``_canonical`` are faster
-_STABLE_SORT_MAX = 1 << 14
 
 __all__ = [
     "Channel",
@@ -288,19 +284,22 @@ def merge_outputs(W: Channel) -> Channel:
     together, and with the live uniform ones.
 
     The key is formed in place in the posterior buffer of ``_posterior``
-    (``_log_ratio_key``); ``_merge_sorted`` groups it and states the order,
-    the summation order and the memory.
+    (``_log_ratio_key``), whose row 0 then holds the group ids;
+    ``_merge_sorted`` groups the key and states the order, the summation
+    order (each group adds its columns in label order) and the memory: no
+    N-long buffer besides the posterior buffer, the sort order and the run
+    heads.
     """
-    return _merge_sorted(W, _log_ratio_key(W), 1)
+    buf = _log_ratio_key(W)
+    return _merge_sorted(W, buf[1:], 1, buf[0])
 
 
 def _log_ratio_key(W: Channel) -> np.ndarray:
-    """``merge_outputs``' (q-1, N) key, formed in place in W's posterior buffer.
+    """W's posterior buffer with ``merge_outputs``' (q-1, N) key in rows 1..q-1.
 
-    The logs are of the posterior, not of the joint: a column scaled by its
-    mass would move the keys of its zero entries, which sit at the fixed
-    ``_LOG_ZERO``.  Row 0 ends as scratch; the key is the caller's only
-    reference to the buffer, so it frees it.
+    The key is formed in place.  The logs are of the posterior, not of the
+    joint: a column scaled by its mass would move the keys of its zero
+    entries, which sit at the fixed ``_LOG_ZERO``.  Row 0 ends as scratch.
     """
     post = _posterior(W)[0]
     with np.errstate(divide="ignore"):
@@ -309,59 +308,57 @@ def _log_ratio_key(W: Channel) -> np.ndarray:
     key = post[1:]
     key -= post[0]
     key *= _LATTICE
-    return np.rint(key, out=key)
+    np.rint(key, out=key)
+    return post
 
 
-def _merge_sorted(W: Channel, key: np.ndarray, step: int) -> Channel:
+def _merge_sorted(W: Channel, key: np.ndarray, step: int, spare: np.ndarray) -> Channel:
     """Merge the output columns of W that the (r, N) key columns chain together.
 
     The one place that groups output columns: ``merge_outputs`` keys them
     by log-ratio lattice point (r = q - 1, ``step`` 1),
     ``transform.quantize_merge`` by grid bin (r = q, ``step`` 0).  ``key``
     holds exact float integers in a C-ordered buffer the caller gives up:
-    it is never sorted in place, and it is freed before the sums.
+    it is never sorted in place, and once the groups are known its row 0
+    holds the run indices.  ``spare`` is an N-long row of 8-byte words the
+    caller gives up too, a key row other than row 0 or outside the key; it
+    holds the group ids.
 
     Grouping rule: at ``step`` 0 the groups are the columns with equal key
-    vectors, the runs of the stable lexicographic sort order.  Otherwise
-    the columns are sorted stably by key row 0 and split wherever two
-    neighbours differ by more than ``step``; then, one key row at a time,
-    each run is sorted stably by that row and split the same way.  Either
-    way a group is a run of the final order, whatever the column labels.
-
-    Canonical order: every sort is stable, so the order within a run is
-    fixed by the keys and the column labels.  A single key row over more
-    than ``_STABLE_SORT_MAX`` columns is sorted by numpy's unstable
-    ``argsort`` instead, whose order among equal keys depends on the CPU's
-    sort kernel, and then put back in the stable order by ``_canonical``.
-    The order, and with it every sum, does not depend on the CPU.
+    vectors, the runs of the lexicographic sort order.  Otherwise the
+    columns are sorted by key row 0 and split wherever two neighbours
+    differ by more than ``step``; then, one key row at a time, each run is
+    sorted by that row and split the same way.  Either way a group is a run
+    of the final order.  Each sort yields the same sequence of key values
+    however it orders equal keys, so the groups, and the order of the
+    merged columns (the order of their runs), do not depend on it: key row
+    0 takes numpy's default, unstable ``argsort``.
 
     Summation order: each merged column adds its group's transition columns
-    left to right in that order, one at a time from zero (numpy's
-    ``W.transition[:, group].sum(axis=1)`` adds a group of more than eight
-    columns pairwise, which can differ in the last bits).  Returns ``W``
-    itself, in its original column order, when nothing merges.
+    left to right in column-label order, one at a time from zero: one
+    np.bincount per transition row over the columns' group ids, which adds
+    every bin's weights in index order.  No bit depends on how a sort
+    orders equal keys, nor on the CPU's sort kernel.  (A sum over a
+    contiguous axis would not be bitwise: numpy adds it pairwise.)
+    Returns ``W`` itself, in its original column order, when nothing
+    merges.
 
-    Memory: besides W, the result and ``key``, the N-long sort order and
-    run heads, and N more flags while the unstable order is put back; the
-    run values that put it back take the key row's memory, which is read
-    for the last time.  With more than one key row and ``step`` 1, each
-    row's pass also holds the N run indices, the row's sorted keys and the
-    order within the runs.  The scan and the sums walk the sorted order in
-    windows of ``_WINDOW`` columns, gathering one window of keys or of
-    transition columns at a time, so every other buffer they hold is
-    window-sized.
+    Memory: besides W, the result, ``key`` and ``spare``, the N-long sort
+    order and run heads, and one merged row at a time.  With more than
+    one key row and ``step`` 1, each row's pass also holds the N run
+    indices, the row's sorted keys and the order within the runs.  The
+    scan walks the sorted order in windows of ``_WINDOW`` columns, so
+    every other buffer it holds is window-sized.
     """
     rows, N = key.shape
     start = np.zeros(N, dtype=bool)
     start[0] = True
-    unstable = step and rows == 1 and N > _STABLE_SORT_MAX
-    changes = np.zeros(N, dtype=bool) if unstable else None
     if step == 0:
         order = np.lexsort(key[::-1])
         _split_runs(key, order, start, 0)
     else:
-        order = key[0].argsort() if unstable else key[0].argsort(kind="stable")
-        _split_runs(key[:1], order, start, step, changes)
+        order = key[0].argsort()
+        _split_runs(key[:1], order, start, step)
         for r in range(1, rows):
             within = np.lexsort((key[r].take(order), np.cumsum(start)))
             order = order.take(within)
@@ -370,30 +367,35 @@ def _merge_sorted(W: Channel, key: np.ndarray, step: int) -> Channel:
     G = np.count_nonzero(start)
     if G == N:
         return W
-    if unstable:
-        # the key row is read for the last time: its memory holds the run values
-        _canonical(order, changes, key[0].view(np.int64))
-        del changes
-    del key
-    return Channel._owned(W.field, _run_sums(W.transition, order, start, G), W.input_dist)
+    # the key is read for the last time: its row 0 takes the run index of
+    # each sorted column, accumulated in place (a cumsum of booleans into
+    # intp would cast the whole input through a temporary first)
+    runs = key[0].view(np.intp)
+    start[0] = False
+    runs[...] = start
+    np.add.accumulate(runs, out=runs)
+    # and ``spare`` the group id of each column, in label order
+    gid = spare.view(np.intp)
+    gid[order] = runs
+    del order, start
+    sums = np.empty((W.q, G))
+    for x, row in enumerate(W.transition):
+        sums[x] = np.bincount(gid, weights=row, minlength=G)
+    return Channel._owned(W.field, sums, W.input_dist)
 
 
-def _split_runs(
-    key: np.ndarray, order: np.ndarray, start: np.ndarray, step: int, changes: np.ndarray | None = None
-) -> None:
+def _split_runs(key: np.ndarray, order: np.ndarray, start: np.ndarray, step: int) -> None:
     """Flag in ``start`` the sorted columns more than ``step`` above the column before.
 
     A flag is set where some key row exceeds the previous column's by more
     than ``step``; flags already set stay.  ``order`` must sort the key
     lexicographically within the runs that ``start`` already holds, so a
     row can fall only where an earlier row or a set flag rose, and no
-    difference needs its sign dropped.  ``changes``, when given, flags
-    every sorted column whose single key row differs at all from the
-    column before.  The sorted order is walked in windows of ``_WINDOW``
-    columns; each window gathers its key columns and the column before it,
-    so every neighbour pair is compared, across window edges too.  A merge
-    of at most ``_WINDOW`` columns is one window, with no loop state to
-    carry.
+    difference needs its sign dropped.  The sorted order is walked in
+    windows of ``_WINDOW`` columns; each window gathers its key columns and
+    the column before it, so every neighbour pair is compared, across
+    window edges too.  A merge of at most ``_WINDOW`` columns is one
+    window.
     """
     for lo in range(0, order.size, _WINDOW):
         a = lo - 1 if lo else 0  # window column 0: the column before the window
@@ -403,70 +405,7 @@ def _split_runs(
             # operators, not ufuncs with ``out=``: the keyword costs more
             # than the arithmetic on small merges
             sorted_row = row.take(idx)
-            rise = sorted_row[1:] - sorted_row[:-1]
-            split |= rise > step
-        if changes is not None:
-            np.not_equal(rise, 0.0, out=changes[a + 1 : lo + _WINDOW])
-
-
-def _canonical(order: np.ndarray, changes: np.ndarray, work: np.ndarray) -> None:
-    """Put an unstable sort order of one key row in the stable order, in place.
-
-    ``order`` sorts the key; ``changes[c]`` flags the sorted columns c >= 1
-    whose key differs from column c - 1's.  With k the index of a column's
-    run of equal keys, the values k * N + column are distinct and sorted
-    exactly as the stable order takes the columns (by key, then label), so
-    any sort of them gives the same result: their remainders mod N are the
-    stable order.  The values are formed in ``work``, an N-long int64
-    buffer the caller gives up.
-    """
-    N = order.size
-    # the run indices, accumulated in place: a cumsum of booleans into int64
-    # would cast the whole input through a temporary first
-    work[...] = changes
-    np.add.accumulate(work, out=work)
-    work *= N
-    work += order
-    work.sort()
-    np.remainder(work, N, out=order)
-
-
-def _run_sums(T: np.ndarray, order: np.ndarray, start: np.ndarray, G: int) -> np.ndarray:
-    """The (q, G) sums of the transition columns over each run of the sorted order.
-
-    Each window of ``_WINDOW`` sorted columns gathers its transition
-    columns row by row and sums them by one np.bincount over the window's
-    run indices, which adds every bin's weights in index order starting
-    from zero, so each run is added left to right
-    (test_run_sums_add_each_run_left_to_right pins this).  A run that goes
-    on past a window's edge leaves its partial sum s in its output column,
-    and the next window adds s to the run's first column w there: the bin
-    then adds 0 + (w + s), which is s + w, the next step of one pass, so
-    the bits do not depend on the window.  A sum over a contiguous axis
-    would not be bitwise: numpy adds it pairwise, and np.add.reduceat is no
-    better.
-    """
-    N = order.size
-    sums = np.empty((T.shape[0], G))
-    done = 0  # the output column of the run open at lo
-    for lo in range(0, N, _WINDOW):
-        hi = min(lo + _WINDOW, N)
-        # the run indices, accumulated in place over intp flags: a cumsum of
-        # booleans casts through a buffer, several times the cost on small
-        # inputs.  Index 0 is the run open at lo
-        runs = start[lo:hi].astype(np.intp)
-        runs[0] = 0
-        np.add.accumulate(runs, out=runs)
-        n_runs = int(runs[-1]) + 1
-        idx = order[lo:hi]
-        goes_on = not start[lo]  # the run open at lo began in an earlier window
-        for x, row in enumerate(T):
-            w = row.take(idx)
-            if goes_on:
-                w[0] += sums[x, done]
-            sums[x, done : done + n_runs] = np.bincount(runs, weights=w, minlength=n_runs)
-        done += n_runs - (hi < N and not start[hi])  # the last run may go on past hi
-    return sums
+            split |= sorted_row[1:] - sorted_row[:-1] > step
 
 
 # ------------------------------------------------------- stock channels

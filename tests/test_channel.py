@@ -291,9 +291,10 @@ def _lattice_key(W):
 def _oracle_runs(key, step):
     """The groups of ``_merge_sorted``'s rule, by Python sorts over whole columns.
 
-    Each group is a list of column labels, in the order its sum adds them.
-    At ``step`` 0 a group is the columns of one key vector, in label order,
-    and the groups come in lexicographic key order.  Otherwise the columns
+    Each group is a list of column labels, and the groups come in the
+    order of the merged columns.  At ``step`` 0 a group is the columns of
+    one key vector, and the groups come in lexicographic key order.
+    Otherwise the columns
     are sorted by (row 0, label) and cut wherever two neighbours differ by
     more than ``step`` in row 0; then, one row at a time, each group is
     sorted by that row (Python's sort is stable) and cut the same way.
@@ -327,10 +328,10 @@ def _oracle_merge(W, key, step):
     """Reference: W merged over ``_oracle_runs(key, step)``.
 
     Each merged column adds its group's transition columns left to right in
-    the group's order, one Python float addition at a time; W itself when
+    label order, one Python float addition at a time; W itself when
     nothing merges.
     """
-    runs = _oracle_runs(key, step)
+    runs = [sorted(run) for run in _oracle_runs(key, step)]
     if len(runs) == W.output_size:
         return W
     T = W.transition.tolist()
@@ -421,35 +422,117 @@ def integer_keys(draw):
 @given(integer_keys(), st.sampled_from([0, 1, 2]), st.sampled_from([1, 2, 7, 1 << 14]))
 @settings(max_examples=300, deadline=None)
 def test_merge_matches_the_dense_oracle_at_every_window_edge(case, step, window):
-    # windows of 1, 2 and 7 columns: neighbours compared across window edges,
-    # run sums carried into the next window, and a single key row over more
-    # columns than the window sorted unstably and put back in canonical order
+    # windows of 1, 2 and 7 columns: the scan compares neighbours across
+    # window edges
     W, key = case
-    with mock.patch.object(channel_mod, "_WINDOW", window), mock.patch.object(
-        channel_mod, "_STABLE_SORT_MAX", window
-    ):
-        got = channel_mod._merge_sorted(W, key.copy(), step)
+    with mock.patch.object(channel_mod, "_WINDOW", window):
+        got = channel_mod._merge_sorted(W, key.copy(), step, np.empty(key.shape[1]))
     want = _oracle_merge(W, key, step)
     assert (got is W) == (want is W)
     _same_bits(got, want)
 
 
-@pytest.mark.parametrize("most", [64, 1 << 14], ids=["unstable-sort", "stable-sort"])
-def test_the_merge_order_is_the_stable_argsort(most, monkeypatch):
-    # 3,000 columns over 1,000 key values: ties and one-step neighbours.  Past
-    # ``_STABLE_SORT_MAX`` columns the merge sorts unstably and then puts the
-    # order back; on either side its run sums must walk the stable argsort
-    key = np.random.default_rng(11).integers(0, 1000, (1, 3000)).astype(float)
-    assert not np.array_equal(key[0].argsort(), key[0].argsort(kind="stable"))
-    W = random_channel(field_make(2), 3000, np.random.default_rng(12))
-    orders = []
-    run_sums = channel_mod._run_sums
-    monkeypatch.setattr(
-        channel_mod, "_run_sums", lambda T, order, *a: orders.append(order.copy()) or run_sums(T, order, *a)
+_LEXSORT = np.lexsort
+
+
+def _sorts_breaking_ties(ties, calls):
+    """A key class whose ``argsort`` orders equal keys another way, and a like ``np.lexsort``.
+
+    With ``ties`` "reversed" equal keys come in reverse label order, with
+    "shuffled" in the order of a fresh random permutation per call: the
+    permuted keys are sorted stably and the order is mapped back.  The
+    merge calls the ``argsort`` method of its first key row, so a key
+    viewed as the class sorts that way.  Each sort appends its name to
+    ``calls``.
+    """
+    rng = np.random.default_rng(0)
+
+    def sort(keys):
+        keys = [np.asarray(k) for k in keys]
+        n = keys[0].size
+        perm = np.arange(n)[::-1] if ties == "reversed" else rng.permutation(n)
+        return perm[_LEXSORT([k[perm] for k in keys])]
+
+    class Key(np.ndarray):
+        def argsort(self):
+            calls.append("argsort")
+            return sort([self])
+
+    def lexsort(keys):
+        calls.append("lexsort")
+        return sort(keys)
+
+    return Key, lexsort
+
+
+def _same_bits_whatever_the_tie_order(ties, merges):
+    """``merges(as_key)`` gives the same bits with sorts that order ties another way.
+
+    ``merges`` runs its merges over keys made by ``as_key``; the keys that
+    ``merge_outputs`` and ``quantize_merge`` form are viewed the same way.
+    """
+    want = merges(lambda key: key)
+    calls = []
+    Key, lexsort = _sorts_breaking_ties(ties, calls)
+    log_ratio_key, posterior = channel_mod._log_ratio_key, transform_mod._posterior
+    with mock.patch.object(np, "lexsort", lexsort), mock.patch.object(
+        channel_mod, "_log_ratio_key", lambda W: log_ratio_key(W).view(Key)
+    ), mock.patch.object(
+        transform_mod, "_posterior", lambda W: tuple(a.view(Key) for a in posterior(W))
+    ):
+        got = merges(lambda key: key.view(Key))
+    assert "argsort" in calls and "lexsort" in calls
+    for g, w in zip(got, want):
+        _same_bits(g, w)
+
+
+@pytest.mark.parametrize("ties", ["reversed", "shuffled"])
+@given(
+    st.one_of(merge_cases(), synthesized_cases()),
+    st.sampled_from([1, 3, 64, 2048]),
+    integer_keys(),
+    st.sampled_from([0, 1, 2]),
+)
+@settings(max_examples=150, deadline=None)
+def test_no_merged_bit_depends_on_how_a_sort_orders_ties(ties, W, resolution, case, step):
+    # every merge adds each group in label order, so sorts that put equal
+    # keys in another order give the same bits: the lattice merge (one key
+    # row at q = 2, q - 1 rows re-sorted within the runs above), the grid
+    # merge and a merge over 1 to 3 integer key rows dense in ties
+    V, key = case
+    _same_bits_whatever_the_tie_order(
+        ties,
+        lambda as_key: [
+            merge_outputs(W),
+            transform_mod.quantize_merge(W, resolution),
+            channel_mod._merge_sorted(V, as_key(key.copy()), step, np.empty(key.shape[1])),
+        ],
     )
-    monkeypatch.setattr(channel_mod, "_STABLE_SORT_MAX", most)
-    channel_mod._merge_sorted(W, key.copy(), 1)
-    assert np.array_equal(orders[0], key[0].argsort(kind="stable"))
+
+
+def _largest_construct_raw():
+    """The raw synthesis at construct's largest n=5 Z(0.3) node: 288,800 columns."""
+    W = zchannel(0.3)
+    W = W.with_input(capacity_input(W))
+    kern = arikan_kernel(W.field)
+    for k in (1, 2, 1, 2):
+        W = transform(W, kern, k)
+    return transform(W, kern, 2, merge=False)
+
+
+@pytest.mark.parametrize("ties", ["reversed", "shuffled"])
+def test_no_merged_bit_of_the_largest_construct_node_depends_on_how_a_sort_orders_ties(ties):
+    # 288,800 columns merged to 22,801 outputs and binned to 2,049, and a
+    # GF(3) raw synthesis of 729 columns merged over two key rows
+    raw = _largest_construct_raw()
+    rng = np.random.default_rng(4)
+    field = field_make(3)
+    W3 = transform(random_channel(field, 3, rng), sample_invertible(field, 2, rng), 2)
+    W3 = transform(W3, sample_invertible(field, 2, rng), 2, merge=False)
+    assert (raw.output_size, merge_outputs(raw).output_size) == (288_800, 22_801)
+    _same_bits_whatever_the_tie_order(
+        ties, lambda _: [merge_outputs(raw), transform_mod.quantize_merge(raw, 2048), merge_outputs(W3)]
+    )
 
 
 def _per_size_merge_runs(W, order, start):
@@ -492,14 +575,16 @@ def test_quantize_merge_matches_per_size_merge_bitwise(W, resolution):
     assert got.input_dist.tobytes() == want.input_dist.tobytes()
 
 
-def test_run_sums_add_each_run_left_to_right():
-    # runs of 1, 8, 9 and 75 equal posteriors, every length once: each
-    # merged column is the float sum of one run's columns, left to right in
-    # the merge's order (rounding leaves a run's posteriors a few ulps apart,
-    # so its keys may differ by a step and the later key row re-sorts it)
+def test_each_merged_column_adds_its_group_in_label_order():
+    # groups of 1, 8, 9 and 75 equal posteriors, every length once, their
+    # columns shuffled: each merged column is the float sum of one group's
+    # columns, left to right in label order (rounding leaves a group's
+    # posteriors a few ulps apart, so its keys may differ by a step and the
+    # later key row re-sorts it)
     rng = np.random.default_rng(5)
     lengths = [1, 8, 9, 75]
     posts = np.repeat(rng.dirichlet(np.ones(3), size=len(lengths)), lengths, axis=0)
+    posts = posts[rng.permutation(len(posts))]
     joint = posts.T * (rng.random(posts.shape[0]) + 0.05)
     joint /= joint.sum()
     dist = joint.sum(axis=1)
@@ -508,7 +593,7 @@ def test_run_sums_add_each_run_left_to_right():
     assert sorted(map(len, runs)) == lengths
     want = []
     for cols in runs:
-        sums = [functools.reduce(operator.add, W.transition[x, cols].tolist()) for x in range(3)]
+        sums = [functools.reduce(operator.add, W.transition[x, sorted(cols)].tolist()) for x in range(3)]
         want.append(tuple(sums))
     assert merge_outputs(W).transition.T.tolist() == [list(w) for w in want]
 
