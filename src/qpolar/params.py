@@ -130,9 +130,17 @@ def param_vector(W: Channel) -> ParamVector:
     np.divide(joint, buf, out=buf, where=live)
     I = min(max(xlogy(joint) / lnq, 0.0), 1.0)
 
-    col = top(post, axis=0)
-    np.subtract(1.0, col, out=col)
-    Pe = float(add(np.multiply(out, col, out=col)))
+    # Pe, the joint mass off each column's largest entry, added up as it
+    # is: 1 - max P(x|y) would cancel where the posterior is near 1.  Row
+    # by row, the smaller of row k and the maximum of the rows before it
+    # joins the column's off-maximum mass
+    col = np.empty_like(out)
+    off, big = buf[0], buf[1]
+    np.minimum(joint[0], joint[1], out=off)
+    for k in range(2, q):
+        top(joint[:k], axis=0, out=big)
+        off += np.minimum(big, joint[k], out=col)
+    Pe = float(add(off))
 
     R = np.sqrt(joint)
     overlaps = np.empty(q - 1)

@@ -158,7 +158,13 @@ def _param_vector_reference(W):
     I = float(_xlogy(joint, np.where(joint > 0, joint / np.where(joint > 0, prod, 1.0), 1.0)).sum()) / lnq
     I = min(max(I, 0.0), 1.0)
 
-    Pe = float((out * (1.0 - post.max(axis=0))).sum())
+    # the joint mass off each column's largest entry: row by row, the
+    # smaller of the running maximum and the next row joins it
+    off, big = np.minimum(joint[0], joint[1]), np.maximum(joint[0], joint[1])
+    for row in joint[2:]:
+        off = off + np.minimum(big, row)
+        big = np.maximum(big, row)
+    Pe = float(off.sum())
 
     R = np.sqrt(joint)
     overlaps = np.empty(q - 1)
@@ -224,6 +230,15 @@ def test_param_vector_matches_the_reference_bitwise(W):
     pv = param_vector(W)
     assert pv == _param_vector_reference(W)
     assert 0.0 <= pv.H <= 1.0 and 0.0 <= pv.I <= 1.0
+
+
+@given(param_cases())
+@settings(max_examples=100, deadline=None)
+def test_pe_is_the_joint_mass_off_each_columns_largest_entry(W):
+    # from the definition, added exactly: no cancellation against 1 - max
+    # P(x|y), so Pe is within rounding of the exact sum even where it is tiny
+    off = [math.fsum(sorted(col)[:-1]) for col in W.derived.joint.T.tolist()]
+    assert param_vector(W).Pe == pytest.approx(math.fsum(off), rel=1e-13, abs=0.0)
 
 
 _BLAS_PROBE = """

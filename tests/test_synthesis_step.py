@@ -9,13 +9,15 @@ in every bit, on random channels with dead outputs and zero-mass input
 symbols, over GF(2), GF(3), GF(4) and GF(5), at every position of random
 2x2 and 3x3 kernels.
 
-Two exceptions.  The lossless merge has a new rule, so a merged child is
+The exceptions.  The lossless merge has a new rule, so a merged child is
 compared with ``merge_outputs`` of the earlier raw law; the rule itself is
 checked against its dense oracle in tests/test_channel.py and against exact
 rational syntheses in tests/test_exact_reference.py.  S and Smax are
 compared with ``_ref_correlations``, a restatement of their rule without
-BLAS products, and H and I are kept inside [0, 1] as ``param_vector`` now
-keeps them; the other functionals keep the earlier code as their reference.
+BLAS products, H and I are kept inside [0, 1] as ``param_vector`` now
+keeps them, and Pe is the joint mass off each column's largest entry, as
+``param_vector`` now adds it (one minus the largest posterior cancels near
+1); the other functionals keep the earlier code as their reference.
 """
 
 import math
@@ -128,9 +130,13 @@ def _ref_param_vector(W):
     np.divide(joint, buf, out=buf, where=live)
     I = min(max(xlogy(joint) / lnq, 0.0), 1.0)
 
-    col = post.max(axis=0)
-    np.subtract(1.0, col, out=col)
-    Pe = float(np.multiply(out, col, out=col).sum())
+    col = np.empty_like(out)
+    off, big = buf[0], buf[1]
+    np.minimum(joint[0], joint[1], out=off)
+    for k in range(2, q):
+        np.maximum.reduce(joint[:k], axis=0, out=big)
+        off += np.minimum(big, joint[k], out=col)
+    Pe = float(off.sum())
 
     R = np.sqrt(joint)
     overlaps = np.empty(q - 1)
