@@ -19,7 +19,9 @@ already built, so its row is the first call's cost and not a kept result.
 The figures are wall clock on the host that runs the script.  A last line
 gives the peak memory that ``tracemalloc`` traces during one call of
 ``transform``, ``merge_outputs`` and ``param_vector`` on the construct
-input, made as for the timing (their arguments are built outside the
+input, made as for the timing, and of the other merge path,
+``quantize_merge(raw, 2048)`` of the raw synthesis, and of ``transform``
+at position 1 of the same parent (their arguments are built outside the
 traced call).
 
 example:
@@ -41,7 +43,7 @@ from qpolar.channel import (
 )
 from qpolar.gf import arikan_kernel, field_make
 from qpolar.params import param_vector
-from qpolar.transform import transform
+from qpolar.transform import quantize_merge, transform
 
 ARIKAN = arikan_kernel(field_make(2))
 
@@ -117,9 +119,11 @@ def main() -> None:
     for label, (calls, repeats) in rows.items():
         costs = [_median_us(fn, make_arg, repeats) for fn, make_arg in calls.values()]
         print(label + " | " + " | ".join(f"{c:.1f}" for c in costs))
-    traced = ["transform", "merge_outputs", "param_vector"]
+    traced = {n: construct[n] for n in ("transform", "merge_outputs", "param_vector")}
+    traced["quantize_merge"] = (lambda U: quantize_merge(U, 2048), lambda: raw)
+    traced["transform, position 1"] = (lambda U: transform(U, ARIKAN, 1), lambda: parent)
     print("traced peak MB, construct | " + " | ".join(traced))
-    peaks = [_traced_peak_mb(*construct[n]) for n in traced]
+    peaks = [_traced_peak_mb(*call) for call in traced.values()]
     print("construct | " + " | ".join(f"{p:.1f}" for p in peaks))
 
 

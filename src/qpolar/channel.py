@@ -47,6 +47,21 @@ __all__ = [
 ]
 
 
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields``, every one named.
+
+    Skips the generated ``__init__``, which sets each field through
+    ``object.__setattr__`` and costs more than the object's use on a tiny
+    channel; the instance keeps the class's eq, repr, hash and ``asdict``.
+    For the objects the library fills itself with values that need no
+    check or conversion: ``Channel._owned``, ``params.ParamVector`` and
+    ``procsim.StepRecord``.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Row-stochastic transition matrix plus the input distribution in use."""
@@ -100,11 +115,7 @@ class Channel:
         """
         transition.setflags(write=False)
         input_dist.setflags(write=False)
-        W = object.__new__(cls)
-        object.__setattr__(W, "field", field)
-        object.__setattr__(W, "transition", transition)
-        object.__setattr__(W, "input_dist", input_dist)
-        return W
+        return _frozen(cls, field=field, transition=transition, input_dist=input_dist)
 
     @property
     def q(self) -> int:
@@ -121,7 +132,8 @@ class Channel:
         The arrays are read-only, so every reader can share them.  The one
         library caller of ``derived_distributions``.  Merges keep nothing,
         since their input is mostly a raw synthesis read once: both build
-        only a posterior, in their own buffer (``_posterior``).
+        only a posterior (``_posterior``), ``merge_outputs`` one window of
+        columns at a time and ``quantize_merge`` in one buffer.
         """
         return derived_distributions(self)
 
@@ -162,18 +174,31 @@ def derived_distributions(W: Channel) -> DerivedDists:
     return DerivedDists(joint=joint, output=output, posterior=posterior)
 
 
-def _posterior(W: Channel, joint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The posterior P(x|y) in one fresh writable (q, M) buffer, and P(y).
+def _posterior(
+    W: Channel, joint: np.ndarray | None = None, cols: slice | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior P(x|y) in one fresh writable buffer, and P(y).
 
     The posterior is the joint P(x) W(y|x) divided by its column sums P(y),
     with its zero-mass columns set uniform.  Given W's ``joint``, which the
     caller keeps, it is divided out of it into a new buffer; otherwise the
-    joint is formed in the buffer and divided in place.  The one posterior
-    rule of the module: ``derived_distributions`` and ``merge_outputs``
-    both call it.
+    joint of the output columns ``cols`` (all of them when None) is formed
+    in the buffer and divided in place.  Each column's entries are
+    computed from that column alone, so a window of columns gets the bits
+    of the whole.  The one posterior rule of the module:
+    ``derived_distributions``, ``merge_outputs`` (one window of its key at
+    a time) and ``transform.quantize_merge`` call it.
     """
-    post = W.input_dist[:, None] * W.transition if joint is None else None
-    output = np.add.reduce(joint if post is None else post, axis=0)
+    post = None
+    if joint is None:
+        law = W.transition if cols is None else W.transition[:, cols]
+        joint = post = W.input_dist[:, None] * law
+    # the rows added one at a time, first to last: a reduction over axis 0
+    # adds so on two or more columns, but adds the q >= 8 entries of a
+    # lone column pairwise, so a one-column window would differ
+    output = joint[0] + joint[1]
+    for x in range(2, len(joint)):
+        output += joint[x]
     live = np.minimum.reduce(output) > 0.0
     if not live:
         # divide the dead columns by 1, so no 0 / 0 is formed: their
@@ -283,36 +308,57 @@ def merge_outputs(W: Channel) -> Channel:
     Zero-mass outputs share a uniform posterior (key 0) and collapse
     together, and with the live uniform ones.
 
-    The key is formed in place in the posterior buffer of ``_posterior``
-    (``_log_ratio_key``), whose row 0 then holds the group ids;
-    ``_merge_sorted`` groups the key and states the order, the summation
-    order (each group adds its columns in label order) and the memory: no
-    N-long buffer besides the posterior buffer, the sort order and the run
-    heads.
+    The key is formed one window of ``_WINDOW`` columns at a time
+    (``_log_ratio_key``); ``_merge_sorted`` groups it and states the order,
+    the summation order (each group adds its columns in label order) and
+    the memory.  At q = 2 a merge of N columns thus holds four N-long rows,
+    W's two transition rows, the key row (later the group ids) and the sort
+    order, besides N run-head flags, window-sized buffers and the result:
+    no (q, N) posterior and no N-long output sum.
     """
-    buf = _log_ratio_key(W)
-    return _merge_sorted(W, buf[1:], 1, buf[0])
+    return _merge_sorted(W, _log_ratio_key(W), 1)
 
 
 def _log_ratio_key(W: Channel) -> np.ndarray:
-    """W's posterior buffer with ``merge_outputs``' (q-1, N) key in rows 1..q-1.
+    """``merge_outputs``' (q-1, N) key of W, as a C-ordered buffer the caller owns.
 
-    The key is formed in place.  The logs are of the posterior, not of the
-    joint: a column scaled by its mass would move the keys of its zero
-    entries, which sit at the fixed ``_LOG_ZERO``.  Row 0 ends as scratch.
+    The key is formed one window of ``_WINDOW`` output columns at a time:
+    the window's posterior from ``_posterior``, turned into keys in place
+    (``_lattice_rows``) and copied into the key.  Every op is elementwise
+    within a column, so the bits are those of the whole-array form, and no
+    (q, N) posterior or N-long output sum is ever held.  A key of one
+    window is rows 1..q-1 of that window's posterior buffer itself, so a
+    tiny merge makes no call more than the whole-array form.
     """
-    post = _posterior(W)[0]
+    N = W.transition.shape[1]
+    if N <= _WINDOW:
+        return _lattice_rows(_posterior(W)[0])
+    key = np.empty((W.q - 1, N))
+    for lo in range(0, N, _WINDOW):
+        window = slice(lo, lo + _WINDOW)
+        key[:, window] = _lattice_rows(_posterior(W, cols=window)[0])
+    return key
+
+
+def _lattice_rows(post: np.ndarray) -> np.ndarray:
+    """Rows 1..q-1 of the posterior buffer ``post``, made merge keys in place.
+
+    The logs, floored at ``_LOG_ZERO``, the ratios to row 0, the lattice
+    scale and ``rint``.  The logs are of the posterior, not of the joint: a
+    column scaled by its mass would move the keys of its zero entries,
+    which sit at the fixed ``_LOG_ZERO``.
+    """
     with np.errstate(divide="ignore"):
         np.log(post, out=post)
     np.maximum(post, _LOG_ZERO, out=post)
-    key = post[1:]
-    key -= post[0]
-    key *= _LATTICE
-    np.rint(key, out=key)
-    return post
+    ratio = post[1:]
+    ratio -= post[0]
+    ratio *= _LATTICE
+    np.rint(ratio, out=ratio)
+    return ratio
 
 
-def _merge_sorted(W: Channel, key: np.ndarray, step: int, spare: np.ndarray) -> Channel:
+def _merge_sorted(W: Channel, key: np.ndarray, step: int) -> Channel:
     """Merge the output columns of W that the (r, N) key columns chain together.
 
     The one place that groups output columns: ``merge_outputs`` keys them
@@ -320,8 +366,6 @@ def _merge_sorted(W: Channel, key: np.ndarray, step: int, spare: np.ndarray) -> 
     ``transform.quantize_merge`` by grid bin (r = q, ``step`` 0).  ``key``
     holds exact float integers in a C-ordered buffer the caller gives up:
     it is never sorted in place, and once the groups are known its row 0
-    holds the run indices.  ``spare`` is an N-long row of 8-byte words the
-    caller gives up too, a key row other than row 0 or outside the key; it
     holds the group ids.
 
     Grouping rule: at ``step`` 0 the groups are the columns with equal key
@@ -343,16 +387,16 @@ def _merge_sorted(W: Channel, key: np.ndarray, step: int, spare: np.ndarray) -> 
     Returns ``W`` itself, in its original column order, when nothing
     merges.
 
-    Memory: besides W, the result, ``key`` and ``spare``, the N-long sort
-    order and run heads, and one merged row at a time.  With more than
-    one key row and ``step`` 1, each row's pass also holds the N run
-    indices, the row's sorted keys and the order within the runs.  The
-    scan walks the sorted order in windows of ``_WINDOW`` columns, so
-    every other buffer it holds is window-sized.
+    Memory: besides W, the result and ``key``, the N-long sort order and
+    run heads, and one merged row at a time; the sort order is dropped
+    before the sums.  With more than one key row and ``step`` 1, each row's
+    pass also holds the N run indices, the row's sorted keys and the order
+    within the runs.  The scan and the group ids walk the sorted order in
+    windows of ``_WINDOW`` columns, so every other buffer they hold is
+    window-sized.
     """
     rows, N = key.shape
-    start = np.zeros(N, dtype=bool)
-    start[0] = True
+    start = np.zeros(N, dtype=bool)  # the run heads after the first column
     if step == 0:
         order = np.lexsort(key[::-1])
         _split_runs(key, order, start, 0)
@@ -364,20 +408,21 @@ def _merge_sorted(W: Channel, key: np.ndarray, step: int, spare: np.ndarray) -> 
             order = order.take(within)
             del within
             _split_runs(key[r : r + 1], order, start, step)
-    G = np.count_nonzero(start)
+    G = np.count_nonzero(start) + 1
     if G == N:
         return W
-    # the key is read for the last time: its row 0 takes the run index of
-    # each sorted column, accumulated in place (a cumsum of booleans into
-    # intp would cast the whole input through a temporary first)
-    runs = key[0].view(np.intp)
-    start[0] = False
-    runs[...] = start
-    np.add.accumulate(runs, out=runs)
-    # and ``spare`` the group id of each column, in label order
-    gid = spare.view(np.intp)
-    gid[order] = runs
-    del order, start
+    # the key is read for the last time: its row 0 takes the group id of
+    # each column, in label order.  Each window's run indices count the run
+    # heads on from the group of the column before it (the flags are cast
+    # to intp first: an accumulate that casts as it goes costs more)
+    gid = key[0].view(np.intp)
+    for lo in range(0, N, _WINDOW):
+        runs = start[lo : lo + _WINDOW].astype(np.intp)
+        np.add.accumulate(runs, out=runs)
+        if lo:
+            runs += gid[order[lo - 1]]
+        gid[order[lo : lo + _WINDOW]] = runs
+    del order, start, runs
     sums = np.empty((W.q, G))
     for x, row in enumerate(W.transition):
         sums[x] = np.bincount(gid, weights=row, minlength=G)

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import Channel
+from .channel import Channel, _frozen
 from .gf import FieldSpec
 
 __all__ = [
@@ -176,7 +176,7 @@ def param_vector(W: Channel) -> ParamVector:
     S = float(add(weights) / (q - 1))
     Smax = float(top(weights))
 
-    pv = ParamVector(q=q, H=H, I=I, Pe=Pe, Z=Z, Zmad=Zmad, T=T, S=S, Smax=Smax)
+    pv = _frozen(ParamVector, q=q, H=H, I=I, Pe=Pe, Z=Z, Zmad=Zmad, T=T, S=S, Smax=Smax)
     vars(W)["_param_vector"] = pv
     return pv
 

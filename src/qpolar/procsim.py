@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, flatten
+from .channel import Channel, _frozen, flatten
 from .gf import Kernel
 from .kernsearch import FixedKernel, SearchKernels, _alpha, _distance_target, _spread, search
 from .params import param_vector
@@ -62,7 +62,8 @@ class ProcessTrace:
 
 def _record(depth: int, position: int, ch: Channel, exact: bool) -> StepRecord:
     pv = param_vector(ch)
-    return StepRecord(
+    return _frozen(
+        StepRecord,
         depth=depth,
         position=position,
         H=pv.H,

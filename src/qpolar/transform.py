@@ -110,10 +110,11 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     columns are sorted lexicographically by bin vector, each run of equal
     bin vectors becomes one output, and each merged column adds its run's
     transition columns left to right in label order.  The bins are formed
-    in place in the posterior buffer, whose first two rows then hold the
-    run indices and the group ids, so the merge holds no N-long buffer
-    besides it, the sort order and the run heads.  Up to 2^53 every bin is
-    an exact float integer, so ``resolution`` must lie in 1..2^53.
+    in place in the (q, N) posterior buffer, whose first row then holds the
+    group ids, so the merge holds no N-long buffer besides it, the sort
+    order and the run heads (and, while the bins are formed, the N-long
+    output sum of ``_posterior``).  Up to 2^53 every bin is an exact float
+    integer, so ``resolution`` must lie in 1..2^53.
     """
     if not 1 <= resolution <= 2**53:
         bound = "at least 1" if resolution < 1 else "at most 2^53"
@@ -121,7 +122,7 @@ def quantize_merge(W: Channel, resolution: int) -> Channel:
     bins = _posterior(W)[0]
     bins *= resolution
     np.minimum(np.trunc(bins, out=bins), resolution - 1, out=bins)
-    return _merge_sorted(W, bins, 0, bins[1])
+    return _merge_sorted(W, bins, 0)
 
 
 def quantize_to_fit(

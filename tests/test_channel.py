@@ -356,7 +356,9 @@ def merge_cases(draw):
     equal posteriors whose lengths no other drawn run has (a sum over such a
     run is pairwise unless taken left to right), zero-mass outputs, and
     chains whose log ratios step by 0.3, 0.6, 1.5 or 3 lattice steps, so
-    that keys straddle lattice midpoints and neighbours chain.
+    that keys straddle lattice midpoints and neighbours chain.  The columns
+    are shuffled, so windows of a few columns find zero-mass outputs on
+    both sides of their edges.
     """
     q = draw(st.sampled_from(sorted(_FIELDS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -396,12 +398,29 @@ def synthesized_cases(draw):
     return transform(W, kern, draw(st.integers(1, ell)), merge=False)
 
 
-@given(st.one_of(merge_cases(), synthesized_cases()))
+@given(st.one_of(merge_cases(), synthesized_cases()), st.sampled_from([1, 2, 7, 1 << 14]))
 @settings(max_examples=300, deadline=None)
-def test_merge_outputs_matches_the_dense_oracle_bitwise(W):
-    got, want = merge_outputs(W), _oracle_merge(W, _lattice_key(W), 1)
+def test_merge_outputs_matches_the_dense_oracle_bitwise(W, window):
+    # keys formed in windows of 1, 2 and 7 columns: each window's posterior
+    # comes from its own columns, zero-mass ones included, and a lone
+    # column's output sum adds its q entries in the whole-array order
+    with mock.patch.object(channel_mod, "_WINDOW", window):
+        got = merge_outputs(W)
+    want = _oracle_merge(W, _lattice_key(W), 1)
     assert (got is W) == (want is W)
     _same_bits(got, want)
+
+
+@given(merge_cases(), st.sampled_from([1, 2, 7]))
+@settings(max_examples=100, deadline=None)
+def test_a_window_of_columns_has_the_posterior_bits_of_the_whole(W, window):
+    # the merge forms its key one window of columns at a time; a reduction
+    # over one column would add its q >= 8 entries in another order
+    d = derived_distributions(W)
+    for lo in range(0, W.output_size, window):
+        post, output = channel_mod._posterior(W, cols=slice(lo, lo + window))
+        assert post.tobytes() == d.posterior[:, lo : lo + window].tobytes()
+        assert output.tobytes() == d.output[lo : lo + window].tobytes()
 
 
 @st.composite
@@ -426,7 +445,7 @@ def test_merge_matches_the_dense_oracle_at_every_window_edge(case, step, window)
     # window edges
     W, key = case
     with mock.patch.object(channel_mod, "_WINDOW", window):
-        got = channel_mod._merge_sorted(W, key.copy(), step, np.empty(key.shape[1]))
+        got = channel_mod._merge_sorted(W, key.copy(), step)
     want = _oracle_merge(W, key, step)
     assert (got is W) == (want is W)
     _same_bits(got, want)
@@ -505,7 +524,7 @@ def test_no_merged_bit_depends_on_how_a_sort_orders_ties(ties, W, resolution, ca
         lambda as_key: [
             merge_outputs(W),
             transform_mod.quantize_merge(W, resolution),
-            channel_mod._merge_sorted(V, as_key(key.copy()), step, np.empty(key.shape[1])),
+            channel_mod._merge_sorted(V, as_key(key.copy()), step),
         ],
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,11 @@ def test_sample_path_deterministic():
     a = sample_path(bec(0.4), FixedKernel(ARIKAN), 6, np.random.default_rng(123))
     b = sample_path(bec(0.4), FixedKernel(ARIKAN), 6, np.random.default_rng(123))
     assert a == b
+    # the records skip the generated __init__ but compare, hash and print
+    # as records built through it
+    for step in a.steps:
+        built = procsim.StepRecord(**dataclasses.asdict(step))
+        assert (step == built, hash(step) == hash(built), repr(step) == repr(built)) == (True,) * 3
 
 
 def test_sample_path_quantization_flips_exact_flag(monkeypatch):

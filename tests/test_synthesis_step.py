@@ -241,6 +241,10 @@ def test_param_vector_is_kept_per_channel():
     W = bsc(0.11)
     pv = param_vector(W)
     assert param_vector(W) is pv
+    # the record skips the generated __init__ but compares, hashes and
+    # prints as one built through it
+    built = ParamVector(**pv.as_dict())
+    assert (pv == built, hash(pv) == hash(built), repr(pv) == repr(built)) == (True,) * 3
     # a channel made by with_input is another object with its own parameters
     V = W.with_input([0.3, 0.7])
     assert param_vector(V) is not pv and param_vector(V) is param_vector(V)

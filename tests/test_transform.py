@@ -239,25 +239,26 @@ def _traced_peak(fn):
 
 
 def test_largest_construct_node_stays_under_its_memory_bound():
-    # 288,800 raw outputs merged to 22,801: the raw law, then the merge's
-    # posterior buffer (the log-ratio key, then the run indices and group
-    # ids), sort order and N run heads; its scan holds only window-sized
-    # buffers besides, and its sums one merged row (12.1 MB here, 17.3 MB
-    # when the merge held four more N arrays)
+    # 288,800 raw outputs merged to 22,801: the raw law (two N rows), then
+    # the merge's key row (later the group ids), sort order and N run heads;
+    # its key, scan and group ids hold only window-sized buffers besides,
+    # and its sums one merged row (9.8 MB here, 12.1 MB when the key was
+    # formed in a (q, N) posterior buffer)
     W = _largest_construct_parent()
     child, peak = _traced_peak(lambda: transform(W, ARIKAN, 2))
     assert (W.output_size, child.output_size) == (380, 22801)
-    assert peak < 15.5e6
+    assert peak < 11e6
 
 
 def test_merge_outputs_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
-    # the posterior buffer (the log-ratio key in row 1, then the run indices
-    # there and the group ids in row 0), the sort order and N run heads:
-    # 7.5 MB here, 9.8 MB if the group ids took a fresh N array
+    # the key row (the log-ratio key, then the group ids), the sort order
+    # and N run heads, and window-sized buffers: 5.2 MB here, 7.5 MB when
+    # the key was formed in a (q, N) posterior buffer with its N-long
+    # output sum
     raw = transform(_largest_construct_parent(), ARIKAN, 2, merge=False)
     merged, peak = _traced_peak(lambda: merge_outputs(raw))
     assert (raw.output_size, merged.output_size) == (288_800, 22_801)
-    assert peak < 8.5e6
+    assert peak < 6e6
 
 
 def test_param_vector_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
@@ -271,10 +272,11 @@ def test_param_vector_of_the_largest_raw_synthesis_stays_under_its_memory_bound(
 
 
 def test_quantize_merge_of_the_largest_raw_synthesis_stays_under_its_memory_bound():
-    # the lossless merge's buffers: one posterior buffer, binned in place
-    # (its first two rows then hold the run indices and group ids), the
-    # sort order, N run heads and window-sized buffers (7.5 MB here,
-    # 11.9 MB when the merge held four more N arrays)
+    # the lossless merge's buffers: one (q, N) posterior buffer, binned in
+    # place (its first row then holds the group ids), the sort order, N run
+    # heads and window-sized buffers (7.5 MB here, 7.2 MB while the
+    # posterior is formed with its N-long output sum; 11.9 MB when the merge
+    # held four more N arrays)
     raw = transform(_largest_construct_parent(), ARIKAN, 2, merge=False)
     merged, peak = _traced_peak(lambda: quantize_merge(raw, 2048))
     assert (raw.output_size, merged.output_size) == (288_800, 2049)
