@@ -562,7 +562,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--high", type=float, default=0.99)
     sp.add_argument("--trace", action="store_true", help="CSV of a single sampled path")
     sp.add_argument("--full", action="store_true", help="include every final entropy")
-    sp.add_argument("--quantize", type=int, help="lossy resolution for huge alphabets")
+    sp.add_argument(
+        "--quantize",
+        type=int,
+        metavar="R",
+        help="bin a channel at resolution R (halved as needed) only right before"
+        " a synthesis that would overrun the guard; the last step is never binned",
+    )
     sp.add_argument("--ell", type=int)
     sp.add_argument("--search-budget", type=int)
     sp.set_defaults(fn=_cmd_process)

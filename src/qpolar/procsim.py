@@ -3,10 +3,13 @@
 The process tracks a channel under repeated one-step synthesis at uniformly
 random positions: conditional entropy is a martingale of the process, and
 the whole construction story is the claim that it splits to the endpoints.
-This module samples such paths (with optional lossy quantization to keep
-alphabets bounded), aggregates endpoint statistics, and checks the one-step
-laws that drive the limiting split: conservation, the expansion bound, the
-entropy-spread contraction, and the overlap supermartingale condition.
+This module samples such paths, aggregates endpoint statistics, and checks
+the one-step laws that drive the limiting split: conservation, the expansion
+bound, the entropy-spread contraction, and the overlap supermartingale
+condition.  Every synthesis on a path is exact.  A walk given a quantize
+resolution bins a channel only right before a synthesis that would overrun
+``transform.DEFAULT_GUARD``, at that resolution, halved as needed
+(``quantize_to_fit``); it never bins the channel of the last step.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .channel import Channel, _frozen, flatten
 from .gf import Kernel
 from .kernsearch import FixedKernel, SearchKernels, _alpha, _distance_target, _spread, search
 from .params import param_vector
-from .transform import quantize_merge, quantize_to_fit, transform, transform_all
+from .transform import quantize_to_fit, transform, transform_all
 
 __all__ = [
     "StepRecord",
@@ -29,11 +32,7 @@ __all__ = [
     "polarization_stats",
     "check_local",
     "gadget_bound",
-    "QUANTIZE_TRIGGER",
 ]
-
-#: output-alphabet size past which a quantized walk bins the channel
-QUANTIZE_TRIGGER = 4096
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,18 @@ def sample_path(
     """Walk n random one-step synthesis steps from W, recording parameters.
 
     Positions are uniform on 1..ell.  Lossless merging always applies (it is
-    part of synthesis); when ``quantize_resolution`` is set and an alphabet
-    outgrows ``QUANTIZE_TRIGGER``, the channel is additionally quantized and
-    everything downstream is flagged exact=False.  With a resolution set, a
-    channel whose next synthesis would overrun ``transform.DEFAULT_GUARD`` is
-    first coarsened until it fits (``quantize_to_fit``), with the same flag;
-    under a search policy that happens before the search, for all ell
-    positions, since certification synthesizes every one.  With a search
-    policy the pure-noise companion channel is tracked alongside, since
-    certification needs both.  Raises ``ValueError`` for a negative n or a
-    resolution outside 1..2^53 (``quantize_merge``'s range).
+    part of synthesis).  With ``quantize_resolution`` set, a channel whose
+    next synthesis would overrun ``transform.DEFAULT_GUARD`` is first binned
+    until it fits (``quantize_to_fit``: at that resolution, halved as
+    needed), and that step and every later one are flagged exact=False; no
+    other step bins, so the last step's channel is always the exact
+    synthesis of its parent.  Under a search policy the binning happens
+    before the search, for all ell positions, since certification
+    synthesizes every one.  With a search policy the pure-noise companion
+    channel is tracked alongside, since certification needs both.  Raises
+    ``ValueError`` for a negative n, for a resolution outside 1..2^53
+    (``quantize_merge``'s range), and for a synthesis over the guard: at
+    once without a resolution, after binning at resolution 1 with one.
     """
     if n < 0:
         raise ValueError(f"depth must be at least 0, got {n}")
@@ -128,11 +129,6 @@ def sample_path(
         cur = transform(cur, kern, k)
         if cur_v is not None:
             cur_v = transform(cur_v, kern, k)
-        if quantize_resolution is not None and cur.output_size > QUANTIZE_TRIGGER:
-            cur = quantize_merge(cur, quantize_resolution)
-            exact = False
-            if cur_v is not None and cur_v.output_size > QUANTIZE_TRIGGER:
-                cur_v = quantize_merge(cur_v, quantize_resolution)
         steps.append(_record(depth, k, cur, exact))
     return ProcessTrace(steps=tuple(steps))
 
@@ -148,6 +144,12 @@ def polarization_stats(
     quantize_resolution: int | None = None,
 ) -> dict:
     """Endpoint-entropy statistics over many sampled process paths.
+
+    Each path is a ``sample_path`` walk: with ``quantize_resolution`` set, a
+    channel is binned only right before a synthesis that would overrun
+    ``transform.DEFAULT_GUARD``, so a census that never nears the guard is
+    the exact census, ``exact`` included.  ``exact`` is False when any
+    path's walk was binned.
 
     Raises ``ValueError`` for fewer than one path, whose fractions are
     undefined, for thresholds outside 0 <= low < high <= 1, and, through

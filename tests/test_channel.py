@@ -33,6 +33,8 @@ from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
 from qpolar.transform import transform
 
+from merge_oracle import oracle_merge, oracle_quantize_merge, oracle_runs
+
 
 # -- tiny independent oracles (deliberately written from the definitions) --
 
@@ -288,57 +290,6 @@ def _lattice_key(W):
     return np.rint((logs[1:] - logs[0]) / _PITCH)
 
 
-def _oracle_runs(key, step):
-    """The groups of ``_merge_sorted``'s rule, by Python sorts over whole columns.
-
-    Each group is a list of column labels, and the groups come in the
-    order of the merged columns.  At ``step`` 0 a group is the columns of
-    one key vector, and the groups come in lexicographic key order.
-    Otherwise the columns
-    are sorted by (row 0, label) and cut wherever two neighbours differ by
-    more than ``step`` in row 0; then, one row at a time, each group is
-    sorted by that row (Python's sort is stable) and cut the same way.
-    """
-    rows, N = key.shape
-    cols = [tuple(key[:, c].tolist()) for c in range(N)]
-    if step == 0:
-        runs = []
-        for c in sorted(range(N), key=lambda c: (cols[c], c)):
-            if runs and cols[runs[-1][-1]] == cols[c]:
-                runs[-1].append(c)
-            else:
-                runs.append([c])
-        return runs
-    runs = [sorted(range(N), key=lambda c: (cols[c][0], c))]
-    for r in range(rows):
-        cut = []
-        for run in runs:
-            run = sorted(run, key=lambda c: cols[c][r])
-            cut.append(run[:1])
-            for a, b in zip(run, run[1:]):
-                if abs(cols[b][r] - cols[a][r]) > step:
-                    cut.append([b])
-                else:
-                    cut[-1].append(b)
-        runs = cut
-    return runs
-
-
-def _oracle_merge(W, key, step):
-    """Reference: W merged over ``_oracle_runs(key, step)``.
-
-    Each merged column adds its group's transition columns left to right in
-    label order, one Python float addition at a time; W itself when
-    nothing merges.
-    """
-    runs = [sorted(run) for run in _oracle_runs(key, step)]
-    if len(runs) == W.output_size:
-        return W
-    T = W.transition.tolist()
-    sums = [[functools.reduce(operator.add, [row[c] for c in run]) for run in runs] for row in T]
-    return make_channel(W.field, sums, W.input_dist)
-
-
 def _same_bits(got, want):
     assert got.output_size == want.output_size
     assert got.transition.tobytes() == want.transition.tobytes()
@@ -406,7 +357,7 @@ def test_merge_outputs_matches_the_dense_oracle_bitwise(W, window):
     # column's output sum adds its q entries in the whole-array order
     with mock.patch.object(channel_mod, "_WINDOW", window):
         got = merge_outputs(W)
-    want = _oracle_merge(W, _lattice_key(W), 1)
+    want = oracle_merge(W, _lattice_key(W), 1)
     assert (got is W) == (want is W)
     _same_bits(got, want)
 
@@ -446,7 +397,7 @@ def test_merge_matches_the_dense_oracle_at_every_window_edge(case, step, window)
     W, key = case
     with mock.patch.object(channel_mod, "_WINDOW", window):
         got = channel_mod._merge_sorted(W, key.copy(), step)
-    want = _oracle_merge(W, key, step)
+    want = oracle_merge(W, key, step)
     assert (got is W) == (want is W)
     _same_bits(got, want)
 
@@ -554,41 +505,11 @@ def test_no_merged_bit_of_the_largest_construct_node_depends_on_how_a_sort_order
     )
 
 
-def _per_size_merge_runs(W, order, start):
-    """Reference run sums: one fancy gather and one sum per run length.
-
-    ``W.transition[:, cols]`` with ``cols`` of shape (runs, length) keeps
-    the q axis innermost in memory, so the sum over the run adds its
-    columns left to right.
-    """
-    heads = np.flatnonzero(start)
-    if heads.size == order.size:
-        return W
-    sizes = np.concatenate((heads[1:], (order.size,))) - heads
-    new_trans = np.empty((W.q, heads.size))
-    for s in np.flatnonzero(np.bincount(sizes)):
-        pick = sizes == s
-        cols = order[heads[pick][:, None] + np.arange(s)]
-        new_trans[:, pick] = W.transition[:, cols].sum(axis=-1)
-    return Channel(W.field, new_trans, W.input_dist)
-
-
-def _per_size_quantize_merge(W, resolution):
-    """Reference: ``quantize_merge``'s bins and runs, summed per run length."""
-    post = derived_distributions(W).posterior
-    bins = np.minimum((post * resolution).astype(np.int64), resolution - 1)
-    order = np.lexsort(bins[::-1, :])
-    B = bins[:, order]
-    start = np.ones(order.size, dtype=bool)
-    start[1:] = (B[:, 1:] != B[:, :-1]).any(axis=0)
-    return _per_size_merge_runs(W, order, start)
-
-
 @given(st.one_of(merge_cases(), synthesized_cases()), st.sampled_from([1, 2, 3, 7, 64, 2048]))
 @settings(max_examples=300, deadline=None)
-def test_quantize_merge_matches_per_size_merge_bitwise(W, resolution):
+def test_quantize_merge_matches_the_dense_oracle_bitwise(W, resolution):
     got = transform_mod.quantize_merge(W, resolution)
-    want = _per_size_quantize_merge(W, resolution)
+    want = oracle_quantize_merge(W, resolution)
     assert (got is W) == (want is W)
     assert got.transition.tobytes() == want.transition.tobytes()
     assert got.input_dist.tobytes() == want.input_dist.tobytes()
@@ -608,7 +529,7 @@ def test_each_merged_column_adds_its_group_in_label_order():
     joint /= joint.sum()
     dist = joint.sum(axis=1)
     W = make_channel(field_make(3), joint / dist[:, None], dist)
-    runs = _oracle_runs(_lattice_key(W), 1)
+    runs = oracle_runs(_lattice_key(W), 1)
     assert sorted(map(len, runs)) == lengths
     want = []
     for cols in runs:
@@ -666,7 +587,7 @@ def test_merge_keeps_apart_posteriors_that_share_only_their_first_row():
     assert np.array_equal(derived_distributions(W).posterior[0], [0.5, 0.5, 0.5])
     V = merge_outputs(W)
     assert V.output_size == 2
-    _same_bits(V, _oracle_merge(W, _lattice_key(W), 1))
+    _same_bits(V, oracle_merge(W, _lattice_key(W), 1))
 
 
 def test_merge_outputs_chains_neighbours_within_one_lattice_step():
@@ -681,7 +602,7 @@ def test_merge_outputs_chains_neighbours_within_one_lattice_step():
     W = make_channel(field_make(2), joint / dist[:, None], dist)
     V = merge_outputs(W)
     assert V.output_size == 2
-    _same_bits(V, _oracle_merge(W, _lattice_key(W), 1))
+    _same_bits(V, oracle_merge(W, _lattice_key(W), 1))
 
 
 def test_merge_outputs_keeps_apart_distinct_posteriors_near_the_endpoints():
@@ -703,7 +624,7 @@ def test_construct_is_unchanged_under_the_reference_merge(monkeypatch):
         return codespec_to_dict(construct(W, 2, 4, 0.2, kern, seed=7))
 
     fast = build()
-    monkeypatch.setattr(transform_mod, "merge_outputs", lambda V: _oracle_merge(V, _lattice_key(V), 1))
+    monkeypatch.setattr(transform_mod, "merge_outputs", lambda V: oracle_merge(V, _lattice_key(V), 1))
     assert build() == fast
 
 

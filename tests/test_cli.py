@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qpolar import cli
+from qpolar import transform as transform_module
 from qpolar.channel import bec, channel_to_dict
 from qpolar.cli import main, render_json
 from qpolar.codec import construct, simulate
@@ -290,6 +291,19 @@ def test_process_bad_input_exits_one(capsys, extra, message):
     )
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_quantized_process_that_stays_over_the_guard_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 1)
+    code, out, err = run_cli(
+        capsys, "process", "--bsc", "0.11", "--depth", "2", "--seed", "0", "--quantize", "4",
+        "--ell", "2", "--search-budget", "10",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: channel at depth 1 needs a 2-symbol synthesis even after quantizing at "
+        "resolution 1, over the guard 1\n"
+    )
 
 
 def test_process_trace_csv(capsys):

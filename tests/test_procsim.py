@@ -11,6 +11,7 @@ from qpolar import transform as transform_module
 from qpolar.channel import bec, bsc, random_channel
 from qpolar.gf import arikan_kernel, field_make, sample_invertible
 from qpolar.kernsearch import FixedKernel, SearchKernels
+from qpolar.params import param_vector
 from qpolar.procsim import (
     check_local,
     gadget_bound,
@@ -60,34 +61,70 @@ def test_sample_path_deterministic():
 
 
 def test_sample_path_quantization_flips_exact_flag(monkeypatch):
-    W = random_channel(F2, 9, np.random.default_rng(5))
-    monkeypatch.setattr(procsim, "QUANTIZE_TRIGGER", 2)
-    trace = sample_path(
-        bec(0.5).with_input(np.array([0.5, 0.5])),
-        FixedKernel(ARIKAN),
-        2,
-        np.random.default_rng(0),
-        quantize_resolution=64,
+    # Guard 100: on these BSC paths the 21-output channel at depth 4 or 5
+    # is the first whose next synthesis (21^2 = 441 outputs) overruns it.
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 100)
+    coarsened_at = []
+    for seed in (0, 1):
+        trace = sample_path(
+            bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed), quantize_resolution=64
+        )
+        # replay: each record is the unbinned synthesis of its parent, which
+        # quantize_to_fit coarsens only when that synthesis would overrun
+        parent, exact = bsc(0.11), True
+        for step in trace.steps[1:]:
+            parent, shrunk = transform_module.quantize_to_fit(
+                parent, 2, step.position, 64, where="replay"
+            )
+            if shrunk:
+                coarsened_at.append((seed, step.depth))
+            exact = exact and not shrunk
+            parent = transform(parent, ARIKAN, step.position)
+            pv = param_vector(parent)
+            assert (step.H, step.Zmad, step.Smax) == (pv.H, pv.Zmad, pv.Smax)
+            assert step.output_size == parent.output_size
+            assert step.exact == exact
+        assert not trace.final.exact
+    # seed 0 coarsens at depth 5 and synthesizes its last step from a parent
+    # that fits; seed 1 coarsens the parent of its last step
+    assert coarsened_at == [(0, 5), (1, 6)]
+
+
+def test_quantized_census_below_the_guard_is_the_exact_census():
+    # BSC(0.11) to depth 6 never nears the guard of 10^7 outputs, so a
+    # resolution bins nothing and the census is the unquantized one
+    def census(**kw):
+        rng = np.random.default_rng(0)
+        return polarization_stats(bsc(0.11), FixedKernel(ARIKAN), 6, 20, rng, **kw)
+
+    exact = census()
+    assert exact["exact"]
+    assert census(quantize_resolution=64) == exact
+
+
+def test_quantized_walk_gives_up_when_resolution_one_stays_over_the_guard(monkeypatch):
+    # the search certifies both positions, so the one-output parent still
+    # needs a 2^1 * 1^2 = 2-symbol synthesis over guard 1
+    monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 1)
+    message = (
+        "channel at depth 1 needs a 2-symbol synthesis even after quantizing at "
+        "resolution 1, over the guard 1"
     )
-    # BEC children stay tiny, so force the trigger with a wide channel too.
-    assert all(s.exact for s in trace.steps) or not trace.final.exact
-    monkeypatch.setattr(procsim, "QUANTIZE_TRIGGER", 4)
-    wide = sample_path(
-        W,
-        FixedKernel(ARIKAN),
-        3,
-        np.random.default_rng(0),
-        quantize_resolution=64,
-    )
-    assert not wide.final.exact
-    assert wide.final.output_size <= 3 * 64  # coarse cap: bins per posterior axis
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_path(
+            bsc(0.11),
+            SearchKernels(ell=2, budget=10),
+            2,
+            np.random.default_rng(0),
+            quantize_resolution=4,
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_quantized_sample_path_coarsens_to_fit_the_guard(seed, monkeypatch):
-    # With guard 2000 these BSC paths outgrow the guard long before the
-    # quantize trigger of 4096: unquantized they raise, quantized they are
-    # coarsened before the synthesis that would overrun it.
+    # With guard 2000 these BSC paths outgrow the guard: unquantized they
+    # raise, quantized they are coarsened before the synthesis that would
+    # overrun it.
     monkeypatch.setattr(transform_module, "DEFAULT_GUARD", 2000)
     with pytest.raises(ValueError, match="over the guard 2000"):
         sample_path(bsc(0.11), FixedKernel(ARIKAN), 6, np.random.default_rng(seed))

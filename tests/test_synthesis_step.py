@@ -1,18 +1,19 @@
 """One synthesis step against a frozen copy of the code it replaced, bit for bit.
 
-``transform``, ``quantize_merge``, the derived law and ``param_vector``
-were rewritten to make fewer numpy calls per step (a word table per kernel
-position, ufunc reductions without the ndarray wrappers, no error-state
-context, split flags written in place).  The functions below are the
-earlier bodies, kept here as the reference: every result must match them
-in every bit, on random channels with dead outputs and zero-mass input
-symbols, over GF(2), GF(3), GF(4) and GF(5), at every position of random
-2x2 and 3x3 kernels.
+``transform``, the derived law and ``param_vector`` were rewritten to
+make fewer numpy calls per step (a word table per kernel position, ufunc
+reductions without the ndarray wrappers, no error-state context, split
+flags written in place).  The functions below are the earlier bodies, kept
+here as the reference: every result must match them in every bit, on
+random channels with dead outputs and zero-mass input symbols, over GF(2),
+GF(3), GF(4) and GF(5), at every position of random 2x2 and 3x3 kernels.
 
 The exceptions.  The lossless merge has a new rule, so a merged child is
 compared with ``merge_outputs`` of the earlier raw law; the rule itself is
 checked against its dense oracle in tests/test_channel.py and against exact
-rational syntheses in tests/test_exact_reference.py.  S and Smax are
+rational syntheses in tests/test_exact_reference.py.  ``quantize_merge``
+of the raw law is compared with the dense oracle of tests/merge_oracle.py,
+the one reference of both merges.  S and Smax are
 compared with ``_ref_correlations``, a restatement of their rule without
 BLAS products, H and I are kept inside [0, 1] as ``param_vector`` now
 keeps them, and Pe is the joint mass off each column's largest entry, as
@@ -38,6 +39,8 @@ from qpolar.gf import field_make, sample_invertible
 from qpolar.params import ParamVector, _field_tables, param_vector
 from qpolar.transform import quantize_merge, transform
 
+from merge_oracle import oracle_quantize_merge
+
 # ------------------------------------------------------ the earlier code
 
 
@@ -56,28 +59,6 @@ def _ref_derived(W):
     joint = W.input_dist[:, None] * W.transition
     posterior, output = _ref_posterior(W)
     return DerivedDists(joint=joint, output=output, posterior=posterior)
-
-
-def _ref_quantize_merge(W, resolution):
-    # the earlier merge over the bins, where only equal bin vectors merge
-    key = _ref_posterior(W)[0]
-    key *= resolution
-    np.minimum(np.trunc(key, out=key), resolution - 1, out=key)
-    order = np.lexsort(key[::-1, :])
-    N = order.size
-    for row in key:
-        row[:] = np.take(row, order)
-    start = np.ones(N, dtype=bool)
-    start[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
-    runs = np.cumsum(start)
-    runs -= 1
-    G = int(runs[-1]) + 1
-    if G == N:
-        return W
-    sums = np.empty((W.q, G))
-    for x, row in enumerate(W.transition):
-        sums[x] = np.bincount(runs, weights=row.take(order), minlength=G)
-    return Channel._owned(W.field, sums, W.input_dist)
 
 
 def _ref_raw_law(joint, kernel, i):
@@ -229,7 +210,7 @@ def test_synthesis_step_matches_the_earlier_code_bitwise(case, resolution):
     _same_channel(raw, _ref_transform(W, kern, i, merge=False))
     child = transform(W, kern, i)
     _same_channel(child, _ref_transform(W, kern, i, merge=True))
-    _same_channel(quantize_merge(raw, resolution), _ref_quantize_merge(raw, resolution))
+    _same_channel(quantize_merge(raw, resolution), oracle_quantize_merge(raw, resolution))
     for V in (W, raw, child):
         got, want = derived_distributions(V), _ref_derived(V)
         for name in ("joint", "output", "posterior"):

@@ -26,6 +26,8 @@ from qpolar.kernsearch import FixedKernel
 from qpolar.params import param_vector
 from qpolar.transform import quantize_merge, transform, transform_all
 
+from merge_oracle import oracle_quantize_merge
+
 F2 = field_make(2)
 ARIKAN = arikan_kernel(F2)
 
@@ -424,28 +426,6 @@ def test_quantize_merge_validates_and_is_deterministic():
     np.testing.assert_array_equal(A.transition, B.transition)
 
 
-def _scan_quantize_merge(W, resolution):
-    """Reference: the column-by-column scan ``quantize_merge`` must reproduce."""
-    d = derived_distributions(W)
-    bins = np.minimum((d.posterior * resolution).astype(np.int64), resolution - 1)
-    order = np.lexsort(bins[::-1, :])
-    groups = []
-    prev = None
-    for col in order:
-        key = bins[:, col]
-        if prev is not None and np.array_equal(key, prev):
-            groups[-1].append(int(col))
-        else:
-            groups.append([int(col)])
-            prev = key
-    if len(groups) == W.output_size:
-        return W
-    new_trans = np.empty((W.q, len(groups)))
-    for j, cols in enumerate(groups):
-        new_trans[:, j] = W.transition[:, cols].sum(axis=1)
-    return make_channel(W.field, new_trans, W.input_dist)
-
-
 @given(
     st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)]),
     st.integers(0, 2**32 - 1),
@@ -467,7 +447,7 @@ def test_quantize_merge_matches_reference_scan_bitwise(pm, seed, resolution, m0,
     T = np.hstack([T, np.zeros((field.q, dead))])
     T = T[:, rng.permutation(T.shape[1])]
     W = make_channel(field, T, rng.dirichlet(np.ones(field.q)))
-    got, want = quantize_merge(W, resolution), _scan_quantize_merge(W, resolution)
+    got, want = quantize_merge(W, resolution), oracle_quantize_merge(W, resolution)
     assert got.output_size == want.output_size
     assert np.array_equal(got.transition, want.transition)
 
@@ -485,5 +465,5 @@ def test_quantized_construct_is_unchanged_under_the_reference_merge(monkeypatch)
 
     fast = build()
     # construct quantizes through transform.quantize_to_fit
-    monkeypatch.setattr(transform_module, "quantize_merge", _scan_quantize_merge)
+    monkeypatch.setattr(transform_module, "quantize_merge", oracle_quantize_merge)
     assert build() == fast
