@@ -10,10 +10,12 @@ one shown as {gf3} (its syntheses give the list's q = 3 merges, lossless
 and quantized),
 a fixed GF(9) three-output channel to one shown as {gf9} (its S and Smax
 read the character table of an extension field of odd characteristic), and
-two kernels made by ``lu_kernel`` to {gf2_20} (GF(2), 20x20: its coset at
-position 1 has 2^19 words, several enumeration blocks) and {gf3_9} (GF(3),
-9x9: coset words over an odd prime).  {post} holds a fixed (8, 2)
-posterior array for the length-8 spec.
+three kernels made by ``lu_kernel`` to {gf2_20} (GF(2), 20x20: its spans
+reach 2^9 words, one block), {gf2_40} (GF(2), 40x40: its position-1 coset
+has 2^39 words, taken by MacWilliams duality, and its spans reach 2^19
+words, several enumeration blocks) and {gf3_9} (GF(3), 9x9: coset words
+over an odd prime).  {post} holds a fixed (8, 2) posterior array for the
+length-8 spec.
 The exit status is 1 if any command exits nonzero.  Two trees that print
 the same lines give byte-identical output on every listed command, so the
 list serves as a quick check that a change leaves the CLI's results alone.
@@ -130,6 +132,7 @@ COMMANDS = [
     "transform --channel {gf9} --arikan",
     "kernel --certify 0.3 0.3 --kernel {gf2_20}",
     "kernel --certify 0.3 0.3 --kernel {gf3_9}",
+    "kernel --certify 0.3 0.3 --kernel {gf2_40}",
     "params --zchan 0.3 --holder",
     "transform --bec 0.5 --arikan --index 1",
     "kernel --arikan",
@@ -150,12 +153,13 @@ def run(command: str, files: dict) -> tuple[int, str]:
 def digest_lines():
     """Yield (exit code, digest line) for every command of ``COMMANDS``, in order."""
     with tempfile.TemporaryDirectory() as tmp:
-        names = ("spec", "kernel", "gf3", "gf9", "gf2_20", "gf3_9", "post")
+        names = ("spec", "kernel", "gf3", "gf9", "gf2_20", "gf2_40", "gf3_9", "post")
         files = {name: Path(tmp) / f"{name}.json" for name in names}
         files["kernel"].write_text(json.dumps(GF4_KERNEL))
         files["gf3"].write_text(json.dumps(GF3_CHANNEL))
         files["gf9"].write_text(json.dumps(GF9_CHANNEL))
         files["gf2_20"].write_text(json.dumps(lu_kernel(2, 20, 2020)))
+        files["gf2_40"].write_text(json.dumps(lu_kernel(2, 40, 4040)))
         files["gf3_9"].write_text(json.dumps(lu_kernel(3, 9, 309)))
         files["post"].write_text(json.dumps(POSTERIORS))
         for command in COMMANDS:

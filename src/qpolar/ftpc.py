@@ -8,15 +8,28 @@ worst-case character correlation the same way.  Both admit a closed
 reciprocity: the dual of G at i equals the primal of the row-and-column
 reversed inverse-transpose at position ell+1-i.
 
-Every position of one side comes from one nested sweep of the rows, from
-the last up: level j is the span S_j = span(g_j..g_ell), made by adding the
-q multiples of g_j to every word of S_(j+1), and the coset at j is its
-multiplier-1 slice g_j + S_(j+1).  The dual side is the same sweep over the
-rows of the inverse-transpose in reverse order.  Once a level fills a block
-of 2^16 words it is frozen, and the positions above it nest a span of
-offsets instead, each batch of which is added to the block in one step, so
-no step holds more than 2^16 words.  A single position is entry 0 of the
-same sweep over rows i..ell (rows i..1 on the dual side).
+The positions i > ell/2 come from one nested sweep of the rows, from the
+last up: level j is the span S_j = span(g_j..g_ell), made by adding the q
+multiples of g_j to every word of S_(j+1), and the coset at j is its
+multiplier-1 slice g_j + S_(j+1).  The positions i <= ell/2 come by
+MacWilliams duality (MacWilliams, Bell Syst. Tech. J. 1963) from the same
+sweep over the first ell//2 rows h of the inverse-transpose: S_k is the
+dual of D_k = span(h_1..h_(k-1)), whose enumerator the sweep of the dual
+cosets h_k + D_k builds, and the q - 1 nonzero multiples of g_i + S_(i+1)
+tile S_i minus S_(i+1).  So no span holds more than q^(ceil(ell/2) - 1)
+words: ``ENUM_GUARD`` reaches ell = 50 over GF(2), 32 over GF(3) and 26
+over GF(4), where the coset at position 1 alone has q^(ell-1) words.  The
+dual side is the same with the roles of G and G^-T swapped and their rows
+reversed.  A single position is taken from whichever side enumerates
+fewer words: the sweep over rows i..ell, q^(ell-i) words, or by duality
+from the dual rows i..1, q^(i-1).
+
+A sweep runs over a batch of kernels at once, each word array laid out
+(..., kernel, lanes); the plural enumerators are a batch of one, and
+``kernsearch.empirical_failure_rate`` batches its census.  Once a level
+fills a block of 2^16 words it is frozen, and the positions above it nest a
+span of offsets instead, each batch of which is added to the block in one
+step, so no step holds more than 2^16 words.
 
 A coset word is enumerated packed: ceil(ell / (64 // (m b))) uint64 lanes,
 each holding whole symbols of m digit fields of b bits.  Over GF(2^m) a
@@ -34,6 +47,7 @@ never trust caller-provided parameter values — and report lhs/rhs/pass.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -45,7 +59,7 @@ from .gf import FieldSpec, Kernel
 from .params import param_vector
 from .transform import transform
 
-#: cap on the number of coset words enumerated in one call, read at call time
+#: cap on the words of the largest span one call enumerates, read at call time
 ENUM_GUARD = 1 << 24
 
 #: most coset words held in memory at once during one enumeration
@@ -80,8 +94,9 @@ class WeightEnumerator:
         """Sum counts[w] * z^w (with 0^0 = 1), by Horner's rule in Python floats.
 
         Every step is one IEEE multiply and one add of an integer count, each
-        correctly rounded (the counts stay below 2^53), so the value does not
-        depend on numpy's SIMD dispatch, on BLAS or on libm.
+        correctly rounded (a count above 2^53 is first rounded to the nearest
+        float), so the value does not depend on numpy's SIMD dispatch, on BLAS
+        or on libm.
         """
         z, acc = float(z), 0.0
         for count in reversed(self.counts.tolist()):
@@ -161,7 +176,7 @@ class _Packing:
         return s
 
     def weights(self, words: np.ndarray) -> np.ndarray:
-        """Hamming weight of each packed (k, lanes) word: its count of nonzero symbols.
+        """Hamming weight of each packed (..., lanes) word: its count of nonzero symbols.
 
         ``words`` is left as it is unless it is scratch slot 3: the symbols
         are folded in slot 4, with slot 3 as the temporary of any fold
@@ -177,8 +192,8 @@ class _Packing:
             words = np.bitwise_and(folded, self.low_bits, out=folded)
         if self.lanes > 1:
             return np.bitwise_count(words).sum(axis=-1, dtype=np.intp)
-        counts = _scratch(5, (len(words),))
-        return np.bitwise_count(words[:, 0], out=None if counts is None else counts.view(np.intp))
+        counts = _scratch(5, words.shape[:-1])
+        return np.bitwise_count(words[..., 0], out=None if counts is None else counts.view(np.intp))
 
 
 def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -210,62 +225,183 @@ def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray | None:
     return buf[:size].reshape(shape)
 
 
+def _histograms(packing: _Packing, words: np.ndarray, ell: int) -> np.ndarray:
+    """Weight histograms of packed (..., K, lanes) words, one per kernel: a (K, ell + 1) array.
+
+    Kernel k's weights are counted in bins k (ell + 1) .. k (ell + 1) + ell
+    of one ``np.bincount``.
+    """
+    kernels = words.shape[-2]
+    weights = packing.weights(words)
+    base = np.arange(0, kernels * (ell + 1), ell + 1)
+    # in place over intp weights (a scratch slot or a fresh sum), not uint8 bit counts
+    keys = np.add(weights, base, out=weights if weights.dtype == base.dtype else None)
+    return np.bincount(keys.reshape(-1), minlength=kernels * (ell + 1)).reshape(kernels, ell + 1)
+
+
 def _weigh(
     packing: _Packing, offsets: np.ndarray, block: np.ndarray | None, ell: int
-) -> WeightEnumerator:
-    """Weight histogram of the words offset + b, b in the block (the offsets alone if None).
+) -> np.ndarray:
+    """Per-kernel weight histograms of the words offset + b, b in the block (offsets alone if None).
 
-    Each batch of offsets is added to the whole block in one step, so no step
-    holds more than 2^16 words.  Large batches are formed in scratch slot
-    3; ``offsets`` is left as it is.
+    ``offsets`` is (S, K, lanes) and ``block`` (B, K, lanes): kernel k's
+    offsets are added to kernel k's block.  Each batch of offsets is added
+    to the whole block in one step, so no step holds more than 2^16 words.
+    Large batches are formed in scratch slot 3; ``offsets`` is left as it is.
     """
-    lanes = packing.lanes
     if block is None:
-        counts = np.bincount(packing.weights(offsets), minlength=ell + 1)
-        return WeightEnumerator(ell=ell, counts=counts)
-    step = _BLOCK_WORDS // len(block)
-    counts = np.zeros(ell + 1, dtype=np.int64)
+        return _histograms(packing, offsets, ell)
+    step = _BLOCK_WORDS // math.prod(block.shape[:2])
+    counts = 0
     for first in range(0, len(offsets), step):
-        batch = offsets[first : first + step, None, :]
-        words = packing.add(batch, block[None, :, :], _scratch(3, (len(batch), len(block), lanes)))
-        counts += np.bincount(packing.weights(words.reshape(-1, lanes)), minlength=ell + 1)
-    return WeightEnumerator(ell=ell, counts=counts)
+        batch = offsets[first : first + step, None]
+        words = packing.add(batch, block[None], _scratch(3, (len(batch),) + block.shape))
+        counts = counts + _histograms(packing, words, ell)
+    return counts
 
 
-def _sweep(field: FieldSpec, rows: np.ndarray) -> list[WeightEnumerator]:
-    """Weight histograms of the cosets rows[t] + span(rows[t+1:]), t = 0 .. n-1.
+def _guard(q: int, rows: int) -> int:
+    """Words in the largest span of a sweep over ``rows`` rows, q^(rows - 1).
 
-    One nested sweep from the last row up: level t adds the q multiples of
-    rows[t] to the span below it, and the coset at t is the multiplier-1 slice
-    of that level.  Once the span fills a 2^16-word block it is frozen, and
-    the levels above nest a fresh span of offsets that are added to the block
-    batch by batch.  The first row's level is never built in full, only its
-    coset.  Raises ``ValueError`` when the first coset exceeds ``ENUM_GUARD``.
+    Raises ``ValueError`` when they exceed ``ENUM_GUARD``.
     """
-    q, (n, ell) = field.q, rows.shape
-    count = q ** (n - 1)
+    count = q ** (rows - 1)
     if count > ENUM_GUARD:
         raise ValueError(f"coset of size {count} exceeds enumeration guard {ENUM_GUARD}")
+    return count
+
+
+def _sweep(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Weight histograms of the cosets rows[k, t] + span(rows[k, t+1:]) of every kernel k.
+
+    ``rows`` is (K, n, ell); the result is (K, n, ell + 1).  One nested
+    sweep from the last row up, for all K kernels at once: level t adds the
+    q multiples of rows[:, t] to the span below it, and the coset at t is the
+    multiplier-1 slice of that level.  A word array is laid out (..., K,
+    lanes), so a level reshapes into the next span without a copy.  Once the
+    span fills a 2^16-word block it is frozen, and the levels above nest a
+    fresh span of offsets that are added to the block batch by batch.  The
+    first row's level is never built in full, only its coset.  Raises
+    ``ValueError`` when the first coset exceeds ``ENUM_GUARD``.
+    """
+    q, (kernels, n, ell) = field.q, rows.shape
+    counts = np.zeros((kernels, n, ell + 1), dtype=np.int64)
+    if n == 0:
+        return counts
+    _guard(q, n)
     packing = _Packing(field, ell)
     lanes = packing.lanes
-    multiples = packing.pack(field.mul(field.elements[None, :, None], rows[:, None, :]))
-    span = zero = np.zeros((1, lanes), dtype=np.uint64)
+    # multiples[t, a, k] is a * rows[k, t], packed
+    multiples = packing.pack(
+        field.mul(field.elements[None, :, None, None], rows.transpose(1, 0, 2)[:, None])
+    )
+    span = zero = np.zeros((1, kernels, lanes), dtype=np.uint64)
     block = None
     # the levels alternate between two scratch slots, so a level never
     # overwrites the span it is built from; slot 2 takes over the block's
     slots, k = [0, 1], 0
-    enums = []
     for t in range(n - 1, 0, -1):
-        level = _scratch(slots[k], (q, len(span), lanes))
-        level = packing.add(multiples[t][:, None, :], span[None, :, :], level)
-        enums.append(_weigh(packing, level[1], block, ell))
-        span = level.reshape(-1, lanes)
-        if block is None and t > 1 and len(span) * q > _BLOCK_WORDS:
+        level = _scratch(slots[k], (q,) + span.shape)
+        level = packing.add(multiples[t][:, None], span[None], level)
+        counts[:, t] = _weigh(packing, level[1], block, ell)
+        span = level.reshape((-1,) + span.shape[1:])
+        if block is None and t > 1 and len(span) * kernels * q > _BLOCK_WORDS:
             block, span, slots[k] = span, zero, 2
         k ^= 1
     coset = _scratch(slots[k], span.shape)
-    enums.append(_weigh(packing, packing.add(multiples[0, 1:2], span, coset), block, ell))
-    return enums[::-1]
+    counts[:, 0] = _weigh(packing, packing.add(multiples[0, 1], span, coset), block, ell)
+    return counts
+
+
+@functools.cache
+def _krawtchouk(q: int, ell: int) -> np.ndarray:
+    """The q-ary Krawtchouk matrix as Python integers, read-only: entry (x, w) is K_w(x).
+
+    K_w(x) = sum_j (-1)^j (q-1)^(w-j) C(x, j) C(ell-x, w-j), the weight-w
+    coefficient of (1 - y)^x (1 + (q-1) y)^(ell-x).
+    """
+    table = np.array(
+        [
+            [
+                sum(
+                    (-1) ** j * (q - 1) ** (w - j) * math.comb(x, j) * math.comb(ell - x, w - j)
+                    for j in range(w + 1)
+                )
+                for w in range(ell + 1)
+            ]
+            for x in range(ell + 1)
+        ],
+        dtype=object,
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _exact_quotient(a: np.ndarray, d) -> np.ndarray:
+    """a // d, elementwise; raises ``RuntimeError`` when a division leaves a remainder."""
+    out = a // d
+    if np.any(out * d != a):
+        raise RuntimeError("a MacWilliams sum left a remainder: the enumerator algebra failed")
+    return out
+
+
+def _macwilliams(q: int, cosets: np.ndarray, first: int) -> np.ndarray:
+    """Primal coset counts at positions first+1..m from the dual cosets at 1..m.
+
+    ``cosets`` is (K, m, ell + 1): the histogram of d_k + D_k, where
+    D_k = span(d_1..d_(k-1)) is the dual of S_k = span(r_k..r_ell).  Then
+    A(D_(k+1)) = A(D_k) + (q-1) hist(d_k + D_k); the MacWilliams identity
+    gives |D_k| A(S_k)(w) = sum_x A(D_k)(x) K_w(x); and the q - 1 nonzero
+    multiples of r_i + S_(i+1) tile S_i minus S_(i+1) with equal weights, so
+    the coset at i is (A(S_i) - A(S_(i+1))) / (q - 1).  Every sum is exact:
+    |K_w(x)| <= C(ell, w) (q-1)^w <= q^ell and A(D_k) sums to q^(k-1), so no
+    partial sum reaches q^(ell+m), and int64 holds them while that is below
+    2^63; Python integers take them beyond.  Every division is checked
+    exact.  Returns (K, m - first, ell + 1) int64 counts; raises
+    ``ValueError`` when the coset at first+1, of q^(ell-first-1) words,
+    would overflow them.
+    """
+    kernels, m, width = cosets.shape
+    ell = width - 1
+    if q ** (ell - first - 1) >= 1 << 63:
+        raise ValueError(f"coset of size {q ** (ell - first - 1)} overflows 64-bit counts")
+    dtype = np.int64 if q ** (ell + m) < 1 << 63 else object
+    spans = np.zeros((kernels, m + 1, width), dtype=dtype)
+    spans[:, 1:] = np.cumsum(cosets.astype(dtype), axis=1) * (q - 1)
+    spans[:, :, 0] += 1
+    sizes = np.array([q**k for k in range(first, m + 1)], dtype=dtype)[:, None]
+    primal = _exact_quotient(spans[:, first:] @ _krawtchouk(q, ell).astype(dtype), sizes)
+    return _exact_quotient(primal[:, :-1] - primal[:, 1:], q - 1).astype(np.int64)
+
+
+def _cosets(field: FieldSpec, rows: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """Coset counts at every position of K kernels' rows: a (K, ell, ell + 1) array.
+
+    The coset at i is rows[:, i-1] + span(rows[:, i:]), and the first k rows
+    of ``duals`` span the dual of span(rows[:, k:]).  Positions
+    ell//2 + 1..ell are swept directly, over the last ceil(ell/2) rows;
+    positions 1..ell//2 come by MacWilliams duality from the sweep over the
+    first ell//2 dual rows.  So no span holds more than
+    q^(ceil(ell/2) - 1) words.
+    """
+    half = rows.shape[1] // 2
+    direct = _sweep(field, rows[:, half:])
+    dual = _sweep(field, duals[:, half - 1 :: -1] if half else duals[:, :0])[:, ::-1]
+    return np.concatenate([_macwilliams(field.q, dual, 0), direct], axis=1)
+
+
+def _coset(field: FieldSpec, rows: np.ndarray, duals: np.ndarray, i: int) -> WeightEnumerator:
+    """The coset at position i of one kernel's rows (as ``_cosets``), from the cheaper side.
+
+    Swept directly it takes q^(ell - i) words; by duality, from the dual
+    cosets at 1..i, q^(i - 1).
+    """
+    ell = rows.shape[1]
+    if i - 1 < ell - i:
+        counts = _macwilliams(field.q, _sweep(field, duals[None, i - 1 :: -1])[:, ::-1], i - 1)
+    else:
+        counts = _sweep(field, rows[None, i - 1 :])
+    return WeightEnumerator(ell=ell, counts=counts[0, 0])
 
 
 def _check_position(kernel: Kernel, i: int) -> None:
@@ -273,26 +409,55 @@ def _check_position(kernel: Kernel, i: int) -> None:
         raise ValueError(f"position {i} outside 1..{kernel.ell}")
 
 
+def _batch_size(q: int, ell: int) -> int:
+    """How many kernels of size ell ``_primal_counts`` takes at once.
+
+    The batch is sized so that no step of its sweeps holds more than
+    ``_BLOCK_WORDS`` words (one kernel at a time once a span alone fills a
+    block).  Raises ``ValueError`` when a span exceeds ``ENUM_GUARD``.
+    """
+    return max(1, _BLOCK_WORDS // _guard(q, ell - ell // 2))
+
+
+def _primal_counts(kernels: list[Kernel]) -> np.ndarray:
+    """Primal coset counts at every position of each kernel, (K, ell, ell + 1), one batch."""
+    return _cosets(
+        kernels[0].field,
+        np.stack([kern.entries for kern in kernels]),
+        np.stack([kern.inv_transpose for kern in kernels]),
+    )
+
+
+def _enumerators(counts: np.ndarray) -> list[WeightEnumerator]:
+    return [WeightEnumerator(ell=len(row) - 1, counts=row) for row in counts]
+
+
 def coset_enumerators(kernel: Kernel) -> list[WeightEnumerator]:
-    """Primal enumerators of every position, in order 1..ell, from one sweep."""
-    return _sweep(kernel.field, kernel.entries)
+    """Primal enumerators of every position, in order 1..ell: a batch of one kernel."""
+    return _enumerators(_primal_counts([kernel])[0])
 
 
 def dual_coset_enumerators(kernel: Kernel) -> list[WeightEnumerator]:
-    """Dual enumerators of every position, in order 1..ell, from one sweep."""
-    return _sweep(kernel.field, kernel.inv_transpose[::-1])[::-1]
+    """Dual enumerators of every position, in order 1..ell.
+
+    The dual coset at i is the coset at ell+1-i of the inverse-transpose's
+    rows in reverse order, whose dual rows are the kernel's in reverse order.
+    """
+    rows, duals = kernel.inv_transpose[None, ::-1], kernel.entries[None, ::-1]
+    return _enumerators(_cosets(kernel.field, rows, duals)[0, ::-1])
 
 
 def coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Primal enumerator: words (0^(i-1), 1, free suffix) @ G."""
     _check_position(kernel, i)
-    return _sweep(kernel.field, kernel.entries[i - 1 :])[0]
+    return _coset(kernel.field, kernel.entries, kernel.inv_transpose, i)
 
 
 def dual_coset_enumerator(kernel: Kernel, i: int) -> WeightEnumerator:
     """Dual enumerator: words (free prefix, 1, 0^(ell-i)) @ G^-T."""
     _check_position(kernel, i)
-    return _sweep(kernel.field, kernel.inv_transpose[i - 1 :: -1])[0]
+    rows, duals = kernel.inv_transpose[::-1], kernel.entries[::-1]
+    return _coset(kernel.field, rows, duals, kernel.ell + 1 - i)
 
 
 def _verify(W: Channel, kernel: Kernel, i: int, param: str, enumerator) -> dict:

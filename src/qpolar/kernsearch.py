@@ -14,9 +14,9 @@ below 4 ell^(alpha - 1/2).  At desk scales that right-hand side exceeds the
 trivial cap (1/2)^alpha, which the report flags honestly.
 
 `search` rejection-samples uniform invertible kernels until one certifies
-against both supplied channels, from one primal and one dual enumerator
-sweep per candidate; every rejected candidate can carry a re-verifiable
-witness (the first violated inequality, with its numbers).
+against both supplied channels, from the primal and dual enumerators of
+each candidate; every rejected candidate can carry a re-verifiable witness
+(the first violated inequality, with its numbers).
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .ftpc import WeightEnumerator, coset_enumerators, dual_coset_enumerators
+from .ftpc import (
+    WeightEnumerator,
+    _batch_size,
+    _primal_counts,
+    coset_enumerators,
+    dual_coset_enumerators,
+)
 from .gf import MAX_Q, Kernel, _prime_factors, field_make, sample_invertible
 from .params import param_vector
 from .transform import transform_all
@@ -268,6 +274,24 @@ def search(
     raise ValueError(f"no certifiable kernel found within budget {budget}")
 
 
+def _primal_witness(counts: np.ndarray, q: int, z: float) -> dict | None:
+    """The first position whose primal counts fail phase I or the phase-II bound at z."""
+    ell = len(counts)
+    for i, row in enumerate(counts, start=1):
+        prim = WeightEnumerator(ell=ell, counts=row)
+        phase1_ok, lhs, rhs, phase2_ok = _phases(prim, i, q, z)
+        if not phase1_ok:
+            return {
+                "reason": "min_weight",
+                "i": i,
+                "d": _distance_target(i, ell),
+                "min_weight": prim.min_weight,
+            }
+        if not phase2_ok:
+            return {"reason": "overlap_poly", "i": i, "lhs": lhs, "rhs": rhs}
+    return None
+
+
 def empirical_failure_rate(
     ell: int,
     q: int,
@@ -281,10 +305,20 @@ def empirical_failure_rate(
     or the phase-II overlap polynomial bound at z.  The theoretical ceiling
     3 q^(-sqrt(ell)/13) is reported; ``binding`` is False when that ceiling
     reaches 1 (vacuous).  Every failure carries a re-verifiable witness.
-    Raises ``ValueError`` for fewer than one trial, whose rate is undefined,
-    for a z that is not finite or lies outside [0, 1], and for a q outside
-    2..``MAX_Q`` or not a prime power.
+
+    The kernels are drawn first, a batch at a time, from the same stream
+    and in the same order as one draw per trial; each batch is enumerated
+    in one batched sweep, sized so that no step holds more than
+    ``ftpc._BLOCK_WORDS`` words, and its kernels are checked in trial
+    order.  So the rate and the witnesses do not depend on the batch size.
+    Raises ``ValueError`` for a kernel size below 1, for fewer than one
+    trial, whose rate is undefined, for a z that is not finite or lies
+    outside [0, 1], for a q outside 2..``MAX_Q`` or not a prime power, and,
+    before any kernel is drawn, when a span would exceed
+    ``ftpc.ENUM_GUARD``.
     """
+    if ell < 1:
+        raise ValueError(f"kernel size must be positive, got {ell}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     _check_point(z=z)
@@ -297,30 +331,18 @@ def empirical_failure_rate(
     while rest > 1:
         rest, m = rest // p, m + 1
     field = field_make(p, m)
-    failures = 0
+    batch = _batch_size(q, ell)
     witnesses: list[dict] = []
-    for _ in range(trials):
-        kern = sample_invertible(field, ell, rng)
-        for i, prim in enumerate(coset_enumerators(kern), start=1):
-            phase1_ok, lhs, rhs, phase2_ok = _phases(prim, i, q, z)
-            if not phase1_ok:
-                witness = {
-                    "reason": "min_weight",
-                    "i": i,
-                    "d": _distance_target(i, ell),
-                    "min_weight": prim.min_weight,
-                }
-            elif not phase2_ok:
-                witness = {"reason": "overlap_poly", "i": i, "lhs": lhs, "rhs": rhs}
-            else:
-                continue
-            witness["matrix"] = kern.entries.tolist()
-            failures += 1
-            witnesses.append(witness)
-            break
+    for first in range(0, trials, batch):
+        kernels = [sample_invertible(field, ell, rng) for _ in range(min(batch, trials - first))]
+        for kern, counts in zip(kernels, _primal_counts(kernels)):
+            witness = _primal_witness(counts, q, z)
+            if witness is not None:
+                witness["matrix"] = kern.entries.tolist()
+                witnesses.append(witness)
     bound = 3.0 * q ** (-math.sqrt(ell) / 13.0)
     return {
-        "rate": failures / trials,
+        "rate": len(witnesses) / trials,
         "bound": bound,
         "binding": bool(bound < 1.0),
         "trials": trials,

@@ -1,9 +1,11 @@
 """Weight enumerators and the synthesized-parameter bounds."""
 
+import importlib.util
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,30 +134,37 @@ def test_enumerator_bookkeeping():
 
 
 def test_enumeration_guard(monkeypatch):
+    # position 5 of a GF(2) 8x8 kernel is swept directly, over 2^3 words
     field = field_make(2)
     kern = sample_invertible(field, 8, np.random.default_rng(1))
-    monkeypatch.setattr(ftpc, "ENUM_GUARD", 8)
+    monkeypatch.setattr(ftpc, "ENUM_GUARD", 7)
     with pytest.raises(ValueError, match="guard"):
-        coset_enumerator(kern, 1)
+        coset_enumerator(kern, 5)
     with pytest.raises(ValueError):
         coset_enumerator(kern, 9)
 
 
 @pytest.mark.parametrize("pm, ell", [((2, 1), 8), ((3, 1), 5), ((2, 2), 4)])
 def test_sweeps_share_the_guard_of_the_largest_coset(monkeypatch, pm, ell):
-    # the sweeps hold the cosets at primal 1 and dual ell, q^(ell-1) words each
+    # the largest span any call enumerates is the directly swept coset at
+    # primal ell//2 + 1 and dual ceil(ell/2), q^(ceil(ell/2) - 1) words each;
+    # the positions before them come by duality from smaller spans
     kern = sample_invertible(field_make(*pm), ell, np.random.default_rng(1))
-    size = kern.field.q ** (ell - 1)
+    prim, dual = ell // 2 + 1, ell + 1 - (ell // 2 + 1)
+    size = kern.field.q ** (ell - prim)
     monkeypatch.setattr(ftpc, "ENUM_GUARD", size - 1)
     message = f"coset of size {size} exceeds enumeration guard {size - 1}"
-    for call in (lambda: coset_enumerator(kern, 1), lambda: dual_coset_enumerator(kern, ell),
+    for call in (lambda: coset_enumerator(kern, prim), lambda: dual_coset_enumerator(kern, dual),
                  lambda: coset_enumerators(kern), lambda: dual_coset_enumerators(kern)):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
-    coset_enumerator(kern, 2)  # q^(ell-2) words stay within the guard
+    # the largest cosets, q^(ell-1) words, come by duality from one word
+    whole = kern.field.q ** (ell - 1)
+    assert coset_enumerator(kern, 1).total == dual_coset_enumerator(kern, ell).total == whole
     monkeypatch.setattr(ftpc, "ENUM_GUARD", size)
-    assert coset_enumerators(kern)[0].total == dual_coset_enumerators(kern)[-1].total == size
+    assert coset_enumerator(kern, prim).total == dual_coset_enumerator(kern, dual).total == size
+    assert coset_enumerators(kern)[prim - 1].total == dual_coset_enumerators(kern)[dual - 1].total
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -202,20 +211,42 @@ def test_sweeps_match_the_reference_at_every_position(pm, ell, seed):
 
 @pytest.mark.parametrize("ell", [18, 20])
 def test_multi_block_sweeps_match_the_reference(ell):
-    # GF(2) fills a 2^16-word block with 16 rows, so the cosets of the first
-    # ell - 17 primal positions and the last ell - 17 dual ones are added to
-    # the block in batches of offsets
-    kern = sample_invertible(field_make(2), ell, np.random.default_rng(ell))
-    _assert_sweeps_match_reference(kern)
+    # GF(2) fills a 2^16-word block with 16 rows, so a direct sweep over 18
+    # rows adds its first two cosets (2^17 and 2^16 words) to the block in
+    # batches of offsets: primal positions ell-17..ell, dual positions 1..18;
+    # the enumerators, which sweep at most ceil(ell/2) rows, must agree
+    field = field_make(2)
+    kern = sample_invertible(field, ell, np.random.default_rng(ell))
+    prims, duals = coset_enumerators(kern), dual_coset_enumerators(kern)
+    tail = ftpc._sweep(field, kern.entries[None, ell - 18 :])[0]
+    head = ftpc._sweep(field, kern.inv_transpose[None, 17::-1])[0, ::-1]
+    for k in range(18):
+        i = ell - 17 + k
+        want = _coset_weights_reference(kern.entries, kern, i, free_tail=True).counts
+        np.testing.assert_array_equal(tail[k], want)
+        np.testing.assert_array_equal(prims[i - 1].counts, want)
+        want = _coset_weights_reference(kern.inv_transpose, kern, k + 1, free_tail=False).counts
+        np.testing.assert_array_equal(head[k], want)
+        np.testing.assert_array_equal(duals[k].counts, want)
 
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_multi_block_enumeration_matches_the_reference(i):
-    # the primal coset at 1 and the dual at 18 have 2^17 words (two offsets
-    # added to one 2^16-word block); at 2 and 17 they fill one block exactly
-    kern = sample_invertible(field_make(2), 18, np.random.default_rng(18))
+    # swept directly, the primal coset at i and the dual at 19 - i have
+    # 2^(18-i) words: two offsets added to one 2^16-word block at i = 1, one
+    # block exactly at i = 2; the single-position calls take them by duality
+    field = field_make(2)
+    kern = sample_invertible(field, 18, np.random.default_rng(18))
     _assert_matches_reference(kern, i)
     _assert_matches_reference(kern, 19 - i)
+    np.testing.assert_array_equal(
+        ftpc._sweep(field, kern.entries[None, i - 1 :])[0, 0],
+        _coset_weights_reference(kern.entries, kern, i, free_tail=True).counts,
+    )
+    np.testing.assert_array_equal(
+        ftpc._sweep(field, kern.inv_transpose[None, 18 - i :: -1])[0, 0],
+        _coset_weights_reference(kern.inv_transpose, kern, 19 - i, free_tail=False).counts,
+    )
 
 
 @pytest.mark.parametrize("pm, ell", [((2, 1), 6), ((3, 1), 5), ((2, 2), 5), ((3, 2), 4),
@@ -230,12 +261,83 @@ def test_single_positions_equal_the_full_sweeps(pm, ell):
         assert dual_coset_enumerator(kern, i).counts.tolist() == duals[i - 1].counts.tolist()
 
 
+@pytest.mark.parametrize("pm, ell", [((2, 1), 24), ((2, 2), 12), ((2, 1), 44)])
+def test_duality_equals_the_direct_sweep(pm, ell):
+    # positions 1..ell//2 come by MacWilliams duality; each must equal the
+    # nested sweep over rows i..ell (i..1 on the dual side), wherever that
+    # takes at most 2^23 words: every position at GF(2) 24 and GF(4) 12, and
+    # at GF(2) 44, whose sums exceed int64 and run in Python integers,
+    # positions 21..44 and dual 1..24
+    field = field_make(*pm)
+    q = field.q
+    kern = sample_invertible(field, ell, np.random.default_rng(ell))
+    prims, duals = coset_enumerators(kern), dual_coset_enumerators(kern)
+    for i in range(1, ell + 1):
+        if q ** (ell - i) <= 1 << 23:
+            direct = ftpc._sweep(field, kern.entries[None, i - 1 :])[0, 0]
+            np.testing.assert_array_equal(prims[i - 1].counts, direct)
+            np.testing.assert_array_equal(coset_enumerator(kern, i).counts, direct)
+        if q ** (i - 1) <= 1 << 23:
+            direct = ftpc._sweep(field, kern.inv_transpose[None, i - 1 :: -1])[0, 0]
+            np.testing.assert_array_equal(duals[i - 1].counts, direct)
+            np.testing.assert_array_equal(dual_coset_enumerator(kern, i).counts, direct)
+
+
+def test_macwilliams_refuses_an_inexact_division():
+    # a dual coset of two words is no coset: 2 A(S_2) = (3, 5, 1, -1)
+    with pytest.raises(RuntimeError, match="left a remainder"):
+        ftpc._macwilliams(2, np.array([[[0, 2, 0, 0]]]), 0)
+
+
+def test_single_positions_refuse_counts_past_int64():
+    # at GF(2) 70x70 the coset at 7 has 2^63 words, too many for int64
+    # counts, and the one at 8 has 2^62; both come by duality from 2^7 words
+    field = field_make(2)
+    kern = sample_invertible(field, 70, np.random.default_rng(70))
+    with pytest.raises(ValueError, match=f"coset of size {2**63} overflows 64-bit counts"):
+        coset_enumerator(kern, 7)
+    with pytest.raises(ValueError, match=f"coset of size {2**63} overflows 64-bit counts"):
+        dual_coset_enumerator(kern, 64)
+    assert coset_enumerator(kern, 8).total == dual_coset_enumerator(kern, 63).total == 2**62
+
+
+def test_digest_kernel_past_the_old_guard():
+    # the digest's {gf2_40} kernel: its position-1 coset has 2^39 words and
+    # its spans reach 2^19 words, several blocks; every position of both
+    # sides must hold the whole coset and no zero word
+    path = Path(__file__).resolve().parent.parent / "scripts" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    doc = digest.lu_kernel(2, 40, 4040)
+    kern = mat_invert(field_make(doc["p"], doc["m"]), doc["matrix"])
+    prims, duals = coset_enumerators(kern), dual_coset_enumerators(kern)
+    for i in range(1, 41):
+        assert prims[i - 1].counts[0] == 0 and prims[i - 1].total == 2 ** (40 - i)
+        assert duals[i - 1].counts[0] == 0 and duals[i - 1].total == 2 ** (i - 1)
+
+
+@pytest.mark.parametrize("pm, ell", [((2, 1), 9), ((3, 1), 6), ((2, 2), 5)])
+def test_batched_blocks_keep_each_kernel_apart(monkeypatch, pm, ell):
+    # three kernels in one sweep with 16-word blocks: the levels freeze into
+    # a (words, kernel) block, and each kernel's offsets go to its own words
+    field = field_make(*pm)
+    kerns = [sample_invertible(field, ell, np.random.default_rng(seed)) for seed in range(3)]
+    want = [
+        [_coset_weights_reference(k.entries, k, i, True).counts for i in range(1, ell + 1)]
+        for k in kerns
+    ]
+    monkeypatch.setattr(ftpc, "_BLOCK_WORDS", 16)
+    np.testing.assert_array_equal(ftpc._sweep(field, np.stack([k.entries for k in kerns])), want)
+
+
 def test_enumeration_memory_stays_blocked():
-    # 2^19 words of 20 int64 entries would take about 80 MB at once
-    kern = sample_invertible(field_make(2), 20, np.random.default_rng(20))
+    # position 21 of a GF(2) 40x40 kernel is swept directly over 2^19 words;
+    # 2^19 words of 40 int64 entries would take about 160 MB at once
+    kern = sample_invertible(field_make(2), 40, np.random.default_rng(40))
     tracemalloc.start()
     try:
-        enum = coset_enumerator(kern, 1)
+        enum = coset_enumerator(kern, 21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,20 +373,25 @@ def test_multi_lane_words_match_the_reference(pm, ell):
             dual_coset_enumerator(kern, i).counts,
             _coset_weights_reference(kern.inv_transpose, kern, i, free_tail=False).counts,
         )
-    # the sweep engine over the same rows, every position weighed
-    tail = ftpc._sweep(field, kern.entries[ell - 3 :])
-    head = ftpc._sweep(field, kern.inv_transpose[2::-1])[::-1]
-    for k in range(3):
-        np.testing.assert_array_equal(tail[k].counts, coset_enumerator(kern, ell - 2 + k).counts)
-        np.testing.assert_array_equal(head[k].counts, dual_coset_enumerator(kern, k + 1).counts)
+    # the sweep engine over the same rows of this kernel and of a second
+    # one in the same batch, every position weighed
+    other = sample_invertible(field, ell, np.random.default_rng(ell + 1))
+    pair = np.stack([kern.entries, other.entries])
+    tail = ftpc._sweep(field, pair[:, ell - 3 :])
+    head = ftpc._sweep(field, np.stack([kern.inv_transpose, other.inv_transpose])[:, 2::-1])
+    for b, k in enumerate((kern, other)):
+        for t in range(3):
+            np.testing.assert_array_equal(tail[b, t], coset_enumerator(k, ell - 2 + t).counts)
+            np.testing.assert_array_equal(head[b, 2 - t], dual_coset_enumerator(k, t + 1).counts)
 
 
 def test_packed_enumeration_memory():
-    # packed, 2^19 words of 20 GF(2) symbols take 4 MB; blocked, far less
-    kern = sample_invertible(field_make(2), 20, np.random.default_rng(20))
+    # packed, the 2^19 words of 40 GF(2) symbols at position 21 take 4 MB;
+    # blocked, far less
+    kern = sample_invertible(field_make(2), 40, np.random.default_rng(40))
     tracemalloc.start()
     try:
-        enum = coset_enumerator(kern, 1)
+        enum = coset_enumerator(kern, 21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,9 +400,9 @@ def test_packed_enumeration_memory():
 
 
 def test_certify_ldp_memory_both_sides():
-    # both sweeps of a GF(2) 20x20 kernel hold one 2^16-word block (512 kB)
-    # and one batch of as many words at a time
-    kern = sample_invertible(field_make(2), 20, np.random.default_rng(20))
+    # the four sweeps of a GF(2) 40x40 kernel, over 2^19 words each, hold
+    # one 2^16-word block (512 kB) and one batch of as many words at a time
+    kern = sample_invertible(field_make(2), 40, np.random.default_rng(40))
     certify_ldp(kern, 0.3, 0.3)
     tracemalloc.start()
     try:
@@ -307,11 +414,12 @@ def test_certify_ldp_memory_both_sides():
 
 
 def test_sweeps_reuse_their_scratch():
-    # a GF(4) 8x8 sweep's levels and weighed words are 2^14-word (128 kB)
-    # arrays; after one sweep they are kept, so the next allocates none of
-    # them (what it traces is numpy's 8,192-element buffer for casting the
-    # bit counts to intp)
-    kern = sample_invertible(field_make(2, 2), 8, np.random.default_rng(8))
+    # the direct sweep of a GF(4) 16x16 kernel runs over 8 rows, so its
+    # levels and weighed words are 2^14-word (128 kB) arrays; after one
+    # sweep they are kept, so the next allocates none of them (what it
+    # traces is numpy's 8,192-element buffer for casting the bit counts to
+    # intp)
+    kern = sample_invertible(field_make(2, 2), 16, np.random.default_rng(16))
     want = [e.counts.tolist() for e in coset_enumerators(kern)]
     tracemalloc.start()
     try:
@@ -325,9 +433,11 @@ def test_sweeps_reuse_their_scratch():
 
 def test_sweeps_in_threads_keep_their_own_scratch():
     # every thread sweeps through its own scratch slots, so concurrent
-    # sweeps over one field and size give the one-thread histograms
+    # sweeps over one field and size give the one-thread histograms; both
+    # sweeps of a GF(3) 18x18 kernel run over 9 rows, whose 3^8-word levels
+    # are scratch slots
     field = field_make(3)
-    kerns = [sample_invertible(field, 7, np.random.default_rng(seed)) for seed in range(8)]
+    kerns = [sample_invertible(field, 18, np.random.default_rng(seed)) for seed in range(8)]
     want = [[e.counts.tolist() for e in dual_coset_enumerators(k)] for k in kerns]
     got = [None] * len(kerns)
 

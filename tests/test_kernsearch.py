@@ -6,10 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from qpolar import kernsearch
+from qpolar import ftpc, kernsearch
 from qpolar import transform as transform_module
 from qpolar.channel import bec, flatten
-from qpolar.ftpc import coset_enumerator, dual_coset_enumerator
+from qpolar.ftpc import coset_enumerator, coset_enumerators, dual_coset_enumerator
 from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
 from qpolar.kernsearch import (
     FixedKernel,
@@ -167,6 +167,68 @@ def test_empirical_failure_rate_finds_the_extension_degree_exactly(monkeypatch, 
     monkeypatch.setattr(kernsearch, "field_make", lambda *pm: made.append(pm) or field_make(*pm))
     empirical_failure_rate(2, p**m, 0.3, 1, np.random.default_rng(0))
     assert made == [(p, m)]
+
+
+def _failure_rate_loop(ell, q, z, trials, rng):
+    """The census one kernel at a time, as it was before the batched sweep."""
+    field = field_make(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    failures, witnesses = 0, []
+    for _ in range(trials):
+        kern = sample_invertible(field, ell, rng)
+        for i, prim in enumerate(coset_enumerators(kern), start=1):
+            phase1_ok, lhs, rhs, phase2_ok = kernsearch._phases(prim, i, q, z)
+            if not phase1_ok:
+                witness = {"reason": "min_weight", "i": i,
+                           "d": kernsearch._distance_target(i, ell), "min_weight": prim.min_weight}
+            elif not phase2_ok:
+                witness = {"reason": "overlap_poly", "i": i, "lhs": lhs, "rhs": rhs}
+            else:
+                continue
+            witness["matrix"] = kern.entries.tolist()
+            failures += 1
+            witnesses.append(witness)
+            break
+    return failures / trials, witnesses
+
+
+@pytest.mark.parametrize("block_words", [None, 64])
+@pytest.mark.parametrize("ell, q, z", [(10, 2, 0.2), (7, 2, 0.05), (7, 3, 0.3), (10, 4, 0.3),
+                                       (5, 4, 0.02)])
+def test_empirical_failure_rate_equals_a_loop_over_kernels(monkeypatch, block_words, ell, q, z):
+    # 64-word blocks split the kernels into batches of 1 to 8, and the
+    # GF(4) 10x10 sweeps into blocks; the report must not move
+    if block_words:
+        monkeypatch.setattr(ftpc, "_BLOCK_WORDS", block_words)
+    for seed in range(3):
+        rep = empirical_failure_rate(ell, q, z, 13, np.random.default_rng(seed))
+        rate, witnesses = _failure_rate_loop(ell, q, z, 13, np.random.default_rng(seed))
+        assert rep["rate"] == rate and rep["witnesses"] == witnesses
+
+
+@pytest.mark.parametrize("ell, q, trials, block_words", [(8, 4, 20, None), (8, 2, 21, 64)])
+def test_empirical_failure_rate_draws_each_kernel_once(monkeypatch, ell, q, trials, block_words):
+    # the benchmark's census (one batch of 20) and batches of 8, 8 and 5:
+    # one sample_invertible call per trial, as the benchmark traces
+    calls = []
+    draw = kernsearch.sample_invertible
+    monkeypatch.setattr(kernsearch, "sample_invertible", lambda *a: calls.append(a) or draw(*a))
+    if block_words:
+        monkeypatch.setattr(ftpc, "_BLOCK_WORDS", block_words)
+    empirical_failure_rate(ell, q, 0.3, trials, np.random.default_rng(0))
+    assert len(calls) == trials
+
+
+@pytest.mark.parametrize("ell", [0, -3])
+def test_empirical_failure_rate_needs_a_kernel(ell):
+    with pytest.raises(ValueError, match="kernel size must be positive"):
+        empirical_failure_rate(ell, 2, 0.3, 5, np.random.default_rng(0))
+
+
+def test_empirical_failure_rate_checks_the_guard_before_drawing(monkeypatch):
+    # GF(2) 52x52 sweeps 2^25-word spans, past the guard of 2^24
+    monkeypatch.setattr(kernsearch, "sample_invertible", None)
+    with pytest.raises(ValueError, match="coset of size 33554432 exceeds enumeration guard"):
+        empirical_failure_rate(52, 2, 0.3, 5, np.random.default_rng(0))
 
 
 def test_empirical_failure_rate_needs_a_trial():
