@@ -135,7 +135,10 @@ class _Packing:
         self.width = m * self.digit
         self.per_lane = 64 // self.width
         self.lanes = -(-ell // self.per_lane)
-        self.slot_shifts = np.arange(self.per_lane, dtype=np.uint64) * np.uint64(self.width)
+        # symbol j sits in lane j // per_lane, shifted by its slot in that lane
+        self.symbol_shifts = np.arange(ell, dtype=np.uint64) % np.uint64(self.per_lane)
+        self.symbol_shifts *= np.uint64(self.width)
+        self.lane_starts = np.arange(0, ell, self.per_lane)
         self.low_bits = np.uint64(_repeat_one(self.width, self.per_lane))
         if p != 2:
             ones = _repeat_one(self.digit, self.per_lane * m)
@@ -151,17 +154,20 @@ class _Packing:
             self.folds.append(np.uint64(self.width - window))
 
     def pack(self, symbols: np.ndarray) -> np.ndarray:
-        """(..., ell) symbols in [0, q) -> (..., lanes) uint64 words."""
-        ell = symbols.shape[-1]
+        """(..., ell) symbols in [0, q) -> (..., lanes) uint64 words.
+
+        Each symbol is shifted into its slot in place and the slots of a lane
+        OR-ed together, so no temporary is larger than the symbols as uint64.
+        """
         if self.p != 2 and self.m > 1:
             pows = self.p ** np.arange(self.m, dtype=np.int64)
             digits = (symbols[..., None] // pows % self.p).astype(np.uint64)
             shifts = np.arange(self.m, dtype=np.uint64) * np.uint64(self.digit)
             symbols = (digits << shifts).sum(axis=-1, dtype=np.uint64)
-        slots = np.zeros(symbols.shape[:-1] + (self.lanes * self.per_lane,), dtype=np.uint64)
-        slots[..., :ell] = symbols
-        slots = slots.reshape(symbols.shape[:-1] + (self.lanes, self.per_lane))
-        return (slots << self.slot_shifts).sum(axis=-1, dtype=np.uint64)
+        else:
+            symbols = symbols.astype(np.uint64)
+        symbols <<= self.symbol_shifts
+        return np.bitwise_or.reduceat(symbols, self.lane_starts, axis=-1)
 
     def add(self, a: np.ndarray, c: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """Symbol-wise field sum of two packed words (broadcasting), in ``out`` if given."""
@@ -423,8 +429,8 @@ def _primal_counts(kernels: list[Kernel]) -> np.ndarray:
     """Primal coset counts at every position of each kernel, (K, ell, ell + 1), one batch."""
     return _cosets(
         kernels[0].field,
-        np.stack([kern.entries for kern in kernels]),
-        np.stack([kern.inv_transpose for kern in kernels]),
+        np.array([kern.entries for kern in kernels]),
+        np.array([kern.inv_transpose for kern in kernels]),
     )
 
 
