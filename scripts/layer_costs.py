@@ -13,6 +13,13 @@ The layers are ``transform`` (raw law and merge), ``merge_outputs`` of the
 raw synthesis, the derived law (``derived_distributions``) and
 ``param_vector`` of the BEC child itself (census) or of the raw synthesis
 (construct).
+A third table times the kernel census of ``kernsearch.empirical_failure_rate``
+on one GF(4) 8x8 kernel, the first that ``sample_invertible`` draws from
+``default_rng(0)``: ``mat_invert`` of that kernel, ``mat_invert`` of the
+same matrix with its last row replaced by its first, which is refused as
+singular at the last pivot column, and one array ``kernsearch._phases``
+check of every position of the kernel's primal coset counts at z = 0.3;
+these rows take ``--repeats`` calls each.
 Every call is timed on its own with ``time.perf_counter``; ``param_vector``
 is timed on a fresh copy of its channel each time, with the derived law
 already built, so its row is the first call's cost and not a kept result.
@@ -33,6 +40,9 @@ import statistics
 import time
 import tracemalloc
 
+import numpy as np
+
+from qpolar import kernsearch
 from qpolar.channel import (
     Channel,
     bec,
@@ -41,7 +51,8 @@ from qpolar.channel import (
     merge_outputs,
     zchannel,
 )
-from qpolar.gf import arikan_kernel, field_make
+from qpolar.ftpc import _primal_counts
+from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
 from qpolar.params import param_vector
 from qpolar.transform import quantize_merge, transform
 
@@ -91,6 +102,31 @@ def layers(W: Channel, i: int, V: Channel) -> dict:
     }
 
 
+def _refused(fn):
+    """``fn`` with its ``ValueError`` caught, for timing a call that is refused."""
+    def call(arg):
+        try:
+            fn(arg)
+        except ValueError:
+            pass
+
+    return call
+
+
+def census_layers() -> dict:
+    """The census rows: the two eliminations and the array phase check."""
+    gf4 = field_make(2, 2)
+    kern = sample_invertible(gf4, 8, np.random.default_rng(0))
+    singular = kern.entries.copy()
+    singular[-1] = singular[0]
+    counts = _primal_counts([kern])
+    return {
+        "mat_invert, invertible": (lambda A: mat_invert(gf4, A), lambda: kern.entries),
+        "mat_invert, singular": (_refused(lambda A: mat_invert(gf4, A)), lambda: singular),
+        "_phases, primal counts": (lambda c: kernsearch._phases(c, 4, 0.3), lambda: counts),
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=2000,
@@ -119,6 +155,10 @@ def main() -> None:
     for label, (calls, repeats) in rows.items():
         costs = [_median_us(fn, make_arg, repeats) for fn, make_arg in calls.values()]
         print(label + " | " + " | ".join(f"{c:.1f}" for c in costs))
+    census_calls = census_layers()
+    print("median µs per call | " + " | ".join(census_calls))
+    costs = [_median_us(fn, make_arg, args.repeats) for fn, make_arg in census_calls.values()]
+    print("kernel census (GF(4) 8x8) | " + " | ".join(f"{c:.1f}" for c in costs))
     traced = {n: construct[n] for n in ("transform", "merge_outputs", "param_vector")}
     traced["quantize_merge"] = (lambda U: quantize_merge(U, 2048), lambda: raw)
     traced["transform, position 1"] = (lambda U: transform(U, ARIKAN, 1), lambda: parent)

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -213,7 +215,7 @@ def node_posterior(
     pins = np.asarray(pins, dtype=float)
     if pins.shape != (ell, q):
         raise ValueError(f"pins must be ({ell}, {q})")
-    if min(pins.flat) < 0.0:  # -0.0 passes; a NaN is left to the total check
+    if min(pins.ravel().tolist()) < 0.0:  # -0.0 passes; a NaN is left to the total check
         raise ValueError("pins must be nonnegative")
     decided = np.asarray(decided, dtype=np.int64).reshape(-1)
     if decided.shape[0] != i - 1:
@@ -228,8 +230,8 @@ def node_posterior(
     w = g[:, 0]
     for j in range(1, ell):
         w = w * g[:, j]
-    gamma = w.reshape(q, -1).sum(axis=1)
-    total = gamma.sum()
+    gamma = np.add.reduce(w.reshape(q, -1), axis=1)
+    total = np.add.reduce(gamma)
     if not math.isfinite(total):
         raise ValueError("pins give a NaN or infinite posterior mass")
     if total <= 0.0:
@@ -274,17 +276,17 @@ class _Engine:
         kern = spec.kernels[path]
         ell, q = kern.ell, spec.field.q
         groups = pins_ch.shape[0] // ell
+        group_ch = pins_ch.reshape(groups, ell, -1)
+        group_pr = pins_pr.reshape(groups, ell, -1)
+        self.du_activations += groups
         decided = np.zeros((groups, ell), dtype=np.int64)
         for k in range(1, ell + 1):
             ch_k = np.empty((groups, q))
             pr_k = np.empty((groups, q))
             for t in range(groups):
-                rows = slice(t * ell, (t + 1) * ell)
                 prefix = decided[t, : k - 1]
-                post_ch, ok_ch = node_posterior(kern, pins_ch[rows], prefix, k)
-                post_pr, ok_pr = node_posterior(kern, pins_pr[rows], prefix, k)
-                if k == 1:
-                    self.du_activations += 1
+                post_ch, ok_ch = node_posterior(kern, group_ch[t], prefix, k)
+                post_pr, ok_pr = node_posterior(kern, group_pr[t], prefix, k)
                 if not (ok_ch and ok_pr):
                     self.failed = True
                 ch_k[t] = post_ch
@@ -309,8 +311,8 @@ class _Engine:
         # The B/C split is rate bookkeeping and does not alter the draw.
         v = self.variates[self.frozen_pos]
         self.frozen_pos += 1
-        cdf = np.cumsum(pp)
-        return min(int(np.searchsorted(cdf, v * cdf[-1], side="right")), q - 1)
+        cdf = list(accumulate(pp.tolist()))  # summed in order, as np.cumsum does
+        return min(bisect_right(cdf, v * cdf[-1]), q - 1)
 
 
 @dataclass(frozen=True, eq=False)

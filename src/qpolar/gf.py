@@ -365,21 +365,35 @@ def mat_invert(spec: FieldSpec, entries) -> Kernel:
     if raw.min() < 0 or raw.max() >= spec.q:
         raise ValueError("matrix entries outside [0, q)")
     A = raw.astype(np.int64)
-    ell = A.shape[0]
-    # [A | I] reduces to [I | A^-1]; each column costs one mul and one sub
-    work = np.concatenate([A, np.eye(ell, dtype=np.int64)], axis=1)
+    ell, q = A.shape[0], spec.q
+    log_z, exp_z = spec._log_z, spec._exp_z
+    # [A | I] reduces to [I | A^-1] up to the order of its rows, which stay
+    # where they are: ``order`` lists them as swapping each pivot row up
+    # would leave them.  At each column the pivot a is the first nonzero
+    # entry of the rows not yet pivoted, in that order; its row is divided
+    # by a, and -f times it is added to every other row, whose entry in that
+    # column is f.
+    work = np.eye(ell, 2 * ell, ell, dtype=np.int64)
+    work[:, :ell] = A
+    order = list(range(ell))
     for col in range(ell):
-        piv_rows = np.nonzero(work[col:, col])[0]
-        if piv_rows.size == 0:
+        column = work[:, col].tolist()
+        for k in range(col, ell):
+            if column[order[k]]:
+                break
+        else:
             raise ValueError("matrix is singular over GF(q)")
-        piv = col + int(piv_rows[0])
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-        work[col] = spec.mul(spec._inv_t[work[col, col]], work[col])
-        factors = work[:, col].copy()
-        factors[col] = 0
-        work = spec.sub(work, spec.mul(factors[:, None], work[col][None, :]))
-    inv_t = np.ascontiguousarray(work[:, ell:].T)
+        order[col], order[k] = order[k], order[col]
+        piv = order[col]
+        # row / a = g^(log row + q - 1 - log a); a zero entry's log 2q - 1
+        # lands in exp_z's zero tail
+        row = exp_z.take(log_z.take(work[piv]) + (q - 1 - int(log_z[column[piv]])))
+        work[piv] = row
+        factors = spec._neg_t.take(work[:, col])
+        factors[piv] = 0
+        work = spec.add(work, exp_z.take(log_z.take(factors)[:, None] + log_z.take(row)))
+    # column col of A^-T is the right half of row order[col]
+    inv_t = work[:, ell:].T.take(np.array(order), axis=1)
     for arr in (A, inv_t):
         arr.setflags(write=False)
     return Kernel(field=spec, ell=ell, entries=A, inv_transpose=inv_t)
@@ -390,7 +404,10 @@ def sample_invertible(spec: FieldSpec, ell: int, rng: np.random.Generator) -> Ke
 
     Each attempt draws all entries i.i.d. uniform and keeps the matrix iff
     it inverts, so accepted draws are exactly uniform over the invertible
-    matrices.  Deterministic given the generator state.
+    matrices.  Deterministic given the generator state.  Every draw goes
+    through one ``mat_invert`` call, whose elimination stops at the first
+    column with no pivot; a GF(4) 8x8 kernel takes about 1.4 draws, and
+    the draws are most of what a kernel census spends per kernel.
     """
     if ell < 1:
         raise ValueError("kernel size must be positive")

@@ -28,7 +28,6 @@ import numpy as np
 
 from .channel import Channel
 from .ftpc import (
-    WeightEnumerator,
     _batch_size,
     _primal_counts,
     coset_enumerators,
@@ -108,46 +107,80 @@ def _int_power(base: float, k: int) -> float:
     return out
 
 
-def _phases(enum: WeightEnumerator, i: int, q: int, x: float) -> tuple[bool, float, float, bool]:
-    """Both certificate phases of one coset enumerator, against position i's target d_i.
+def _phases(
+    counts: np.ndarray, q: int, x: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both certificate phases at every position of a batch of coset counts.
 
-    Phase I: the minimum weight reaches d_i, binding once i^2 > 3 ell.
+    ``counts`` is a (..., ell, ell + 1) array of int64 or Python integers:
+    row i - 1 of each kernel holds the weight counts of its coset at
+    position i, checked against the target d_i of position i.
+    Phase I: the minimum weight (the first nonzero count, 0 if none)
+    reaches d_i, binding once i^2 > 3 ell.
     Phase II: the enumerator at x stays within 1e-12 of
-    ell (1+(q-1)x)^(ell-d_i) ((q-1)x)^d_i.  Returns (phase I ok, lhs, rhs,
-    phase II ok).
+    ell (1+(q-1)x)^(ell-d_i) ((q-1)x)^d_i, which no kernel enters.  The
+    enumerator is summed by Horner's rule from weight ell down in float64,
+    each step one correctly rounded multiply and one add of float(count),
+    so every value has the bits of ``WeightEnumerator.evaluate``.  Returns
+    (minimum weights, phase I ok, lhs, rhs, phase II ok): rhs has shape
+    (ell,), the others (..., ell).
     """
-    ell = enum.ell
-    d = _distance_target(i, ell)
-    lhs = enum.evaluate(x)
-    rhs = ell * _int_power(1 + (q - 1) * x, ell - d) * _int_power((q - 1) * x, d)
-    return i * i <= 3 * ell or enum.min_weight >= d, lhs, rhs, lhs <= rhs + 1e-12
+    ell = counts.shape[-2]
+    targets = [_distance_target(i, ell) for i in range(1, ell + 1)]
+    min_weight = np.argmax(counts > 0, axis=-1)
+    phase1 = (np.arange(1, ell + 1) ** 2 <= 3 * ell) | (min_weight >= targets)
+    x = float(x)
+    # every axis reversed, weight first, each weight's counts contiguous
+    by_weight = counts.astype(np.float64, order="F").T
+    lhs = np.zeros(by_weight.shape[1:])
+    for row in by_weight[::-1]:
+        lhs *= x
+        lhs += row
+    lhs = lhs.T
+    rhs = np.array(
+        [ell * _int_power(1 + (q - 1) * x, ell - d) * _int_power((q - 1) * x, d) for d in targets]
+    )
+    return min_weight, phase1, lhs, rhs, lhs <= rhs + 1e-12
+
+
+def _both_sides(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel's (ell, ell + 1) counts: primal at positions 1..ell, dual at ell..1."""
+    prims = np.array([enum.counts for enum in coset_enumerators(kernel)])
+    duals = np.array([enum.counts for enum in dual_coset_enumerators(kernel)[::-1]])
+    return prims, duals
 
 
 def _ldp_report(
-    kernel: Kernel, prims: list[WeightEnumerator], duals: list[WeightEnumerator], z: float, s: float
+    kernel: Kernel, prims: np.ndarray, duals: np.ndarray, z: float, s: float
 ) -> dict:
-    """The certificate of ``certify_ldp`` from the kernel's enumerators of both sides."""
+    """The certificate of ``certify_ldp`` from one kernel's count arrays of both sides.
+
+    Row i - 1 of ``prims`` holds the primal coset at position i, and of
+    ``duals`` the dual coset at ell + 1 - i; one ``_phases`` call per side
+    checks every position.
+    """
     ell, q = kernel.ell, kernel.field.q
+    prim_min, prim_ok, z_lhs, z_rhs, z_ok = _phases(prims, q, z)
+    dual_min, dual_ok, s_lhs, s_rhs, s_ok = _phases(duals, q, s)
+    columns = (prim_min, dual_min, prim_ok & dual_ok, z_lhs, z_rhs, z_ok, s_lhs, s_rhs, s_ok)
     records = []
-    for i, (prim, dual) in enumerate(zip(prims, duals[::-1]), start=1):
-        prim_ok, z_lhs, z_rhs, z_ok = _phases(prim, i, q, z)
-        dual_ok, s_lhs, s_rhs, s_ok = _phases(dual, i, q, s)
-        rec = {
+    for i, row in enumerate(zip(*(col.tolist() for col in columns)), start=1):
+        min_weight, dual_min_weight, phase1_ok, zl, zr, zo, sl, sr, so = row
+        records.append({
             "i": i,
             "d": _distance_target(i, ell),
-            "min_weight": prim.min_weight,
-            "dual_min_weight": dual.min_weight,
+            "min_weight": min_weight,
+            "dual_min_weight": dual_min_weight,
             "phase1_required": i * i > 3 * ell,
-            "phase1_ok": prim_ok and dual_ok,
-            "ldp_z_lhs": z_lhs,
-            "ldp_z_rhs": z_rhs,
-            "ldp_z_ok": z_ok,
-            "ldp_s_lhs": s_lhs,
-            "ldp_s_rhs": s_rhs,
-            "ldp_s_ok": s_ok,
-        }
-        rec["pass"] = prim_ok and dual_ok and z_ok and s_ok
-        records.append(rec)
+            "phase1_ok": phase1_ok,
+            "ldp_z_lhs": zl,
+            "ldp_z_rhs": zr,
+            "ldp_z_ok": zo,
+            "ldp_s_lhs": sl,
+            "ldp_s_rhs": sr,
+            "ldp_s_ok": so,
+            "pass": phase1_ok and zo and so,
+        })
     return {
         "ell": ell,
         "q": q,
@@ -167,7 +200,7 @@ def certify_ldp(kernel: Kernel, z: float, s: float) -> dict:
     z or s is not finite or lies outside [0, 1].
     """
     _check_point(z=z, s=s)
-    return _ldp_report(kernel, coset_enumerators(kernel), dual_coset_enumerators(kernel), z, s)
+    return _ldp_report(kernel, *_both_sides(kernel), z, s)
 
 
 def certify_clt(kernel: Kernel, W: Channel) -> dict:
@@ -251,7 +284,7 @@ def search(
     pv = param_vector(Vnode)
     for _ in range(budget):
         cand = sample_invertible(field, ell, rng)
-        prims, duals = coset_enumerators(cand), dual_coset_enumerators(cand)
+        prims, duals = _both_sides(cand)
         rep_w = _ldp_report(cand, prims, duals, pw.Zmad, pw.Smax)
         rep_v = _ldp_report(cand, prims, duals, pv.Zmad, pv.Smax)
         witness = _first_violation(rep_w, "data") or _first_violation(rep_v, "randomness")
@@ -274,24 +307,6 @@ def search(
     raise ValueError(f"no certifiable kernel found within budget {budget}")
 
 
-def _primal_witness(counts: np.ndarray, q: int, z: float) -> dict | None:
-    """The first position whose primal counts fail phase I or the phase-II bound at z."""
-    ell = len(counts)
-    for i, row in enumerate(counts, start=1):
-        prim = WeightEnumerator(ell=ell, counts=row)
-        phase1_ok, lhs, rhs, phase2_ok = _phases(prim, i, q, z)
-        if not phase1_ok:
-            return {
-                "reason": "min_weight",
-                "i": i,
-                "d": _distance_target(i, ell),
-                "min_weight": prim.min_weight,
-            }
-        if not phase2_ok:
-            return {"reason": "overlap_poly", "i": i, "lhs": lhs, "rhs": rhs}
-    return None
-
-
 def empirical_failure_rate(
     ell: int,
     q: int,
@@ -309,8 +324,11 @@ def empirical_failure_rate(
     The kernels are drawn first, a batch at a time, from the same stream
     and in the same order as one draw per trial; each batch is enumerated
     in one batched sweep, sized so that no step holds more than
-    ``ftpc._BLOCK_WORDS`` words, and its kernels are checked in trial
-    order.  So the rate and the witnesses do not depend on the batch size.
+    ``ftpc._BLOCK_WORDS`` words, and every position of every kernel of the
+    batch is checked in one array step (``_phases``); each failing kernel's
+    witness names its first failing position, and the witnesses are kept
+    in trial order.  So the rate and the witnesses do not depend on the
+    batch size.
     Raises ``ValueError`` for a kernel size below 1, for fewer than one
     trial, whose rate is undefined, for a z that is not finite or lies
     outside [0, 1], for a q outside 2..``MAX_Q`` or not a prime power, and,
@@ -335,11 +353,26 @@ def empirical_failure_rate(
     witnesses: list[dict] = []
     for first in range(0, trials, batch):
         kernels = [sample_invertible(field, ell, rng) for _ in range(min(batch, trials - first))]
-        for kern, counts in zip(kernels, _primal_counts(kernels)):
-            witness = _primal_witness(counts, q, z)
-            if witness is not None:
-                witness["matrix"] = kern.entries.tolist()
-                witnesses.append(witness)
+        min_weight, phase1, lhs, rhs, phase2 = _phases(_primal_counts(kernels), q, z)
+        failing = ~(phase1 & phase2)
+        for k in np.flatnonzero(failing.any(axis=1)).tolist():
+            i = int(failing[k].argmax())  # the first failing position, less one
+            if not phase1[k, i]:
+                witness = {
+                    "reason": "min_weight",
+                    "i": i + 1,
+                    "d": _distance_target(i + 1, ell),
+                    "min_weight": int(min_weight[k, i]),
+                }
+            else:
+                witness = {
+                    "reason": "overlap_poly",
+                    "i": i + 1,
+                    "lhs": float(lhs[k, i]),
+                    "rhs": float(rhs[i]),
+                }
+            witness["matrix"] = kernels[k].entries.tolist()
+            witnesses.append(witness)
     bound = 3.0 * q ** (-math.sqrt(ell) / 13.0)
     return {
         "rate": len(witnesses) / trials,

@@ -348,17 +348,21 @@ def _mat_invert_reference(spec, entries):
 
 @given(
     st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]),
-    st.integers(1, 6),
+    st.integers(1, 12),
     st.integers(0, 2**32 - 1),
-    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 11)),
 )
-@settings(max_examples=150, deadline=None)
-def test_mat_invert_matches_the_reference(pm, ell, seed, low_rank):
+@settings(max_examples=200, deadline=None)
+def test_mat_invert_matches_the_reference(pm, ell, seed, rank):
+    # a uniform draw (often singular over GF(2) and GF(3)), or a product of
+    # (ell, rank) and (rank, ell) draws, of rank at most rank < ell
     f = field_make(*pm)
     rng = np.random.default_rng(seed)
-    cand = rng.integers(0, f.q, size=(ell, ell))
-    if low_rank and ell > 1:
-        cand[-1] = f.add(cand[0], f.mul(int(rng.integers(0, f.q)), cand[1]))
+    if rank is None or rank >= ell:
+        cand = rng.integers(0, f.q, size=(ell, ell))
+    else:
+        cand = field_matmul(f, rng.integers(0, f.q, size=(ell, rank)),
+                            rng.integers(0, f.q, size=(rank, ell)))
     try:
         want = _mat_invert_reference(f, cand)
     except ValueError as exc:
@@ -370,6 +374,8 @@ def test_mat_invert_matches_the_reference(pm, ell, seed, low_rank):
     assert k.entries.tobytes() == want[0].tobytes()
     assert k.inv_transpose.T.tobytes() == want[1].tobytes()
     assert k.inv_transpose.tobytes() == np.ascontiguousarray(want[1].T).tobytes()
+    for arr in (k.entries, k.inv_transpose):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("p,m,ell", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2)])

@@ -1,15 +1,24 @@
 """Kernel certification, search determinism, failure-rate estimation."""
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpolar import ftpc, kernsearch
 from qpolar import transform as transform_module
 from qpolar.channel import bec, flatten
-from qpolar.ftpc import coset_enumerator, coset_enumerators, dual_coset_enumerator
+from qpolar.ftpc import (
+    WeightEnumerator,
+    coset_enumerator,
+    coset_enumerators,
+    dual_coset_enumerator,
+    dual_coset_enumerators,
+)
 from qpolar.gf import arikan_kernel, field_make, mat_invert, sample_invertible
 from qpolar.kernsearch import (
     FixedKernel,
@@ -169,14 +178,122 @@ def test_empirical_failure_rate_finds_the_extension_degree_exactly(monkeypatch, 
     assert made == [(p, m)]
 
 
+def _phases_oracle(enum, i, q, x):
+    """Both certificate phases of one coset enumerator at position i, one position at a time.
+
+    Phase I: the minimum weight reaches d_i = ceil(i^2/3 ell), binding once
+    i^2 > 3 ell.  Phase II: the enumerator at x, by ``WeightEnumerator.evaluate``,
+    stays within 1e-12 of ell (1+(q-1)x)^(ell-d_i) ((q-1)x)^d_i.  Returns
+    (phase I ok, lhs, rhs, phase II ok).
+    """
+    ell = enum.ell
+    d = kernsearch._distance_target(i, ell)
+    lhs = enum.evaluate(x)
+    rhs = ell * kernsearch._int_power(1 + (q - 1) * x, ell - d) * kernsearch._int_power((q - 1) * x, d)
+    return i * i <= 3 * ell or enum.min_weight >= d, lhs, rhs, lhs <= rhs + 1e-12
+
+
+def _assert_phases_match_the_oracle(counts, q, x):
+    """The array check of a (..., ell, ell + 1) count array equals the oracle at every position."""
+    min_weight, phase1, lhs, rhs, phase2 = kernsearch._phases(counts, q, x)
+    ell = counts.shape[-2]
+    assert rhs.shape == (ell,) and rhs.dtype == np.float64
+    for index in np.ndindex(counts.shape[:-1]):
+        i = index[-1] + 1
+        enum = WeightEnumerator(ell=ell, counts=counts[index])
+        want = _phases_oracle(enum, i, q, x)
+        assert int(min_weight[index]) == enum.min_weight
+        assert (bool(phase1[index]), bool(phase2[index])) == (want[0], want[3])
+        assert float(lhs[index]).hex() == want[1].hex()
+        assert float(rhs[index[-1]]).hex() == want[2].hex()
+
+
+_PHASE_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
+
+@given(
+    st.sampled_from(sorted(_PHASE_FIELDS)),
+    st.integers(1, 10),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_phases_match_the_scalar_oracle_at_every_position(q, ell, x, seed):
+    # one kernel's primal and dual counts, as one batch of two
+    kern = sample_invertible(field_make(*_PHASE_FIELDS[q]), ell, np.random.default_rng(seed))
+    prims = np.array([e.counts for e in coset_enumerators(kern)])
+    duals = np.array([e.counts for e in dual_coset_enumerators(kern)])
+    _assert_phases_match_the_oracle(np.array([prims, duals]), q, x)
+
+
+@given(st.data(), st.sampled_from(sorted(_PHASE_FIELDS)), st.integers(1, 12), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_phases_take_each_python_integer_count_as_float(data, q, ell, x):
+    # counts past 2^63 arrive as Python integers; every Horner step adds
+    # float(count), as Python's acc * z + count does
+    values = st.one_of(st.just(0), st.integers(0, 2**53 + 7), st.integers(2**63, 2**90))
+    flat = data.draw(st.lists(values, min_size=ell * (ell + 1), max_size=ell * (ell + 1)))
+    counts = np.empty((ell, ell + 1), dtype=object)
+    counts.flat[:] = flat
+    _assert_phases_match_the_oracle(counts, q, x)
+
+
+@pytest.mark.parametrize("ell", [3, 12, 27])
+def test_phase_one_binds_only_past_i_squared_3ell(ell):
+    # every coset holds the zero word, so phase I fails wherever it binds
+    counts = np.zeros((ell, ell + 1), dtype=np.int64)
+    counts[:, 0] = 1
+    phase1 = kernsearch._phases(counts, 2, 0.1)[1]
+    assert phase1.tolist() == [i * i <= 3 * ell for i in range(1, ell + 1)]
+    assert phase1[math.isqrt(3 * ell) - 1]  # i^2 = 3 ell: not yet required
+
+
+def _ldp_report_oracle(kern, z, s):
+    """certify_ldp's records, checked one position at a time by the scalar oracle."""
+    ell, q = kern.ell, kern.field.q
+    records = []
+    pairs = zip(coset_enumerators(kern), dual_coset_enumerators(kern)[::-1])
+    for i, (prim, dual) in enumerate(pairs, start=1):
+        prim_ok, z_lhs, z_rhs, z_ok = _phases_oracle(prim, i, q, z)
+        dual_ok, s_lhs, s_rhs, s_ok = _phases_oracle(dual, i, q, s)
+        records.append({
+            "i": i,
+            "d": kernsearch._distance_target(i, ell),
+            "min_weight": prim.min_weight,
+            "dual_min_weight": dual.min_weight,
+            "phase1_required": i * i > 3 * ell,
+            "phase1_ok": prim_ok and dual_ok,
+            "ldp_z_lhs": z_lhs,
+            "ldp_z_rhs": z_rhs,
+            "ldp_z_ok": z_ok,
+            "ldp_s_lhs": s_lhs,
+            "ldp_s_rhs": s_rhs,
+            "ldp_s_ok": s_ok,
+            "pass": prim_ok and dual_ok and z_ok and s_ok,
+        })
+    return records
+
+
+@pytest.mark.parametrize("q, ell, z, s", [(2, 9, 0.2, 0.7), (3, 6, 0.05, 0.4), (4, 8, 0.3, 0.3),
+                                          (2, 16, 0.1, 0.9)])
+def test_certify_ldp_records_equal_a_loop_over_positions(q, ell, z, s):
+    field = field_make(*_PHASE_FIELDS[q])
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        kern = sample_invertible(field, ell, rng)
+        # json.dumps tells True from 1 and prints each float's shortest round trip
+        got = json.dumps(certify_ldp(kern, z, s)["records"])
+        assert got == json.dumps(_ldp_report_oracle(kern, z, s))
+
+
 def _failure_rate_loop(ell, q, z, trials, rng):
-    """The census one kernel at a time, as it was before the batched sweep."""
+    """The census one kernel and one position at a time, as it was before the batched sweep."""
     field = field_make(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
     failures, witnesses = 0, []
     for _ in range(trials):
         kern = sample_invertible(field, ell, rng)
         for i, prim in enumerate(coset_enumerators(kern), start=1):
-            phase1_ok, lhs, rhs, phase2_ok = kernsearch._phases(prim, i, q, z)
+            phase1_ok, lhs, rhs, phase2_ok = _phases_oracle(prim, i, q, z)
             if not phase1_ok:
                 witness = {"reason": "min_weight", "i": i,
                            "d": kernsearch._distance_target(i, ell), "min_weight": prim.min_weight}
