@@ -189,7 +189,8 @@ def _phases_oracle(enum, i, q, x):
     ell = enum.ell
     d = kernsearch._distance_target(i, ell)
     lhs = enum.evaluate(x)
-    rhs = ell * kernsearch._int_power(1 + (q - 1) * x, ell - d) * kernsearch._int_power((q - 1) * x, d)
+    power = kernsearch._int_power
+    rhs = ell * power(1 + (q - 1) * x, ell - d) * power((q - 1) * x, d)
     return i * i <= 3 * ell or enum.min_weight >= d, lhs, rhs, lhs <= rhs + 1e-12
 
 
